@@ -7,10 +7,11 @@ Subcommands::
     suzuki-cd orbits --f 1 --family X [--json]
     suzuki-cd gcd-table --f 1..8 [--output PATH]
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 oracle
-budget violation, 4 I/O error.  All output is deterministic (ascending
-degrees/divisors, fixed key order) and uses UTF-8 with LF line endings;
---output writes bytes identical to what stdout would receive.
+Exit codes: 0 success, 1 verification failure or broken invariant, 2
+usage error, 3 oracle budget violation, 4 I/O error.  All output is
+deterministic (ascending degrees/divisors, fixed key order) and uses
+UTF-8 with LF line endings; --output writes bytes identical to what
+stdout would receive.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import os
 import sys
 
 from .characters import Family
-from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_oracle, degrees_json_payload
-from .errors import BudgetExceededError
+from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_multiset, degrees_json_payload
+from .errors import BudgetExceededError, InvariantError
 from .numtheory import gcd_verification_rows
 from .params import divisors_of, make_params
 from .stabilizers import ORACLE_F_MAX, orbit_report
@@ -47,6 +48,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -72,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cd.add_argument(
         "--multiplicities",
         action="store_true",
-        help="run the counting oracle and include multiplicities (needs f within budget)",
+        help="include multiplicities from Clifford counting over orbit counts (any f)",
     )
     p_cd.add_argument(
         "--checked",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="cross-verify against the oracle when within budget (default: on for f <= 4)",
+        help="cross-verify the closed form against Clifford counting (default: on for f <= 4)",
     )
     p_cd.add_argument("--output", help="write to this path instead of stdout")
     p_cd.set_defaults(func=_cmd_cd)
@@ -119,10 +123,8 @@ def _cmd_cd(args: argparse.Namespace) -> int:
     for d in ds:
         spec = ExtensionSpec(p, d)
         multiset: DegreeMultiset | None = None
-        if args.multiplicities:
-            multiset = cd_oracle(spec)  # raises past the budget: exit 3
-        elif checked and p.f <= ORACLE_F_MAX:
-            multiset = cd_oracle(spec)
+        if args.multiplicities or checked:
+            multiset = cd_multiset(spec)
         if args.json:
             payloads.append(degrees_json_payload(spec, multiset))
         else:
@@ -160,6 +162,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         jobs = int(os.environ.get("SUZUKI_CD_JOBS", "1"))
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    if args.f_max is not None and args.f_max < 1:
+        raise ValueError(f"--f-max must be >= 1, got {args.f_max}")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     reports: list[SweepReport] = []
     if args.scope == "lemmas":
         f_max = args.f_max if args.f_max is not None else 64
@@ -232,6 +240,8 @@ def _parse_f_range(text: str) -> list[int]:
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         lo, hi = int(lo_text), int(hi_text)
+        if hi < lo:
+            raise ValueError(f"--f range {text!r} is empty")
         return list(range(lo, hi + 1))
     return [int(text)]
 

@@ -10,7 +10,9 @@ For theta with exact stabilizer exponent m, the stabilizer in G is
 generated over S by the lcm(e, m)-th automorphism power, so theta's
 G-orbit has size s = m / gcd(e, m) and contributes d/s irreducible
 characters of G, all of degree s * theta(1).  Aggregating over Irr(S)
-gives the oracle multiset; the closed form below is what it must equal.
+gives the degree multiset, from counted orbit histograms (cd_multiset,
+any f) or from enumerated ones (cd_oracle, f <= ORACLE_F_MAX); the
+closed form below is what its degree set must equal.
 
 Closed form: cd(G) is
 
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
+from .errors import InvariantError
 from .params import SuzukiParams, divisors_of, outer_divisors
-from .stabilizers import orbit_oracle, witness_for
+from .stabilizers import orbit_counts, orbit_oracle, witness_for
 
 
 @dataclass(frozen=True)
@@ -139,36 +142,60 @@ def cd_family(spec: ExtensionSpec, family: Family) -> frozenset[int]:
     return frozenset(out)
 
 
+def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
+    """Degree multiset of G by Clifford counting over orbit_counts.
+
+    The production route for multiplicities: exact at any f, with the
+    same global sum rules enforced as cd_oracle.
+    """
+    return _clifford_multiset(spec, orbit_counts)
+
+
 def cd_oracle(spec: ExtensionSpec) -> DegreeMultiset:
     """Degree multiset of G by Clifford counting over all of Irr(S).
 
     Uses the brute-force orbit histograms, so it inherits their
-    f <= ORACLE_F_MAX budget.  Self-checks the two global sum rules:
-    sum of squares equals |G| and the character count matches the
-    orbit bookkeeping.
+    f <= ORACLE_F_MAX budget.
+    """
+    return _clifford_multiset(spec, orbit_oracle)
+
+
+def _clifford_multiset(
+    spec: ExtensionSpec,
+    histogram: Callable[[SuzukiParams, Family], Mapping[int, int]],
+) -> DegreeMultiset:
+    """Aggregate the Clifford counts of every family's exponent histogram.
+
+    Raises InvariantError unless every count splits into G-orbits, the
+    invariant families give 4d characters and the squared degrees sum
+    to |G|.
     """
     p = spec.params
     e = p.out_order // spec.d
     entries: dict[int, int] = {}
-    torus_chars = 0
     invariant_chars = 0
     for family in Family:
         theta_deg = degree_of(p, family)
-        for m, cnt in orbit_oracle(p, family).items():
+        for m, cnt in histogram(p, family).items():
             s = m // math.gcd(e, m)  # G-orbit size of each such label
-            assert cnt % s == 0 and spec.d % s == 0
+            if cnt % s or spec.d % s:
+                raise InvariantError(
+                    f"f={p.f} d={spec.d} {family.value}: the labels of exponent {m} "
+                    f"do not split into G-orbits of size {s}"
+                )
             contributed = (cnt // s) * (spec.d // s)
             deg = theta_deg * s
             entries[deg] = entries.get(deg, 0) + contributed
-            if family in TORUS_FAMILIES:
-                torus_chars += contributed
-            else:
+            if family not in TORUS_FAMILIES:
                 invariant_chars += contributed
-    result = DegreeMultiset(dict(sorted(entries.items())))
-    assert result.sum_of_squares() == spec.order
     # ONE and ST extend to d characters each, the two W's to 2d total
-    assert invariant_chars == 4 * spec.d
-    assert result.total_multiplicity() == torus_chars + invariant_chars
+    if invariant_chars != 4 * spec.d:
+        raise InvariantError(
+            f"f={p.f} d={spec.d}: ONE/ST/W give {invariant_chars} characters, not 4d"
+        )
+    result = DegreeMultiset(dict(sorted(entries.items())))
+    if result.sum_of_squares() != spec.order:
+        raise InvariantError(f"f={p.f} d={spec.d}: squared degrees do not sum to |G|")
     return result
 
 
@@ -191,8 +218,8 @@ def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:
 def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> dict:
     """JSON-ready degree report; big integers become decimal strings.
 
-    ``multiset`` is the oracle result, or None when only the closed
-    form was computed (multiplicities then serialize as null and
+    ``multiset`` is the Clifford-counting result, or None when only the
+    closed form was computed (multiplicities then serialize as null and
     verified_against_oracle is false).
     """
     closed = cd_closed_form(spec)

@@ -8,3 +8,11 @@ class BudgetExceededError(Exception):
     enumeration oracles refuse oversized inputs, so callers can always
     fall back to the closed forms.
     """
+
+
+class InvariantError(Exception):
+    """Raised when a computed result breaks one of the paper's invariants.
+
+    Unlike an ``assert``, the check that raises it survives ``python -O``;
+    it signals a bug in the library, not a bad input.
+    """

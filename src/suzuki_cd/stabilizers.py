@@ -29,16 +29,19 @@ is already fixed by the automorphism itself.  They apply even at f = 1
 where n = 3 is all of 2f+1; the lone Z class of Sz(8) is invariant, so
 nothing there has exact exponent 3.
 
-An independent brute-force oracle enumerates the index-doubling
-dynamics of a whole family and histograms exact exponents; it is
-budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
-queries have no budget.
+The histogram of exact exponents over a whole family comes from
+counting (orbit_counts, gcds only, any f).  An independent brute-force
+oracle (orbit_oracle) enumerates the index-doubling dynamics of the
+family instead; it is budgeted to f <= ORACLE_F_MAX (largest torus
+around 2^21).  Per-label queries have no budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .characters import (
     CharacterLabel,
@@ -51,7 +54,7 @@ from .characters import (
     phi_power_on_label,
     torus_order_of,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvariantError
 from .numtheory import euclid_gcd
 from .params import SuzukiParams, make_params, outer_divisors
 
@@ -221,6 +224,57 @@ def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
         length += 1
         if cur == label:
             return length
+
+
+def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
+    """Exact-exponent histogram {n: number of canonical labels}, by counting.
+
+    Equals orbit_oracle(p, family) at every f, from gcds alone.  The
+    n-th automorphism power fixes the class of a nonzero index j of Z/N
+    iff 2^n j == m j for some multiplier m in M.  Each condition cuts out
+    the subgroup ker(2^n - m) of order gcd(N, 2^n - m), and subgroups of
+    a cyclic group meet in the subgroup of gcd order, so inclusion-
+    exclusion over the nonempty subsets of M counts their union exactly;
+    less the index 0 and divided by |M|, that is the number of fixed
+    classes (Burnside).  A class is fixed by the n-th power iff its exact
+    exponent divides n, so Möbius inversion over the divisors of 2f+1
+    (subtracting the exact counts of the proper divisors of n) leaves the
+    classes of exact exponent n.
+    """
+    total = family_count(p, family)
+    if family not in TORUS_FAMILIES:
+        return {1: total}
+    order = torus_order_of(p, family)
+    mult = sorted(multipliers_of(p, family))
+    subsets = [s for size in range(1, len(mult) + 1) for s in combinations(mult, size)]
+    exact: dict[int, int] = {}
+    for n in outer_divisors(p):
+        two_n = pow(2, n, order)
+        union = sum(
+            (-1) ** (len(s) + 1) * math.gcd(order, *(two_n - m for m in s))
+            for s in subsets
+        )
+        if (union - 1) % len(mult):
+            raise InvariantError(
+                f"f={p.f} {family.value} n={n}: fixed nonzero indices "
+                f"not a multiple of |M|={len(mult)}"
+            )
+        count = (union - 1) // len(mult) - sum(
+            c for k, c in exact.items() if n % k == 0
+        )
+        if count < 0 or count % n:  # labels of exact exponent n fill n-orbits
+            raise InvariantError(
+                f"f={p.f} {family.value} n={n}: label count cannot form orbits of size {n}"
+            )
+        exact[n] = count
+    hist = {n: c for n, c in exact.items() if c}
+    if any(p.out_order % n for n in hist):
+        raise InvariantError(f"f={p.f} {family.value}: an exponent does not divide 2f+1")
+    if sum(hist.values()) != total:
+        raise InvariantError(
+            f"f={p.f} {family.value}: exponent counts do not sum to the family count"
+        )
+    return hist
 
 
 def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:

@@ -22,7 +22,14 @@ from math import gcd as _math_gcd
 
 from .characters import Family, canonicalize, degree_of, family_count, make_label
 from .cyclotomic import quad_sum_equivalence
-from .degrees import ExtensionSpec, cd_closed_form, cd_family, cd_oracle, check_corollary_b
+from .degrees import (
+    ExtensionSpec,
+    cd_closed_form,
+    cd_family,
+    cd_multiset,
+    cd_oracle,
+    check_corollary_b,
+)
 from .numtheory import (
     Torus,
     coincidence_classify,
@@ -34,7 +41,7 @@ from .numtheory import (
     torus_order,
 )
 from .params import divisors_of, make_params
-from .stabilizers import exact_stabilizer_exponent, orbit_oracle, witness_for
+from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, witness_for
 
 DEFAULT_SEED = 20160414
 
@@ -94,14 +101,15 @@ def verify_quad_identity(
 
 
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
-    """Witness constructors agree with exhaustive orbit enumeration,
-    including every exceptional (witnessless) branch."""
+    """Witness constructors and orbit counting agree with exhaustive
+    orbit enumeration, including every exceptional (witnessless) branch."""
     return _merge("stabilizer-witnesses", _map_ordered(_stabilizer_worker, range(1, f_max + 1), jobs))
 
 
 def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
     """Closed-form cd(G) equals the Clifford-counting oracle for every
-    d | 2f+1, and the per-family sets tile it."""
+    d | 2f+1, the per-family sets tile it, and the counted multiset
+    equals the enumerated one."""
     return _merge("degree-sets", _map_ordered(_degree_worker, range(1, f_max + 1), jobs))
 
 
@@ -271,6 +279,12 @@ def _stabilizer_worker(f: int) -> tuple[int, list[str]]:
     divisors = divisors_of(p.out_order)
     for family in (Family.X, Family.Y, Family.Z):
         hist = orbit_oracle(p, family)
+        counted = orbit_counts(p, family)
+        _check(
+            report,
+            counted == hist,
+            f"f={f} {family.value}: orbit_counts {counted} != orbit_oracle {hist}",
+        )
         for n in divisors:
             w = witness_for(p, family, n)
             oracle_has = hist.get(n, 0) > 0
@@ -366,6 +380,11 @@ def _degree_worker(f: int) -> tuple[int, list[str]]:
             report,
             oracle.sum_of_squares() == spec.order,
             f"f={f} d={d}: sum of squares != |G|",
+        )
+        _check(
+            report,
+            cd_multiset(spec).entries == oracle.entries,
+            f"f={f} d={d}: counted multiset differs from the enumerated one",
         )
     return report.checks, report.failures
 

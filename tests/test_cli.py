@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from suzuki_cd.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -51,10 +57,58 @@ def test_cd_large_f_closed_form_only(capsys):
     assert all(item["multiplicity"] is None for item in payload["degrees"])
 
 
-def test_cd_budget_violation(capsys):
-    code, _, err = run(capsys, "cd", "--f", "31", "--d", "63", "--multiplicities")
-    assert code == 3
-    assert "f <= 10" in err
+def test_cd_multiplicities_past_enumeration_budget(capsys):
+    code, out, _ = run(capsys, "cd", "--f", "31", "--d", "63", "--multiplicities")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "degree multiplicity"
+    assert lines[-1] == "verified_against_oracle: true"
+    q2 = 1 << 63
+    order = 63 * (q2 * q2 + 1) * q2 * q2 * (q2 - 1)
+    rows = [tuple(map(int, line.split())) for line in lines[2:-1]]
+    assert sum(deg * deg * mult for deg, mult in rows) == order
+
+
+def test_cd_checked_past_enumeration_budget(capsys):
+    code, out, _ = run(capsys, "cd", "--f", "11", "--checked", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified_against_oracle"] is True
+    assert all(item["multiplicity"] is not None for item in payload["degrees"])
+
+
+def test_cd_multiplicities_under_optimize():
+    # the counting route's invariant checks are not asserts: they still
+    # run, and pass, when python -O strips assertions
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "suzuki_cd.cli", "cd", "--f", "200", "--d", "all",
+         "--multiplicities", "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payloads = json.loads(proc.stdout)
+    assert [p["d"] for p in payloads] == [1, 401]
+    q2 = 1 << 401
+    for p in payloads:
+        assert p["verified_against_oracle"] is True
+        squares = sum(int(i["degree"]) ** 2 * i["multiplicity"] for i in p["degrees"])
+        assert squares == p["d"] * (q2 * q2 + 1) * q2 * q2 * (q2 - 1)
+
+
+def test_invariant_error_exits_one(capsys, monkeypatch):
+    import suzuki_cd.cli as cli
+    from suzuki_cd.errors import InvariantError
+
+    def broken(spec):
+        raise InvariantError("squared degrees do not sum to |G|")
+
+    monkeypatch.setattr(cli, "cd_multiset", broken)
+    code, out, err = run(capsys, "cd", "--f", "1", "--multiplicities")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_cd_usage_errors(capsys):
@@ -103,9 +157,10 @@ def test_gcd_table_stdout_matches_file(tmp_path, capsys):
 
 
 def test_gcd_table_empty_range(capsys):
-    code, out, _ = run(capsys, "gcd-table", "--f", "5..4")
-    assert code == 0
-    assert out == "f,n,torus,sign,closed_form,euclid,branch,match\n"
+    code, out, err = run(capsys, "gcd-table", "--f", "5..4")
+    assert code == 2
+    assert out == ""
+    assert "--f range" in err
 
 
 def test_gcd_table_io_error(tmp_path, capsys):
@@ -119,6 +174,23 @@ def test_verify_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "corollary-b", "--f-max", "8")
     assert code == 0
     assert "ok" in out
+
+
+@pytest.mark.parametrize(
+    "argv, argument",
+    [
+        (["verify", "theorem-a", "--f-max", "0"], "--f-max"),
+        (["verify", "stabilizers", "--f-max", "-3"], "--f-max"),
+        (["verify", "cyclotomic", "--n-max", "-1"], "--n-max"),
+        (["verify", "cyclotomic", "--samples", "-5"], "--samples"),
+        (["gcd-table", "--f", "8..1"], "--f"),
+    ],
+)
+def test_vacuous_sweeps_are_usage_errors(capsys, argv, argument):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and argument in err
 
 
 def test_verify_budget_guard(capsys):

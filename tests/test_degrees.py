@@ -1,18 +1,24 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suzuki_cd import (
     BudgetExceededError,
     ExtensionSpec,
     Family,
+    InvariantError,
     cd_closed_form,
     cd_family,
+    cd_multiset,
     cd_oracle,
     check_corollary_b,
     degree_of,
     degrees_json_payload,
     divisors_of,
+    family_count,
     make_params,
+    orbit_counts,
 )
+from suzuki_cd.degrees import _clifford_multiset
 
 
 def test_extension_spec_validation():
@@ -117,12 +123,47 @@ def test_oracle_budget():
         cd_oracle(ExtensionSpec(make_params(11), 1))
 
 
-@pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("f", range(1, 11))
 def test_oracle_matches_closed_form(f):
     p = make_params(f)
     for d in divisors_of(p.out_order):
         spec = ExtensionSpec(p, d)
         assert cd_oracle(spec).degree_set() == cd_closed_form(spec), (f, d)
+        assert cd_multiset(spec).entries == cd_oracle(spec).entries, (f, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=500))
+def test_counting_route_sum_rules(f):
+    p = make_params(f)
+    for family in Family:
+        hist = orbit_counts(p, family)
+        assert all(p.out_order % n == 0 for n in hist), (f, family, hist)
+        assert sum(hist.values()) == family_count(p, family), (f, family)
+    for d in divisors_of(p.out_order):
+        spec = ExtensionSpec(p, d)
+        multiset = cd_multiset(spec)
+        assert multiset.sum_of_squares() == spec.order, (f, d)
+        assert multiset.degree_set() == cd_closed_form(spec), (f, d)
+
+
+@pytest.mark.parametrize(
+    "family, corrupted",
+    [
+        (Family.X, {3: 4}),  # 4 labels cannot form orbits of size 3
+        (Family.X, {3: 6}),  # splits into orbits, but |G| comes out wrong
+        (Family.W, {1: 3}),  # ONE/ST/W no longer give 4d characters
+    ],
+)
+def test_clifford_rejects_corrupted_histogram(family, corrupted):
+    spec = ExtensionSpec(make_params(1), 3)
+
+    def histogram(p, fam):
+        return corrupted if fam is family else orbit_counts(p, fam)
+
+    assert _clifford_multiset(spec, orbit_counts) == cd_oracle(spec)
+    with pytest.raises(InvariantError):
+        _clifford_multiset(spec, histogram)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])

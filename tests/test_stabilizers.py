@@ -9,6 +9,7 @@ from suzuki_cd import (
     exact_stabilizer_exponent,
     make_label,
     make_params,
+    orbit_counts,
     orbit_oracle,
     orbit_report,
     outer_divisors,
@@ -162,6 +163,20 @@ def test_orbit_oracle_f2_f4():
 def test_orbit_oracle_budget():
     with pytest.raises(BudgetExceededError):
         orbit_oracle(make_params(11), Family.X)
+
+
+@pytest.mark.parametrize("f", range(1, 11))
+def test_orbit_counts_match_oracle(f):
+    p = make_params(f)
+    for family in Family:
+        assert orbit_counts(p, family) == orbit_oracle(p, family), (f, family)
+
+
+def test_orbit_counts_past_enumeration_budget():
+    p = make_params(11)  # orbit_oracle refuses this f
+    assert orbit_counts(p, Family.X) == {23: (p.q2 // 2 - 1)}
+    y_hist = orbit_counts(p, Family.Y)
+    assert y_hist == {1: 1, 23: (p.q2 + p.r) // 4 - 1}  # f == 3 (mod 4): a1/5 is invariant
 
 
 def test_orbit_report_shape():
