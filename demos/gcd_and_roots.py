@@ -24,7 +24,7 @@ def main() -> None:
         for n in outer_divisors(p)[:-1]:
             for torus in Torus:
                 for sign in (-1, 1):
-                    case = gcd_torus(p, torus, n, sign, checked=True)
+                    case = gcd_torus(p, torus, n, sign)
                     actual = euclid_gcd(torus_order(p, torus), p.q2 + sign * 2**n)
                     print(
                         f"  f={f} n={n} {torus.value:5s} sign={sign:+d}: "

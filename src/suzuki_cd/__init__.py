@@ -5,39 +5,23 @@ Closed forms throughout, each backed by an independent brute-force
 oracle (Euclid, exact cyclotomic reduction, orbit enumeration, Clifford
 counting); see :mod:`suzuki_cd.verification` for the sweeps that
 compare the two routes exhaustively.
+
+The package namespace holds what the command line, the demos and the
+README use; everything else is imported from its submodule.
 """
 
 from .characters import (
-    CharacterLabel,
     Family,
-    IndexClass,
-    TORUS_FAMILIES,
     canonical_indices,
-    canonicalize,
-    degree_of,
-    family_count,
-    index_class,
     make_label,
-    multipliers_of,
     phi_power_on_label,
-    torus_order_of,
     torus_value,
 )
-from .cyclotomic import (
-    CyclotomicSum,
-    cyclotomic_polynomial,
-    equals,
-    pair_equality,
-    quad_sum_equivalence,
-    root_power_sum,
-    zero_sum,
-)
+from .cyclotomic import equals, pair_equality, quad_sum_equivalence, root_power_sum
 from .degrees import (
-    CorollaryReport,
     DegreeMultiset,
     ExtensionSpec,
     cd_closed_form,
-    cd_family,
     cd_multiset,
     cd_oracle,
     check_corollary_b,
@@ -45,83 +29,48 @@ from .degrees import (
 )
 from .errors import BudgetExceededError, InvariantError
 from .numtheory import (
-    CoincidenceCase,
-    GcdCase,
-    GcdKind,
     Torus,
     coincidence_classify,
     euclid_gcd,
-    gcd_q4_plus1,
-    gcd_q4_small,
     gcd_torus,
-    gcd_two_powers,
     gcd_verification_rows,
     torus_order,
 )
-from .params import SuzukiParams, divisors_of, make_params, outer_divisors
+from .params import divisors_of, make_params, outer_divisors
 from .stabilizers import (
     ORACLE_F_MAX,
-    StabilizerDescriptor,
-    describe_stabilizer,
     exact_stabilizer_exponent,
     orbit_counts,
     orbit_oracle,
     orbit_report,
     witness_for,
-    x_invariant,
-    x_with_stabilizer,
-    y_invariant,
-    y_with_stabilizer,
-    z_invariant,
-    z_with_stabilizer,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CharacterLabel",
-    "CoincidenceCase",
-    "CorollaryReport",
-    "CyclotomicSum",
     "DegreeMultiset",
     "ExtensionSpec",
     "Family",
-    "GcdCase",
-    "GcdKind",
-    "IndexClass",
     "InvariantError",
     "ORACLE_F_MAX",
-    "StabilizerDescriptor",
-    "SuzukiParams",
-    "TORUS_FAMILIES",
     "Torus",
     "canonical_indices",
-    "canonicalize",
     "cd_closed_form",
-    "cd_family",
     "cd_multiset",
     "cd_oracle",
     "check_corollary_b",
     "coincidence_classify",
-    "cyclotomic_polynomial",
-    "degree_of",
     "degrees_json_payload",
-    "describe_stabilizer",
     "divisors_of",
     "equals",
     "euclid_gcd",
     "exact_stabilizer_exponent",
-    "family_count",
-    "gcd_q4_plus1",
-    "gcd_q4_small",
     "gcd_torus",
-    "gcd_two_powers",
     "gcd_verification_rows",
-    "index_class",
     "make_label",
     "make_params",
-    "multipliers_of",
     "orbit_counts",
     "orbit_oracle",
     "orbit_report",
@@ -131,14 +80,6 @@ __all__ = [
     "quad_sum_equivalence",
     "root_power_sum",
     "torus_order",
-    "torus_order_of",
     "torus_value",
     "witness_for",
-    "x_invariant",
-    "x_with_stabilizer",
-    "y_invariant",
-    "y_with_stabilizer",
-    "z_invariant",
-    "z_with_stabilizer",
-    "zero_sum",
 ]

@@ -66,19 +66,6 @@ class CharacterLabel:
     index: int
 
 
-@dataclass(frozen=True)
-class IndexClass:
-    """A torus residue class: an index orbit under the multiplier group."""
-
-    torus_order: int
-    multipliers: frozenset[int]
-    members: frozenset[int]
-
-    @property
-    def canonical(self) -> int:
-        return min(self.members)
-
-
 def degree_of(p: SuzukiParams, family: Family) -> int:
     if family is Family.ONE:
         return 1
@@ -130,19 +117,6 @@ def canonicalize(p: SuzukiParams, family: Family, raw_index: int) -> int:
     if raw == 0:
         raise ValueError(f"index must be nonzero mod {n}")
     return min(raw * m % n for m in multipliers_of(p, family))
-
-
-def index_class(p: SuzukiParams, family: Family, raw_index: int) -> IndexClass:
-    n = torus_order_of(p, family)
-    raw = raw_index % n
-    if raw == 0:
-        raise ValueError(f"index must be nonzero mod {n}")
-    mult = multipliers_of(p, family)
-    return IndexClass(
-        torus_order=n,
-        multipliers=mult,
-        members=frozenset(raw * m % n for m in mult),
-    )
 
 
 def make_label(p: SuzukiParams, family: Family, index: int = 0) -> CharacterLabel:

@@ -8,10 +8,10 @@ Subcommands::
     suzuki-cd gcd-table --f 1..8 [--output PATH]
 
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
-usage error, 3 oracle budget violation, 4 I/O error.  All output is
-deterministic (ascending degrees/divisors, fixed key order) and uses
-UTF-8 with LF line endings; --output writes bytes identical to what
-stdout would receive.
+usage error, 3 budget violation (oracle size cap or int->str digit
+limit), 4 I/O error.  All output is deterministic (ascending
+degrees/divisors, fixed key order) and uses UTF-8 with LF line endings;
+--output writes bytes identical to what stdout would receive.
 """
 
 from __future__ import annotations
@@ -20,11 +20,17 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .characters import Family
-from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_multiset, degrees_json_payload
+from .degrees import (
+    DegreeMultiset,
+    ExtensionSpec,
+    cd_closed_form,
+    cd_multiset,
+    degrees_json_payload,
+    to_decimal,
+)
 from .errors import BudgetExceededError, InvariantError
 from .numtheory import gcd_verification_rows
 from .params import divisors_of, make_params
@@ -93,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=200, dest="n_max")
     p_verify.add_argument("--samples", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--jobs", type=int, default=None)
+    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_orbits = sub.add_parser("orbits", help="stabilizer-exponent histogram of one family")
@@ -142,14 +148,17 @@ def _cd_table(
     spec: ExtensionSpec, multiset: DegreeMultiset | None, show_mult: bool
 ) -> str:
     p = spec.params
-    lines = [f"# cd(G) for f={p.f}, d={spec.d} (q2={p.q2}, |G|={spec.order})"]
+    lines = [
+        f"# cd(G) for f={p.f}, d={spec.d} "
+        f"(q2={to_decimal(p.q2)}, |G|={to_decimal(spec.order)})"
+    ]
     closed = sorted(cd_closed_form(spec))
     if show_mult and multiset is not None:
         lines.append("degree multiplicity")
         for deg, mult in sorted(multiset.entries.items()):
-            lines.append(f"{deg} {mult}")
+            lines.append(f"{to_decimal(deg)} {to_decimal(mult)}")
     else:
-        lines.extend(str(deg) for deg in closed)
+        lines.extend(to_decimal(deg) for deg in closed)
     if multiset is not None:
         verdict = multiset.degree_set() == frozenset(closed)
         lines.append(f"verified_against_oracle: {'true' if verdict else 'false'}")
@@ -158,8 +167,6 @@ def _cd_table(
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("SUZUKI_CD_JOBS", "1"))
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     if args.f_max is not None and args.f_max < 1:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InvariantError
 from .params import divisors_of
 
 # Equality at order <= _TABLE_MAX uses a cached table of x^e mod Phi_n;
@@ -57,10 +58,6 @@ class CyclotomicSum:
 
     def equals(self, other: CyclotomicSum) -> bool:
         return equals(self, other)
-
-
-def zero_sum(n: int) -> CyclotomicSum:
-    return CyclotomicSum(n, (0,) * n)
 
 
 def root_power_sum(
@@ -198,7 +195,7 @@ def _poly_rem(vec: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient num / den for monic den, asserting zero remainder."""
+    """Quotient num / den for monic den; the remainder must be zero."""
     work = list(num)
     dn = len(den) - 1
     out = [0] * (len(work) - dn)
@@ -208,5 +205,6 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
             out[i] = c
             for kk in range(dn + 1):
                 work[i + kk] -= c * den[kk]
-    assert not any(work), "polynomial division was not exact"
+    if any(work):
+        raise InvariantError("polynomial division was not exact")
     return out

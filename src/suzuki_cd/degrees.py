@@ -33,13 +33,14 @@ All the products above are pairwise distinct, so cardinalities add up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
-from .errors import InvariantError
-from .params import SuzukiParams, divisors_of, outer_divisors
-from .stabilizers import orbit_counts, orbit_oracle, witness_for
+from .errors import BudgetExceededError, InvariantError
+from .params import SuzukiParams, divisors_of
+from .stabilizers import orbit_counts, orbit_oracle
 
 
 @dataclass(frozen=True)
@@ -118,28 +119,20 @@ def _closed_form_exclusion(spec: ExtensionSpec, family: Family) -> int | None:
 
 
 def cd_family(spec: ExtensionSpec, family: Family) -> frozenset[int]:
-    """Degrees of G lying over one semisimple family, witness-driven.
+    """Degrees of G lying over one semisimple family, from orbit counts.
 
-    A multiple a | d of the family degree is attained iff some divisor
-    m of 2f+1 satisfies lcm(e, m) = e*a and the family has a label with
-    exact stabilizer exponent m.  (Quantifying over m matters: when
-    e = 3 and the exponent-3 witness is excluded, the degree with a = 1
-    can still be attained through an automorphism-invariant label.)
+    Each exact stabilizer exponent m that occurs in the family gives the
+    degree m/gcd(e, m) times the family degree (the Clifford rule
+    above).  Quantifying over the occurring m matters: when e = 3 and
+    the family has no label of exponent 3, the family degree itself can
+    still be attained through an automorphism-invariant label.
     """
-    if family not in (Family.X, Family.Y, Family.Z):
+    if family not in TORUS_FAMILIES:
         raise ValueError(f"cd_family applies to X, Y, Z; got {family.value}")
     p = spec.params
     e = p.out_order // spec.d
     base = degree_of(p, family)
-    divisors_out = outer_divisors(p)
-    out = set()
-    for a in divisors_of(spec.d):
-        target = e * a
-        for m in divisors_out:
-            if math.lcm(e, m) == target and witness_for(p, family, m) is not None:
-                out.add(base * a)
-                break
-    return frozenset(out)
+    return frozenset(base * (m // math.gcd(e, m)) for m in orbit_counts(p, family))
 
 
 def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
@@ -226,20 +219,36 @@ def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -
     verified = multiset is not None and multiset.degree_set() == closed
     if multiset is not None:
         degree_items = [
-            {"degree": str(deg), "multiplicity": mult}
+            {"degree": to_decimal(deg), "multiplicity": mult}
             for deg, mult in sorted(multiset.entries.items())
         ]
     else:
         degree_items = [
-            {"degree": str(deg), "multiplicity": None} for deg in sorted(closed)
+            {"degree": to_decimal(deg), "multiplicity": None} for deg in sorted(closed)
         ]
     return {
         "f": spec.params.f,
         "d": spec.d,
-        "q2": str(spec.params.q2),
+        "q2": to_decimal(spec.params.q2),
         "degrees": degree_items,
         "verified_against_oracle": verified,
     }
+
+
+def to_decimal(n: int) -> str:
+    """str(n), or BudgetExceededError past Python's int->str digit limit.
+
+    The limit (sys.get_int_max_str_digits(), 4300 by default) stays in
+    place: the conversion is quadratic, so lifting it would let a large
+    f hang instead of refusing.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        raise BudgetExceededError(
+            f"cannot print a {n.bit_length()}-bit integer: it has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, Python's int->str limit"
+        ) from None
 
 
 def _is_prime(n: int) -> bool:

@@ -2,11 +2,11 @@
 
 
 class BudgetExceededError(Exception):
-    """Raised when an exhaustive oracle is asked to run past its size budget.
+    """Raised when an input is past a size budget.
 
-    Closed-form code paths have no budget; only the brute-force
-    enumeration oracles refuse oversized inputs, so callers can always
-    fall back to the closed forms.
+    The brute-force enumeration oracles refuse oversized inputs, so
+    callers can always fall back to the closed forms, which compute at
+    any f; printing refuses integers past Python's int->str digit limit.
     """
 
 

@@ -3,12 +3,10 @@
 The torus orders a1 = q^2+r+1 and a2 = q^2-r+1 multiply to q^4+1, and
 their gcds with numbers of the form q^2 +- 2^n (n a proper divisor of
 2f+1) collapse to a three-way branch on the congruence class of
-2f -+ n + 1 modulo 8.  These branch tables drive the stabilizer and
-degree computations, so every closed-form entry point here carries a
-``checked=True`` mode that re-verifies its answer against a plain
-Euclidean oracle on the actual pair of integers.  The case analysis is
-easy to mis-transcribe; the oracle is the ground truth and the sweep in
-:mod:`suzuki_cd.verification` compares the two exhaustively.
+2f -+ n + 1 modulo 8.  The case analysis is easy to mis-transcribe, so
+euclid_gcd, a plain Euclidean oracle on the actual pair of integers, is
+the ground truth: the sweep in :mod:`suzuki_cd.verification` compares
+the two exhaustively.
 
 Notation used in branch records: ``4 || x`` means 4 divides x but 8
 does not (4 divides x exactly).
@@ -19,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import InvariantError
 from .params import SuzukiParams, divisors_of
 
 
@@ -43,8 +42,7 @@ class GcdCase:
     """A closed-form gcd value plus the congruence branch that produced it.
 
     ``value`` always divides both members of the pair the query was
-    about (the checked mode and the verification sweep enforce this
-    against Euclid).
+    about (the verification sweep enforces this against Euclid).
     """
 
     kind: GcdKind
@@ -116,9 +114,7 @@ def gcd_two_powers(n: int, m: int, sign_n: int, sign_m: int) -> int:
     return (1 << m) + 1 if ratio_odd else 1
 
 
-def gcd_q4_plus1(
-    p: SuzukiParams, n: int, sign: int, *, checked: bool = False
-) -> GcdCase:
+def gcd_q4_plus1(p: SuzukiParams, n: int, sign: int) -> GcdCase:
     """gcd(q^4 + 1, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
 
     The value is 2^(2n) + 1 exactly when 2f+1 is congruent to -sign * n
@@ -133,30 +129,11 @@ def gcd_q4_plus1(
         fires = (2 * p.f + 1 + n) % 4 == 0
         condition = "2f+1 == -n (mod 4)" if fires else "none"
     if fires:
-        case = GcdCase(GcdKind.FERMAT_FACTOR, (1 << (2 * n)) + 1, condition)
-    else:
-        case = GcdCase(GcdKind.TRIVIAL_ONE, 1, condition)
-    if checked:
-        _check_against_euclid(case, p.q4 + 1, p.q2 + sign * (1 << n))
-    return case
+        return GcdCase(GcdKind.FERMAT_FACTOR, (1 << (2 * n)) + 1, condition)
+    return GcdCase(GcdKind.TRIVIAL_ONE, 1, condition)
 
 
-def gcd_q4_small(
-    p: SuzukiParams, n: int, sign: int, *, checked: bool = False
-) -> GcdCase:
-    """Degenerate companion query: gcd(q^4 + 1, 2^n + sign) = 1 for
-    every proper divisor n of 2f+1 (both signs)."""
-    _require_sign(sign)
-    _require_proper_divisor(p, n)
-    case = GcdCase(GcdKind.TRIVIAL_ONE, 1, "none")
-    if checked:
-        _check_against_euclid(case, p.q4 + 1, (1 << n) + sign)
-    return case
-
-
-def gcd_torus(
-    p: SuzukiParams, torus: Torus, n: int, sign: int, *, checked: bool = False
-) -> GcdCase:
+def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
     """gcd(torus order, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
 
     Let u = 2f - n + 1 for sign -1 and u = 2f + n + 1 for sign +1, and
@@ -188,21 +165,12 @@ def gcd_torus(
         plus_form = torus is Torus.MINUS
         condition = f"4 || {u_name}"
     else:
-        case = GcdCase(GcdKind.TRIVIAL_ONE, 1, "none")
-        if checked:
-            _check_against_euclid(
-                case, torus_order(p, torus), p.q2 + sign * (1 << n)
-            )
-        return case
+        return GcdCase(GcdKind.TRIVIAL_ONE, 1, "none")
     if plus_form:
-        case = GcdCase(GcdKind.TORUS_PLUS, (1 << n) + half + 1, condition)
-    else:
-        value = (1 << n) - half + 1
-        kind = GcdKind.TORUS_MINUS if value > 1 else GcdKind.TRIVIAL_ONE
-        case = GcdCase(kind, value, condition)
-    if checked:
-        _check_against_euclid(case, torus_order(p, torus), p.q2 + sign * (1 << n))
-    return case
+        return GcdCase(GcdKind.TORUS_PLUS, (1 << n) + half + 1, condition)
+    value = (1 << n) - half + 1
+    kind = GcdKind.TORUS_MINUS if value > 1 else GcdKind.TRIVIAL_ONE
+    return GcdCase(kind, value, condition)
 
 
 # f mod 4 -> (case label, torus, sign for 2^n=8, sign for 2^m=2).
@@ -238,7 +206,10 @@ def coincidence_classify(
     order = torus_order(p, torus)
     d1 = euclid_gcd(order, p.q2 + sign_n * (1 << n))
     d2 = euclid_gcd(order, p.q2 + sign_m * (1 << m))
-    assert d1 == d2 == 5, (p.f, label, d1, d2)
+    if not d1 == d2 == 5:
+        raise InvariantError(
+            f"f={p.f} case {label}: the gcds at exponents 3 and 1 are not both 5"
+        )
     return CoincidenceCase(
         case=label, torus=torus, sign_n=sign_n, sign_m=sign_m, d1=d1, d2=d2
     )
@@ -289,11 +260,3 @@ def _require_proper_divisor(p: SuzukiParams, n: int) -> None:
             f"n must be a proper positive divisor of 2f+1={p.out_order}, got {n}"
         )
 
-
-def _check_against_euclid(case: GcdCase, a: int, b: int) -> None:
-    actual = euclid_gcd(a, b)
-    if actual != case.value:
-        raise AssertionError(
-            f"closed form {case.value} ({case.condition}) != euclid {actual} "
-            f"for gcd({a}, {b})"
-        )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvariantError
+
 
 @dataclass(frozen=True)
 class SuzukiParams:
@@ -56,13 +58,18 @@ def make_params(f: int) -> SuzukiParams:
         out_order=2 * f + 1,
     )
     # Structural identities; cheap, so checked on every construction.
-    assert p.r * p.r == 2 * p.q2
-    assert p.a1 * p.a2 == p.q4 + 1
-    assert p.group_order % 3 != 0
-    assert math.gcd(p.a0, p.a1) == 1
-    assert math.gcd(p.a0, p.a2) == 1
-    assert math.gcd(p.a1, p.a2) == 1
-    assert p.a0 % 2 == p.a1 % 2 == p.a2 % 2 == 1
+    identities = (
+        (p.r * p.r == 2 * p.q2, "r^2 = 2q^2"),
+        (p.a1 * p.a2 == p.q4 + 1, "a1 a2 = q^4 + 1"),
+        (p.group_order % 3 != 0, "3 does not divide |S|"),
+        (math.gcd(p.a0, p.a1) == 1, "gcd(a0, a1) = 1"),
+        (math.gcd(p.a0, p.a2) == 1, "gcd(a0, a2) = 1"),
+        (math.gcd(p.a1, p.a2) == 1, "gcd(a1, a2) = 1"),
+        (p.a0 % 2 == p.a1 % 2 == p.a2 % 2 == 1, "the torus orders are odd"),
+    )
+    for holds, identity in identities:
+        if not holds:
+            raise InvariantError(f"f={f}: {identity} fails")
     return p
 
 

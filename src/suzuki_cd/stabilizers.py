@@ -1,16 +1,17 @@
 """Stabilizers of characters under the field automorphism.
 
-For a divisor n of 2f+1, a torus label is fixed by the n-th power of
-the field automorphism iff a divisibility condition holds:
+For a divisor n of 2f+1, a torus label with index i is fixed by the
+n-th power of the field automorphism iff the torus order N divides
+(2^n - m) i for some multiplier m of the family.  Spelled out:
 
 - X_i:  q^2 - 1 divides (2^n - 1) i
 - Y_j:  q^2 + r + 1 divides (q^2 - 2^n) j or (q^2 + 2^n) j
 - Z_k:  same with q^2 - r + 1
 
 The *exact stabilizer exponent* of a label is the least such n; the
-orbit of the label under index-doubling has exactly that size.  The
-witness functions construct, for each admissible n, a label whose exact
-exponent is n, and return None exactly when no label in the family has
+orbit of the label under index-doubling has exactly that size.
+witness_for constructs, for each admissible n, a label whose exact
+exponent is n, and returns None exactly when no label in the family has
 exact exponent n.  The witnessless cases are X at n = 1 (nothing is
 fixed by the whole automorphism group) and, for Y and Z, an f mod 4
 table that the two families mirror:
@@ -39,7 +40,6 @@ around 2^21).  Per-label queries have no budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -49,101 +49,27 @@ from .characters import (
     TORUS_FAMILIES,
     canonicalize,
     family_count,
-    make_label,
     multipliers_of,
     phi_power_on_label,
     torus_order_of,
 )
 from .errors import BudgetExceededError, InvariantError
-from .numtheory import euclid_gcd
 from .params import SuzukiParams, make_params, outer_divisors
 
 #: Exhaustive family sweeps are refused above this f.
 ORACLE_F_MAX = 10
 
 
-@dataclass(frozen=True)
-class StabilizerDescriptor:
-    """A label together with its exact stabilizer exponent.
+def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
+    """A canonical index of the family whose exact stabilizer exponent is
+    n, or None when no label of the family has exact exponent n.
 
-    The stabilizer of the label inside the outer automorphism group is
-    generated by the exponent-th power of the field automorphism, and
-    the label's orbit has exactly ``exponent`` elements.
+    For proper n outside the exception table exactly one multiplier m
+    makes gcd(N, 2^n - m) nontrivial (N the torus order); the witness is
+    N divided by that gcd.  For X this is (q^2-1)/(2^n-1).
     """
-
-    label: CharacterLabel
-    exponent: int
-
-    @property
-    def orbit_size(self) -> int:
-        return self.exponent
-
-
-def x_invariant(p: SuzukiParams, i: int, n: int) -> bool:
-    """Is X_i fixed by the n-th power of the field automorphism?"""
-    _require_divisor(p, n)
-    if not 1 <= i <= p.q2 // 2 - 1:
-        raise ValueError(f"need 1 <= i <= {p.q2 // 2 - 1}, got {i}")
-    return (pow(2, n, p.a0) - 1) * i % p.a0 == 0
-
-
-def y_invariant(p: SuzukiParams, j: int, n: int) -> bool:
-    """Is Y_j (canonical j) fixed by the n-th power of the automorphism?"""
-    return _torus_invariant(p, Family.Y, j, n)
-
-
-def z_invariant(p: SuzukiParams, k: int, n: int) -> bool:
-    """Is Z_k (canonical k) fixed by the n-th power of the automorphism?"""
-    return _torus_invariant(p, Family.Z, k, n)
-
-
-def _torus_invariant(p: SuzukiParams, family: Family, idx: int, n: int) -> bool:
-    _require_divisor(p, n)
-    order = torus_order_of(p, family)
-    if idx % order == 0 or canonicalize(p, family, idx) != idx:
-        raise ValueError(f"{idx} is not a canonical {family.value} index")
-    two_n = pow(2, n, order)
-    q = p.q2 % order
-    return (q - two_n) * idx % order == 0 or (q + two_n) * idx % order == 0
-
-
-def x_with_stabilizer(
-    p: SuzukiParams, n: int, *, checked: bool = False
-) -> int | None:
-    """An X index whose exact stabilizer exponent is n, or None.
-
-    For n > 1 the witness is (q^2-1)/(2^n-1), an integer because
-    n | 2f+1; no X label is fixed by the full automorphism group, so
-    n = 1 has no witness.
-    """
-    _require_divisor(p, n)
-    if n == 1:
-        return None
-    step = (1 << n) - 1
-    assert p.a0 % step == 0
-    i = p.a0 // step
-    if checked:
-        assert exact_stabilizer_exponent(p, make_label(p, Family.X, i)) == n
-    return i
-
-
-def y_with_stabilizer(
-    p: SuzukiParams, n: int, *, checked: bool = False
-) -> int | None:
-    """A Y index with exact stabilizer exponent n, or None."""
-    return _torus_with_stabilizer(p, Family.Y, n, checked=checked)
-
-
-def z_with_stabilizer(
-    p: SuzukiParams, n: int, *, checked: bool = False
-) -> int | None:
-    """A Z index with exact stabilizer exponent n, or None."""
-    return _torus_with_stabilizer(p, Family.Z, n, checked=checked)
-
-
-def _torus_with_stabilizer(
-    p: SuzukiParams, family: Family, n: int, *, checked: bool
-) -> int | None:
+    if family not in TORUS_FAMILIES:
+        raise ValueError(f"no witness constructor for family {family.value}")
     _require_divisor(p, n)
     # The exception table outranks the n = 2f+1 shortcut: at f = 1 the
     # divisor n = 3 is 2f+1 itself, yet the single Z class is already
@@ -152,21 +78,22 @@ def _torus_with_stabilizer(
     if _is_exception(p, family, n):
         return None
     if n == p.out_order:
-        witness = 1
-    else:
-        order = torus_order_of(p, family)
-        g_minus = euclid_gcd(order, p.q2 - (1 << n))
-        g_plus = euclid_gcd(order, p.q2 + (1 << n))
-        # For proper n outside the exception cases exactly one sign has
-        # a nontrivial gcd; the witness drops that factor.
-        assert (g_minus > 1) != (g_plus > 1), (p.f, family, n, g_minus, g_plus)
-        witness = canonicalize(p, family, order // max(g_minus, g_plus))
-    if checked:
-        assert exact_stabilizer_exponent(p, make_label(p, family, witness)) == n
-    return witness
+        return 1
+    order = torus_order_of(p, family)
+    two_n = pow(2, n, order)
+    gcds = [math.gcd(order, two_n - m) for m in multipliers_of(p, family)]
+    nontrivial = [g for g in gcds if g > 1]
+    if len(nontrivial) != 1:
+        raise InvariantError(
+            f"f={p.f} {family.value} n={n}: {len(nontrivial)} multipliers give "
+            f"a nontrivial gcd, expected exactly 1"
+        )
+    return canonicalize(p, family, order // nontrivial[0])
 
 
 def _is_exception(p: SuzukiParams, family: Family, n: int) -> bool:
+    if family is Family.X:
+        return n == 1
     low_classes = (1, 2) if family is Family.Y else (0, 3)
     if n == 1:
         return p.f % 4 in low_classes
@@ -175,45 +102,38 @@ def _is_exception(p: SuzukiParams, family: Family, n: int) -> bool:
     return False
 
 
-def witness_for(
-    p: SuzukiParams, family: Family, n: int, *, checked: bool = False
-) -> int | None:
-    """Dispatch to the family's witness constructor."""
-    if family is Family.X:
-        return x_with_stabilizer(p, n, checked=checked)
-    if family is Family.Y:
-        return y_with_stabilizer(p, n, checked=checked)
-    if family is Family.Z:
-        return z_with_stabilizer(p, n, checked=checked)
-    raise ValueError(f"no witness constructor for family {family.value}")
-
-
 def exact_stabilizer_exponent(p: SuzukiParams, label: CharacterLabel) -> int:
     """Least divisor n of 2f+1 fixing the label; ONE/ST/W give 1.
 
-    Computed from the divisibility criteria and cross-checked against
+    Computed from the invariance criterion and cross-checked against
     the label's actual doubling-orbit length.
     """
     if label.family not in TORUS_FAMILIES:
         return 1
-    exponent = None
-    for n in outer_divisors(p):
-        if _invariant(p, label, n):
-            exponent = n
-            break
-    assert exponent is not None  # n = 2f+1 always fixes the label
-    assert exponent == _orbit_length(p, label), (label, exponent)
+    # n = 2f+1 always fixes the label; a None here fails the cross-check
+    exponent = next((n for n in outer_divisors(p) if _invariant(p, label, n)), None)
+    length = _orbit_length(p, label)
+    if exponent != length:
+        raise InvariantError(
+            f"f={p.f} {label.family.value}: the invariance criterion gives exponent "
+            f"{exponent}, the doubling orbit has length {length}"
+        )
     return exponent
 
 
-def describe_stabilizer(p: SuzukiParams, label: CharacterLabel) -> StabilizerDescriptor:
-    return StabilizerDescriptor(label, exact_stabilizer_exponent(p, label))
-
-
 def _invariant(p: SuzukiParams, label: CharacterLabel, n: int) -> bool:
-    if label.family is Family.X:
-        return x_invariant(p, label.index, n)
-    return _torus_invariant(p, label.family, label.index, n)
+    """Is the torus label fixed by the n-th power of the field automorphism?
+
+    Its index i is fixed iff 2^n i == m i (mod N) for some multiplier m,
+    N the torus order: the criterion orbit_counts counts.
+    """
+    _require_divisor(p, n)
+    order = torus_order_of(p, label.family)
+    idx = label.index
+    if idx % order == 0 or canonicalize(p, label.family, idx) != idx:
+        raise ValueError(f"{idx} is not a canonical {label.family.value} index")
+    two_n = pow(2, n, order)
+    return any((two_n - m) * idx % order == 0 for m in multipliers_of(p, label.family))
 
 
 def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
@@ -312,9 +232,16 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
             length += 1
             if j in start_class:
                 break
-        assert p.out_order % length == 0, (f, family, start, length)
+        if p.out_order % length:
+            raise InvariantError(
+                f"f={f} {family.value}: a doubling orbit of length {length} "
+                "does not divide 2f+1"
+            )
         counts[length] = counts.get(length, 0) + length
-    assert sum(counts.values()) == family_count(p, family)
+    if sum(counts.values()) != family_count(p, family):
+        raise InvariantError(
+            f"f={f} {family.value}: enumerated labels do not sum to the family count"
+        )
     return tuple(sorted(counts.items()))
 
 

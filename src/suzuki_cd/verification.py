@@ -34,7 +34,6 @@ from .numtheory import (
     Torus,
     coincidence_classify,
     euclid_gcd,
-    gcd_q4_small,
     gcd_q4_plus1,
     gcd_torus,
     gcd_two_powers,
@@ -101,7 +100,7 @@ def verify_quad_identity(
 
 
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
-    """Witness constructors and orbit counting agree with exhaustive
+    """The witness constructor and orbit counting agree with exhaustive
     orbit enumeration, including every exceptional (witnessless) branch."""
     return _merge("stabilizer-witnesses", _map_ordered(_stabilizer_worker, range(1, f_max + 1), jobs))
 
@@ -154,10 +153,9 @@ def _gcd_worker(f: int) -> tuple[int, list[str]]:
                 q4_case.value == euclid_gcd(p.q4 + 1, rhs),
                 f"f={f} n={n} sign={sign}: q4 closed form {q4_case.value}",
             )
-            small = gcd_q4_small(p, n, sign)
             _check(
                 report,
-                small.value == euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1,
+                euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1,
                 f"f={f} n={n} sign={sign}: gcd(q^4+1, 2^n{sign:+d}) != 1",
             )
             torus_values = {}

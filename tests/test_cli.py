@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv, optimize=False):
+    """The CLI in a fresh interpreter, under python -O if optimize is set."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "suzuki_cd.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_cd_table_sz8(capsys):
     code, out, _ = run(capsys, "cd", "--f", "1", "--d", "1")
     assert code == 0
@@ -80,13 +91,8 @@ def test_cd_checked_past_enumeration_budget(capsys):
 def test_cd_multiplicities_under_optimize():
     # the counting route's invariant checks are not asserts: they still
     # run, and pass, when python -O strips assertions
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "suzuki_cd.cli", "cd", "--f", "200", "--d", "all",
-         "--multiplicities", "--json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_module("cd", "--f", "200", "--d", "all", "--multiplicities", "--json",
+                      optimize=True)
     assert proc.returncode == 0, proc.stderr
     payloads = json.loads(proc.stdout)
     assert [p["d"] for p in payloads] == [1, 401]
@@ -95,6 +101,40 @@ def test_cd_multiplicities_under_optimize():
         assert p["verified_against_oracle"] is True
         squares = sum(int(i["degree"]) ** 2 * i["multiplicity"] for i in p["degrees"])
         assert squares == p["d"] * (q2 * q2 + 1) * q2 * q2 * (q2 - 1)
+
+
+def test_verify_stabilizers_under_optimize():
+    # the witness, exponent and enumeration invariants raise instead of
+    # asserting, so the sweep is the same under python -O
+    plain = run_module("verify", "stabilizers", "--f-max", "4")
+    optimized = run_module("verify", "stabilizers", "--f-max", "4", optimize=True)
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout == "stabilizer-witnesses: 128 checks, ok\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cd", "--f", "1428", "--d", "1"],  # |G| in the header passes the limit
+        ["cd", "--f", "3600", "--d", "1", "--json"],  # so do the degrees
+    ],
+)
+def test_cd_past_int_str_digit_limit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+
+
+def test_cd_just_below_int_str_digit_limit(capsys):
+    code, out, _ = run(capsys, "cd", "--f", "1427", "--d", "1")
+    assert code == 0
+    q2 = 1 << 2855
+    assert out.splitlines()[0].endswith(f"|G|={(q2 * q2 + 1) * q2 * q2 * (q2 - 1)})")
 
 
 def test_invariant_error_exits_one(capsys, monkeypatch):

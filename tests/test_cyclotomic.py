@@ -2,16 +2,20 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from suzuki_cd import (
+from suzuki_cd.cyclotomic import (
     CyclotomicSum,
     cyclotomic_polynomial,
-    divisors_of,
     equals,
     pair_equality,
     quad_sum_equivalence,
     root_power_sum,
-    zero_sum,
 )
+from suzuki_cd.params import divisors_of
+
+
+def zero_sum(n):
+    """The empty sum: zero in Z[zeta_n]."""
+    return root_power_sum(n, [], [])
 
 
 def test_known_polynomials():

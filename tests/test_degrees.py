@@ -1,24 +1,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suzuki_cd import (
-    BudgetExceededError,
+from suzuki_cd.characters import Family, degree_of, family_count
+from suzuki_cd.degrees import (
     ExtensionSpec,
-    Family,
-    InvariantError,
+    _clifford_multiset,
     cd_closed_form,
     cd_family,
     cd_multiset,
     cd_oracle,
     check_corollary_b,
-    degree_of,
     degrees_json_payload,
-    divisors_of,
-    family_count,
-    make_params,
-    orbit_counts,
 )
-from suzuki_cd.degrees import _clifford_multiset
+from suzuki_cd.errors import BudgetExceededError, InvariantError
+from suzuki_cd.params import divisors_of, make_params
+from suzuki_cd.stabilizers import orbit_counts
 
 
 def test_extension_spec_validation():
@@ -145,6 +141,10 @@ def test_counting_route_sum_rules(f):
         multiset = cd_multiset(spec)
         assert multiset.sum_of_squares() == spec.order, (f, d)
         assert multiset.degree_set() == cd_closed_form(spec), (f, d)
+        tiled = {1, p.q4, degree_of(p, Family.W)}
+        for family in (Family.X, Family.Y, Family.Z):
+            tiled |= cd_family(spec, family)
+        assert tiled == cd_closed_form(spec), (f, d)
 
 
 @pytest.mark.parametrize(

@@ -3,20 +3,18 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from suzuki_cd import (
+from suzuki_cd.numtheory import (
     GcdKind,
     Torus,
     coincidence_classify,
-    divisors_of,
     euclid_gcd,
     gcd_q4_plus1,
-    gcd_q4_small,
     gcd_torus,
     gcd_two_powers,
     gcd_verification_rows,
-    make_params,
     torus_order,
 )
+from suzuki_cd.params import divisors_of, make_params
 
 
 def test_euclid_examples():
@@ -77,18 +75,19 @@ def test_gcd_two_powers_rejects():
 
 def test_gcd_q4_plus1_examples():
     p2 = make_params(2)
-    case = gcd_q4_plus1(p2, 1, -1, checked=True)
-    assert case.value == 5
+    case = gcd_q4_plus1(p2, 1, -1)
+    assert case.value == 5 == euclid_gcd(p2.q4 + 1, p2.q2 - 2)
     assert case.kind is GcdKind.FERMAT_FACTOR
     assert case.condition == "2f+1 == n (mod 4)"
     assert euclid_gcd(1025, 30) == 5
 
-    case = gcd_q4_plus1(p2, 1, +1, checked=True)
-    assert case.value == 1
+    case = gcd_q4_plus1(p2, 1, +1)
+    assert case.value == 1 == euclid_gcd(p2.q4 + 1, p2.q2 + 2)
     assert case.kind is GcdKind.TRIVIAL_ONE
 
     p4 = make_params(4)
-    assert gcd_q4_plus1(p4, 3, -1, checked=True).value == 1  # 9 != 3 (mod 4)
+    assert gcd_q4_plus1(p4, 3, -1).value == 1  # 9 != 3 (mod 4)
+    assert euclid_gcd(p4.q4 + 1, p4.q2 - 8) == 1
 
 
 def test_gcd_q4_plus1_rejects_improper_n():
@@ -106,20 +105,20 @@ def test_gcd_q4_small_is_one(f):
     p = make_params(f)
     for n in divisors_of(p.out_order)[:-1]:
         for sign in (-1, 1):
-            assert gcd_q4_small(p, n, sign, checked=True).value == 1
+            assert euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1
 
 
 def test_gcd_torus_examples():
     p2 = make_params(2)
-    case = gcd_torus(p2, Torus.MINUS, 1, -1, checked=True)
-    assert case.value == 5
+    case = gcd_torus(p2, Torus.MINUS, 1, -1)
+    assert case.value == 5 == euclid_gcd(p2.a2, p2.q2 - 2)
     assert case.kind is GcdKind.TORUS_PLUS  # 2^1 + 2^1 + 1
     assert case.condition == "4 || 2f-n+1"
-    assert gcd_torus(p2, Torus.PLUS, 1, -1, checked=True).value == 1
+    assert gcd_torus(p2, Torus.PLUS, 1, -1).value == 1 == euclid_gcd(p2.a1, p2.q2 - 2)
 
     # oracle fixes the value at f=4, n=3, sign +: gcd(545, 520) = 5
     p4 = make_params(4)
-    case = gcd_torus(p4, Torus.PLUS, 3, +1, checked=True)
+    case = gcd_torus(p4, Torus.PLUS, 3, +1)
     assert case.value == 5
     assert case.kind is GcdKind.TORUS_MINUS  # 2^3 - 2^2 + 1
     assert euclid_gcd(2**9 + 2**5 + 1, 2**9 + 8) == 5
@@ -129,11 +128,12 @@ def test_gcd_torus_examples():
 def test_gcd_torus_checked_sweep(f):
     p = make_params(f)
     for n in divisors_of(p.out_order)[:-1]:
-        for torus in Torus:
-            for sign in (-1, 1):
-                gcd_torus(p, torus, n, sign, checked=True)
         for sign in (-1, 1):
-            gcd_q4_plus1(p, n, sign, checked=True)
+            rhs = p.q2 + sign * (1 << n)
+            for torus in Torus:
+                case = gcd_torus(p, torus, n, sign)
+                assert case.value == euclid_gcd(torus_order(p, torus), rhs), (n, torus, sign)
+            assert gcd_q4_plus1(p, n, sign).value == euclid_gcd(p.q4 + 1, rhs), (n, sign)
 
 
 @pytest.mark.parametrize("f", range(1, 33))

@@ -1,96 +1,105 @@
 import pytest
 
-from suzuki_cd import (
-    BudgetExceededError,
+from suzuki_cd import stabilizers
+from suzuki_cd.characters import (
+    CharacterLabel,
     Family,
     canonical_indices,
-    describe_stabilizer,
-    equals,
-    exact_stabilizer_exponent,
     make_label,
-    make_params,
+    phi_power_on_label,
+    torus_order_of,
+    torus_value,
+)
+from suzuki_cd.cyclotomic import equals
+from suzuki_cd.errors import BudgetExceededError, InvariantError
+from suzuki_cd.params import make_params, outer_divisors
+from suzuki_cd.stabilizers import (
+    _invariant,
+    exact_stabilizer_exponent,
     orbit_counts,
     orbit_oracle,
     orbit_report,
-    outer_divisors,
-    torus_order_of,
-    torus_value,
     witness_for,
-    x_invariant,
-    x_with_stabilizer,
-    y_invariant,
-    y_with_stabilizer,
-    z_invariant,
-    z_with_stabilizer,
 )
+
+
+def invariant(p, family, idx, n):
+    return _invariant(p, CharacterLabel(family, idx), n)
+
+
+def checked_witness(p, family, n):
+    """witness_for, with the witness's exact exponent checked to be n."""
+    w = witness_for(p, family, n)
+    assert exact_stabilizer_exponent(p, make_label(p, family, w)) == n
+    return w
 
 
 def test_x_invariant_examples():
     p4 = make_params(4)
-    assert x_invariant(p4, 73, 3)  # 511 | 7 * 73
+    assert invariant(p4, Family.X, 73, 3)  # 511 | 7 * 73
     p1 = make_params(1)
-    assert not x_invariant(p1, 1, 1)
+    assert not invariant(p1, Family.X, 1, 1)
     with pytest.raises(ValueError):
-        x_invariant(p1, 0, 1)
+        invariant(p1, Family.X, 0, 1)
     with pytest.raises(ValueError):
-        x_invariant(p1, 4, 1)  # above q^2/2 - 1
+        invariant(p1, Family.X, 4, 1)  # above q^2/2 - 1
     with pytest.raises(ValueError):
-        x_invariant(p1, 1, 2)  # 2 does not divide 3
+        invariant(p1, Family.X, 1, 2)  # 2 does not divide 3
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_every_x_fixed_by_full_power(f):
     p = make_params(f)
     for i in range(1, p.q2 // 2):
-        assert x_invariant(p, i, p.out_order)
+        assert invariant(p, Family.X, i, p.out_order)
 
 
 def test_y_invariant_examples():
     p1 = make_params(1)
-    assert y_invariant(p1, 1, 3)
-    assert not y_invariant(p1, 1, 1)
+    assert invariant(p1, Family.Y, 1, 3)
+    assert not invariant(p1, Family.Y, 1, 1)
     p4 = make_params(4)
-    assert y_invariant(p4, 109, 3)  # 109 = a1 / gcd(a1, q^2+8)
-    assert y_invariant(p4, 109, 1)
+    assert invariant(p4, Family.Y, 109, 3)  # 109 = a1 / gcd(a1, q^2+8)
+    assert invariant(p4, Family.Y, 109, 1)
     with pytest.raises(ValueError):
-        y_invariant(p1, 12, 1)  # 12 is not canonical (class rep is 1)
+        invariant(p1, Family.Y, 12, 1)  # 12 is not canonical (class rep is 1)
 
 
 def test_z_invariant_examples():
     p1 = make_params(1)
-    assert z_invariant(p1, 1, 1)  # 5 | 8 + 2
-    assert z_invariant(p1, 1, 3)
+    assert invariant(p1, Family.Z, 1, 1)  # 5 | 8 + 2
+    assert invariant(p1, Family.Z, 1, 3)
     p2 = make_params(2)
-    assert not z_invariant(p2, 1, 1)  # 25 divides neither 30 nor 34
+    assert not invariant(p2, Family.Z, 1, 1)  # 25 divides neither 30 nor 34
 
 
 def test_x_witness_examples():
-    assert x_with_stabilizer(make_params(4), 3, checked=True) == 73
-    assert x_with_stabilizer(make_params(1), 1) is None
-    assert x_with_stabilizer(make_params(7), 5, checked=True) == 1057
-    assert x_with_stabilizer(make_params(1), 3, checked=True) == 1
+    assert checked_witness(make_params(4), Family.X, 3) == 73
+    assert witness_for(make_params(1), Family.X, 1) is None
+    assert checked_witness(make_params(7), Family.X, 5) == 1057
+    assert checked_witness(make_params(1), Family.X, 3) == 1
     with pytest.raises(ValueError):
-        x_with_stabilizer(make_params(1), 2)
+        witness_for(make_params(1), Family.X, 2)
 
 
 def test_y_witness_examples():
-    assert y_with_stabilizer(make_params(1), 1) is None  # f == 1 (mod 4)
+    assert witness_for(make_params(1), Family.Y, 1) is None  # f == 1 (mod 4)
     p4 = make_params(4)
-    assert y_with_stabilizer(p4, 3) is None  # f == 0 (mod 4)
-    assert y_with_stabilizer(p4, 1, checked=True) == 109 == p4.a1 // 5
-    assert y_with_stabilizer(p4, 9, checked=True) == 1
-    assert y_with_stabilizer(make_params(3), 1, checked=True) == 29
-    assert y_with_stabilizer(make_params(1), 3, checked=True) == 1
+    assert witness_for(p4, Family.Y, 3) is None  # f == 0 (mod 4)
+    assert checked_witness(p4, Family.Y, 1) == 109 == p4.a1 // 5
+    assert checked_witness(p4, Family.Y, 9) == 1
+    assert checked_witness(make_params(3), Family.Y, 1) == 29
+    assert checked_witness(make_params(1), Family.Y, 3) == 1
 
 
 def test_z_witness_examples():
     p1 = make_params(1)
-    assert z_with_stabilizer(p1, 1, checked=True) == 1
-    assert z_with_stabilizer(p1, 3) is None  # lone class is invariant
-    assert z_with_stabilizer(make_params(4), 1) is None  # f == 0 (mod 4)
-    assert z_with_stabilizer(make_params(2), 1, checked=True) == 5
+    assert checked_witness(p1, Family.Z, 1) == 1
+    assert witness_for(p1, Family.Z, 3) is None  # lone class is invariant
+    assert witness_for(make_params(4), Family.Z, 1) is None  # f == 0 (mod 4)
+    assert checked_witness(make_params(2), Family.Z, 1) == 5
     with pytest.raises(ValueError):
-        z_with_stabilizer(make_params(2), 3)  # 3 does not divide 5
+        witness_for(make_params(2), Family.Z, 3)  # 3 does not divide 5
 
 
 def test_phi_invariant_label_on_five_divisible_torus():
@@ -99,26 +108,25 @@ def test_phi_invariant_label_on_five_divisible_torus():
     for f in (3, 4, 7, 8):
         p = make_params(f)
         assert p.a1 % 5 == 0
-        assert y_invariant(p, p.a1 // 5, 1)
+        assert invariant(p, Family.Y, p.a1 // 5, 1)
     for f in (1, 2, 5, 6):
         p = make_params(f)
         assert p.a2 % 5 == 0
-        assert z_invariant(p, p.a2 // 5, 1)
+        assert invariant(p, Family.Z, p.a2 // 5, 1)
 
 
 def test_exception_symmetry_between_y_and_z():
     # the witnessless f mod 4 classes swap between the two families:
     # {1, 2} <-> {0, 3}, and between n = 1 and n = 3 within a family
+    def witnessless(family, n, reps):
+        return {c for c, f in reps.items() if witness_for(make_params(f), family, n) is None}
+
     class_reps_n1 = {0: 4, 1: 1, 2: 2, 3: 3}
-    y_none = {c for c, f in class_reps_n1.items() if y_with_stabilizer(make_params(f), 1) is None}
-    z_none = {c for c, f in class_reps_n1.items() if z_with_stabilizer(make_params(f), 1) is None}
-    assert y_none == {1, 2}
-    assert z_none == {0, 3}
+    assert witnessless(Family.Y, 1, class_reps_n1) == {1, 2}
+    assert witnessless(Family.Z, 1, class_reps_n1) == {0, 3}
     class_reps_n3 = {0: 4, 1: 13, 2: 10, 3: 7}  # representatives with 3 | 2f+1
-    y_none = {c for c, f in class_reps_n3.items() if y_with_stabilizer(make_params(f), 3) is None}
-    z_none = {c for c, f in class_reps_n3.items() if z_with_stabilizer(make_params(f), 3) is None}
-    assert y_none == {0, 3}
-    assert z_none == {1, 2}
+    assert witnessless(Family.Y, 3, class_reps_n3) == {0, 3}
+    assert witnessless(Family.Z, 3, class_reps_n3) == {1, 2}
 
 
 def test_exact_exponents_f1():
@@ -131,11 +139,13 @@ def test_exact_exponents_f1():
     assert exact_stabilizer_exponent(p, make_label(p, Family.ST)) == 1
 
 
-def test_describe_stabilizer():
+def test_exponent_cross_check_raises_on_wrong_orbit_length(monkeypatch):
     p = make_params(1)
-    desc = describe_stabilizer(p, make_label(p, Family.X, 1))
-    assert desc.exponent == 3 == desc.orbit_size
-    assert p.out_order % desc.exponent == 0
+    label = make_label(p, Family.X, 1)
+    assert exact_stabilizer_exponent(p, label) == 3
+    monkeypatch.setattr(stabilizers, "_orbit_length", lambda p, label: 1)
+    with pytest.raises(InvariantError):
+        exact_stabilizer_exponent(p, label)
 
 
 def test_orbit_oracle_f1():
@@ -190,9 +200,6 @@ def test_orbit_report_shape():
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
 def test_invariance_predicates_match_orbit_dynamics(f):
-    from suzuki_cd.characters import phi_power_on_label
-    from suzuki_cd.stabilizers import _invariant
-
     p = make_params(f)
     for family in (Family.X, Family.Y, Family.Z):
         for idx in canonical_indices(p, family):
@@ -213,8 +220,6 @@ def test_invariance_matches_exact_value_vectors(f):
         for idx in canonical_indices(p, family):
             label = make_label(p, family, idx)
             for n in outer_divisors(p):
-                from suzuki_cd.stabilizers import _invariant
-
                 predicted = _invariant(p, label, n)
                 actual = all(
                     equals(
@@ -232,8 +237,10 @@ def test_witnesses_agree_with_oracle(f):
     for family in (Family.X, Family.Y, Family.Z):
         hist = orbit_oracle(p, family)
         for n in outer_divisors(p):
-            w = witness_for(p, family, n, checked=True)
+            w = witness_for(p, family, n)
             assert (w is not None) == (hist.get(n, 0) > 0), (f, family, n)
+            if w is not None:
+                assert exact_stabilizer_exponent(p, make_label(p, family, w)) == n
 
 
 def test_witness_for_rejects_non_torus_families():
