@@ -2,7 +2,7 @@
 groups between Sz(q^2) and its automorphism group.
 
 Closed forms throughout, each backed by an independent brute-force
-oracle (Euclid, exact cyclotomic reduction, orbit enumeration, Clifford
+oracle (Euclid, exact cyclotomic equality, orbit enumeration, Clifford
 counting); see :mod:`suzuki_cd.verification` for the sweeps that
 compare the two routes exhaustively.
 

@@ -29,9 +29,8 @@ from .degrees import (
     cd_closed_form,
     cd_multiset,
     degrees_json_payload,
-    to_decimal,
 )
-from .errors import BudgetExceededError, InvariantError
+from .errors import BudgetExceededError, InvariantError, to_decimal
 from .numtheory import gcd_verification_rows
 from .params import divisors_of, make_params
 from .stabilizers import ORACLE_F_MAX, orbit_report

@@ -1,11 +1,23 @@
 """Exact arithmetic for integer combinations of n-th roots of unity.
 
-A :class:`CyclotomicSum` is an element of the group ring Z[x]/(x^n - 1):
-a length-n integer vector whose entry k is the coefficient of zeta^k.
-Equality is *not* vector equality; two sums are equal as algebraic
-numbers (zeta a primitive n-th root of unity) iff their difference is
-divisible by the n-th cyclotomic polynomial.  Equality therefore goes
-through exact polynomial remainder mod Phi_n; no floating point is
+A :class:`CyclotomicSum` is an element of the group ring Z[x]/(x^n - 1),
+stored sparsely as its nonzero terms (exponent, coefficient).  Equality
+is *not* term equality; two sums are equal as algebraic numbers (zeta a
+primitive n-th root of unity) iff their difference P vanishes at zeta.
+
+Equality is decided without Phi_n.  Let Q = prod over the distinct
+primes p of n of (x^(n/p) - 1).  Over Q, Z[x]/(x^n - 1) embeds in the
+product of the fields Q(zeta_d) over the divisors d of n.  Q vanishes at
+zeta_d for every proper divisor d (some p has d | n/p), while at a
+primitive n-th root each factor is zeta_p - 1 != 0.  So P(zeta) = 0 iff
+P * Q == 0 in Z[x]/(x^n - 1): one sparse shift-and-subtract pass per
+prime of n, at most t * 2^omega(n) terms for a t-term sum.  Only the
+primes of n are needed, and :func:`~suzuki_cd.params.distinct_primes`
+refuses an order it cannot factor quickly, so no call can hang.
+
+The exact remainder mod Phi_n (:func:`phi_remainder`) is kept as the
+independent reference that the tests compare :func:`equals` against;
+it is budgeted to orders <= PHI_MAX_ORDER.  No floating point is
 involved anywhere.
 
 Only sums, negation and equality are provided; ring multiplication is
@@ -17,47 +29,59 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvariantError
-from .params import divisors_of
+from .errors import BudgetExceededError, InvariantError
+from .params import distinct_primes, divisors_of
 
-# Equality at order <= _TABLE_MAX uses a cached table of x^e mod Phi_n;
-# above that it falls back to a plain dense remainder (still exact,
-# just slower and uncached).
-_TABLE_MAX = 512
+#: Largest order the Phi_n reference builds a dense polynomial for.
+PHI_MAX_ORDER = 10_000
 
 
 @dataclass(frozen=True)
 class CyclotomicSum:
-    """An integer combination of the n-th roots of unity."""
+    """An integer combination of the n-th roots of unity.
+
+    ``terms`` holds (exponent, coefficient) pairs with exponents strictly
+    ascending in [0, order) and nonzero coefficients; the empty tuple is
+    zero.
+    """
 
     order: int
-    coeffs: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.coeffs) != self.order:
-            raise ValueError(
-                f"coefficient vector has length {len(self.coeffs)}, "
-                f"expected order {self.order}"
-            )
+        prev = -1
+        for e, c in self.terms:
+            if not prev < e < self.order:
+                raise ValueError(
+                    f"exponents must be strictly ascending in [0, {self.order}), "
+                    f"got {e} after {prev}"
+                )
+            if c == 0:
+                raise ValueError(f"coefficient of zeta^{e} is zero")
+            prev = e
 
     def __add__(self, other: CyclotomicSum) -> CyclotomicSum:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
-        return CyclotomicSum(
-            self.order,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c
+        return _from_dict(self.order, acc)
 
     def __neg__(self) -> CyclotomicSum:
-        return CyclotomicSum(self.order, tuple(-a for a in self.coeffs))
+        return CyclotomicSum(self.order, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other: CyclotomicSum) -> CyclotomicSum:
         return self + (-other)
 
     def equals(self, other: CyclotomicSum) -> bool:
         return equals(self, other)
+
+
+def _from_dict(n: int, acc: dict[int, int]) -> CyclotomicSum:
+    return CyclotomicSum(n, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
 
 def root_power_sum(
@@ -70,37 +94,47 @@ def root_power_sum(
     """
     if len(exponents) != len(signs):
         raise ValueError("exponents and signs must have the same length")
-    coeffs = [0] * n
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    acc: dict[int, int] = {}
     for e, s in zip(exponents, signs):
         if s not in (-1, 1):
             raise ValueError(f"signs must be +1 or -1, got {s!r}")
-        coeffs[e % n] += s
-    return CyclotomicSum(n, tuple(coeffs))
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic of degree phi(n).
-
-    Built by exact division: Phi_n = (x^n - 1) / prod of Phi_d over
-    proper divisors d of n.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors_of(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+        e %= n
+        acc[e] = acc.get(e, 0) + s
+    return _from_dict(n, acc)
 
 
 def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
-    """True iff a and b are the same element of Z[zeta_n]."""
+    """True iff a and b are the same element of Z[zeta_n].
+
+    Multiplies a - b by the prime-binomial annihilator
+    prod_{p | n} (x^(n/p) - 1) modulo x^n - 1 and tests for zero (see
+    the module docstring).  Raises BudgetExceededError if the order
+    cannot be factored below the trial-division bound.
+    """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    diff = [x - y for x, y in zip(a.coeffs, b.coeffs)]
-    if not any(diff):
+    n = a.order
+    poly = dict(a.terms)
+    for e, c in b.terms:
+        poly[e] = poly.get(e, 0) - c
+    poly = {e: c for e, c in poly.items() if c}
+    if not poly:
         return True
-    return not any(_reduce_mod_phi(a.order, diff))
+    for p in distinct_primes(n):
+        shift = n // p
+        out: dict[int, int] = {}
+        for e, c in poly.items():
+            up = e + shift
+            if up >= n:
+                up -= n
+            out[up] = out.get(up, 0) + c
+            out[e] = out.get(e, 0) - c
+        poly = {e: c for e, c in out.items() if c}
+        if not poly:
+            return True
+    return False
 
 
 def pair_equality(n: int, i: int, j: int) -> bool:
@@ -148,49 +182,57 @@ def _quad(n: int, a: int, k: int, l: int) -> CyclotomicSum:
     return root_power_sum(n, [e, -e, e * k, -e * k], [1, 1, 1, 1])
 
 
-def _reduce_mod_phi(n: int, vec: list[int]) -> list[int]:
-    """Remainder of the degree < n vector modulo Phi_n."""
-    if n <= _TABLE_MAX:
-        table = _power_table(n)
-        deg = len(table[0])
-        acc = [0] * deg
-        for e, c in enumerate(vec):
-            if c:
-                row = table[e]
-                for kk in range(deg):
-                    acc[kk] += c * row[kk]
-        return acc
-    return _poly_rem(vec, cyclotomic_polynomial(n))
+# --- The Phi_n reference: dense, budgeted, used only to check equals. ---
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^e mod Phi_n for e = 0 .. n-1, each as a phi(n)-vector."""
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    rows = []
-    cur = [0] * deg
-    cur[0] = 1
-    for _ in range(n):
-        rows.append(tuple(cur))
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            # x^deg == -(phi - x^deg) since phi is monic
-            for kk in range(deg):
-                cur[kk] -= top * phi[kk]
-    return tuple(rows)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of Phi_n, ascending degree, monic of degree phi(n).
+
+    Built by exact division: Phi_n = (x^n - 1) / prod of Phi_d over
+    proper divisors d of n.  Refuses n > PHI_MAX_ORDER with
+    BudgetExceededError, since the cost grows faster than n^2.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    _require_phi_budget(n)
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in divisors_of(n)[:-1]:
+        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def phi_remainder(s: CyclotomicSum) -> tuple[int, ...]:
+    """The remainder of s, as a polynomial of degree < n, modulo Phi_n.
+
+    s is zero in Z[zeta_n] iff every entry is zero.  This is the dense
+    reference for :func:`equals`; it refuses orders past PHI_MAX_ORDER.
+    """
+    _require_phi_budget(s.order)
+    vec = [0] * s.order
+    for e, c in s.terms:
+        vec[e] = c
+    return tuple(_poly_rem(vec, cyclotomic_polynomial(s.order)))
+
+
+def _require_phi_budget(n: int) -> None:
+    if n > PHI_MAX_ORDER:
+        raise BudgetExceededError(
+            f"the Phi_n reference is capped at order {PHI_MAX_ORDER}, got order {n}"
+        )
 
 
 def _poly_rem(vec: list[int], den: tuple[int, ...]) -> list[int]:
+    """Remainder of vec modulo the monic polynomial den."""
     r = list(vec)
     dn = len(den) - 1
+    lower = [(kk - dn, d) for kk, d in enumerate(den[:dn]) if d]
     for i in range(len(r) - 1, dn - 1, -1):
         c = r[i]
         if c:
             r[i] = 0
-            for kk in range(dn):
-                r[i - dn + kk] -= c * den[kk]
+            for offset, d in lower:
+                r[i + offset] -= c * d
     return r[:dn]
 
 
@@ -198,13 +240,14 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Quotient num / den for monic den; the remainder must be zero."""
     work = list(num)
     dn = len(den) - 1
+    nonzero = [(kk, d) for kk, d in enumerate(den) if d]
     out = [0] * (len(work) - dn)
     for i in range(len(out) - 1, -1, -1):
         c = work[i + dn]
         if c:
             out[i] = c
-            for kk in range(dn + 1):
-                work[i + kk] -= c * den[kk]
+            for kk, d in nonzero:
+                work[i + kk] -= c * d
     if any(work):
         raise InvariantError("polynomial division was not exact")
     return out

@@ -33,13 +33,12 @@ All the products above are pairwise distinct, so cardinalities add up.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
-from .errors import BudgetExceededError, InvariantError
-from .params import SuzukiParams, divisors_of
+from .errors import InvariantError, to_decimal
+from .params import SuzukiParams, distinct_primes, divisors_of
 from .stabilizers import orbit_counts, orbit_oracle
 
 
@@ -202,7 +201,7 @@ def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:
     cardinality = len(cd_closed_form(spec))
     if p.f <= 1 or spec.d <= 1:
         return CorollaryReport(p.f, spec.d, False, cardinality, None, None)
-    required = 7 if _is_prime(spec.d) else 9
+    required = 7 if distinct_primes(spec.d) == (spec.d,) else 9
     return CorollaryReport(
         p.f, spec.d, True, cardinality, required, cardinality >= required
     )
@@ -233,30 +232,3 @@ def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -
         "degrees": degree_items,
         "verified_against_oracle": verified,
     }
-
-
-def to_decimal(n: int) -> str:
-    """str(n), or BudgetExceededError past Python's int->str digit limit.
-
-    The limit (sys.get_int_max_str_digits(), 4300 by default) stays in
-    place: the conversion is quadratic, so lifting it would let a large
-    f hang instead of refusing.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        raise BudgetExceededError(
-            f"cannot print a {n.bit_length()}-bit integer: it has more than "
-            f"{sys.get_int_max_str_digits()} decimal digits, Python's int->str limit"
-        ) from None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

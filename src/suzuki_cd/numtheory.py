@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvariantError
+from .errors import InvariantError, to_decimal
 from .params import SuzukiParams, divisors_of
 
 
@@ -220,7 +220,8 @@ def gcd_verification_rows(p: SuzukiParams) -> list[dict[str, str]]:
 
     One row per gcd query, including the q^4+1 queries under
     torus="product".  All values rendered as strings so the rows can go
-    straight into a CSV writer.
+    straight into a CSV writer; a value past Python's int->str digit
+    limit raises BudgetExceededError (see :func:`~suzuki_cd.errors.to_decimal`).
     """
     rows = []
     for n in divisors_of(p.out_order)[:-1]:
@@ -240,8 +241,8 @@ def gcd_verification_rows(p: SuzukiParams) -> list[dict[str, str]]:
                         "n": str(n),
                         "torus": torus_name,
                         "sign": "+" if sign > 0 else "-",
-                        "closed_form": str(case.value),
-                        "euclid": str(actual),
+                        "closed_form": to_decimal(case.value),
+                        "euclid": to_decimal(actual),
                         "branch": case.condition,
                         "match": "true" if case.value == actual else "false",
                     }

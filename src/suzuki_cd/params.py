@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import InvariantError
+from .errors import BudgetExceededError, InvariantError
+
+#: Trial divisors stop below this bound: an order whose prime factors at
+#: or above it multiply to PRIME_TRIAL_BOUND^2 or more is refused, and
+#: every other order is factored in milliseconds.
+PRIME_TRIAL_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,34 @@ def divisors_of(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+@lru_cache(maxsize=1024)
+def distinct_primes(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending, by trial division.
+
+    Trial divisors run below PRIME_TRIAL_BOUND; a cofactor left at or
+    above PRIME_TRIAL_BOUND^2 is not certified prime, and n is refused
+    with BudgetExceededError instead.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    primes = []
+    m, d = n, 2
+    while d * d <= m:
+        if d >= PRIME_TRIAL_BOUND:
+            raise BudgetExceededError(
+                f"cannot factor a {n.bit_length()}-bit order: trial division "
+                f"below {PRIME_TRIAL_BOUND} leaves a cofactor it cannot certify prime"
+            )
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
 
 
 def outer_divisors(p: SuzukiParams) -> list[int]:

@@ -1,7 +1,7 @@
 """Exhaustive verification sweeps: closed forms vs brute-force oracles.
 
 Each sweep re-derives one layer of the library from first principles
-(Euclid, exact cyclotomic reduction, orbit enumeration, Clifford
+(Euclid, exact cyclotomic equality, orbit enumeration, Clifford
 counting) and compares against the closed-form implementation, over an
 exhaustive parameter range.  Sweeps return a :class:`SweepReport`; a
 report with failures carries printable minimal counterexamples.

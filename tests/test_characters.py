@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from suzuki_cd.characters import (
@@ -12,8 +14,8 @@ from suzuki_cd.characters import (
     torus_order_of,
     torus_value,
 )
-from suzuki_cd.cyclotomic import equals, root_power_sum
-from suzuki_cd.params import make_params, outer_divisors
+from suzuki_cd.cyclotomic import equals, pair_equality, root_power_sum
+from suzuki_cd.params import distinct_primes, make_params, outer_divisors
 
 FAMILY_ORDER = (Family.ONE, Family.ST, Family.X, Family.Y, Family.Z, Family.W)
 
@@ -128,14 +130,36 @@ def test_make_label_validation():
 def test_torus_value_examples():
     p = make_params(1)
     x1 = make_label(p, Family.X, 1)
-    assert torus_value(p, x1, 1).coeffs == (0, 1, 0, 0, 0, 0, 1)
+    assert torus_value(p, x1, 1).terms == ((1, 1), (6, 1))
 
     y1 = make_label(p, Family.Y, 1)
     at_full = torus_value(p, y1, 13)
-    assert at_full.coeffs[0] == -4 and all(c == 0 for c in at_full.coeffs[1:])
+    assert at_full.order == 13 and at_full.terms == ((0, -4),)
 
     z1 = make_label(p, Family.Z, 1)
     assert equals(torus_value(p, z1, 1), root_power_sum(5, [0], [1]))
+
+
+@pytest.mark.parametrize("family", [Family.X, Family.Y, Family.Z])
+def test_torus_value_equality_at_f10(family):
+    # torus orders about 2^21: equality needs only the primes of n, so it
+    # answers at once where a dense remainder mod Phi_n would not
+    p = make_params(10)
+    n = torus_order_of(p, family)
+    label = make_label(p, family, 12345)
+    started = time.perf_counter()
+    value = torus_value(p, label, 77)
+    assert equals(value, torus_value(p, label, n - 77))  # zeta^-l conjugates
+    assert not equals(value, torus_value(p, label, 78))
+    prime = distinct_primes(n)[0]
+    coset = root_power_sum(n, [5 + t * (n // prime) for t in range(prime)], [1] * prime)
+    assert equals(value + coset, value)  # a full coset of the order-p subgroup is 0
+    assert not equals(value + root_power_sum(n, [5], [1]), value)
+    if family is Family.X:
+        i = label.index
+        for l in (1, 2, n // 7, n - 1):
+            assert equals(value, torus_value(p, label, l)) == pair_equality(n, 77 * i, l * i)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_torus_value_validation():

@@ -130,6 +130,19 @@ def test_cd_past_int_str_digit_limit(capsys, argv):
     assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+def test_gcd_table_past_int_str_digit_limit(capsys):
+    # 2f+1 = 26001 = 3^5 * 107; at its divisor n = 8667,
+    # gcd(q^4+1, q^2 + 2^n) = 2^17334 + 1 has 5219 digits
+    code, out, err = run(capsys, "gcd-table", "--f", "13000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot print a 17335-bit integer")
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+
+
 def test_cd_just_below_int_str_digit_limit(capsys):
     code, out, _ = run(capsys, "cd", "--f", "1427", "--d", "1")
     assert code == 0

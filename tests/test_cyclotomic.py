@@ -1,21 +1,36 @@
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from suzuki_cd.cyclotomic import (
+    PHI_MAX_ORDER,
     CyclotomicSum,
     cyclotomic_polynomial,
     equals,
     pair_equality,
+    phi_remainder,
     quad_sum_equivalence,
     root_power_sum,
 )
-from suzuki_cd.params import divisors_of
+from suzuki_cd.errors import BudgetExceededError
+from suzuki_cd.params import PRIME_TRIAL_BOUND, distinct_primes, divisors_of
 
 
 def zero_sum(n):
     """The empty sum: zero in Z[zeta_n]."""
     return root_power_sum(n, [], [])
+
+
+def dense_sum(n, coeffs):
+    """The sum of coeffs[e] * zeta^e over e < n."""
+    return CyclotomicSum(n, tuple((e, c) for e, c in enumerate(coeffs) if c))
+
+
+def oracle_equals(a, b):
+    """Equality by the dense remainder of a - b modulo Phi_n."""
+    return not any(phi_remainder(a - b))
 
 
 def test_known_polynomials():
@@ -54,9 +69,12 @@ def test_degree_sum_and_value_at_one(n):
 
 def test_root_power_sum_examples():
     s = root_power_sum(7, [1, -1], [1, 1])
-    assert s.coeffs == (0, 1, 0, 0, 0, 0, 1)
+    assert s.order == 7 and s.terms == ((1, 1), (6, 1))
     one = root_power_sum(13, [0], [1])
-    assert one.coeffs[0] == 1 and sum(one.coeffs) == 1
+    assert one.order == 13 and one.terms == ((0, 1),)
+    # repeated exponents add up, and cancelling ones leave no term
+    assert root_power_sum(9, [2, 11, 20, 4, -5], [1, 1, -1, 1, 1]).terms == ((2, 1), (4, 2))
+    assert root_power_sum(9, [3, 12], [1, -1]).terms == ()
     # sum of all primitive 5th roots is -1
     all_roots = root_power_sum(5, [1, 2, 3, 4], [1, 1, 1, 1])
     minus_one = root_power_sum(5, [0], [-1])
@@ -87,8 +105,16 @@ def test_equals_basics():
 def test_cyclotomic_sum_validation():
     with pytest.raises(ValueError):
         CyclotomicSum(0, ())
-    with pytest.raises(ValueError):
-        CyclotomicSum(3, (1, 2))
+    for bad_terms in (
+        ((3, 1),),  # exponent past the order
+        ((-1, 1),),  # negative exponent
+        ((2, 1), (1, 1)),  # not ascending
+        ((1, 1), (1, 2)),  # repeated exponent
+        ((1, 0),),  # zero coefficient
+    ):
+        with pytest.raises(ValueError):
+            CyclotomicSum(3, bad_terms)
+    assert CyclotomicSum(3, ((0, 2), (2, -1))) == dense_sum(3, [2, 0, -1])
 
 
 def _poly_times_phi(n, poly):
@@ -114,9 +140,9 @@ def _poly_times_phi(n, poly):
 )
 def test_equals_invariant_under_phi_multiples(args):
     n, coeffs, small = args
-    a = CyclotomicSum(n, tuple(coeffs))
+    a = dense_sum(n, coeffs)
     shift = _poly_times_phi(n, small)
-    b = CyclotomicSum(n, tuple(c + s for c, s in zip(coeffs, shift)))
+    b = dense_sum(n, [c + s for c, s in zip(coeffs, shift)])
     assert equals(a, b)
     assert equals(b, a)  # symmetry
     if not equals(a, zero_sum(n)):
@@ -176,6 +202,82 @@ def test_sum_negation_arithmetic():
     a = root_power_sum(9, [1, 4], [1, -1])
     b = root_power_sum(9, [2], [1])
     total = a + b
-    assert total.coeffs[1] == 1 and total.coeffs[2] == 1 and total.coeffs[4] == -1
+    assert total.terms == ((1, 1), (2, 1), (4, -1))
+    assert (-a).terms == ((1, -1), (4, 1))
+    assert (total - b).terms == a.terms
     assert equals(a + (-a), zero_sum(9))
     assert equals(total - b, a)
+
+
+# Orders past 300: 3^7 and 2^12 (one repeated prime), 210 = 2.3.5.7,
+# 1155 = 3.5.7.11 and 2310 = 2.3.5.7.11 (four or five distinct primes);
+# the slower reference at 8321 = 53.157 runs only in the fixed test.
+LARGE_ORDERS = (210, 1155, 2187, 2310, 4096)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(st.integers(1, 300), st.sampled_from(LARGE_ORDERS)).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((-1, 1))), max_size=6),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(distinct_primes(n) or (1,)),
+                    st.integers(0, n - 1),
+                    st.sampled_from((-1, 1)),
+                ),
+                max_size=3,
+            ),
+            st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((-1, 1))), max_size=3),
+        )
+    )
+)
+def test_equals_matches_phi_remainder_oracle(args):
+    n, terms, cosets, extra = args
+    a = root_power_sum(n, [e for e, _ in terms], [s for _, s in terms])
+    b = a
+    for p, k, s in cosets:
+        if p > 1:  # a full coset of the order-p subgroup sums to zero
+            b = b + root_power_sum(n, [k + t * (n // p) for t in range(p)], [s] * p)
+    assert equals(a, b) and oracle_equals(a, b)
+    c = b + root_power_sum(n, [e for e, _ in extra], [s for _, s in extra])
+    assert equals(a, c) == oracle_equals(a, c)
+    assert equals(c, a) == equals(a, c)
+
+
+@pytest.mark.parametrize("n", LARGE_ORDERS + (8321,))
+def test_equals_matches_oracle_on_both_verdicts(n):
+    # the hypothesis test above may draw few unequal pairs at a given
+    # order; here each order gets both verdicts
+    p = distinct_primes(n)[-1]
+    coset = root_power_sum(n, [3 + t * (n // p) for t in range(p)], [1] * p)
+    a = root_power_sum(n, [1, n - 1, 7], [1, 1, -1])
+    for b, expected in ((a + coset, True), (a - coset, True), (a + coset + a, False)):
+        assert equals(a, b) is expected
+        assert oracle_equals(a, b) is expected
+    # the coset minus one root is a nonzero sum of p - 1 roots
+    partial = coset - root_power_sum(n, [3], [1])
+    assert not equals(partial, zero_sum(n)) and not oracle_equals(partial, zero_sum(n))
+
+
+def test_equals_refuses_an_order_it_cannot_factor():
+    n = (1 << 61) - 1  # prime, past PRIME_TRIAL_BOUND^2 = 2^32
+    a = root_power_sum(n, [1, 2], [1, 1])
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=f"61-bit order.*{PRIME_TRIAL_BOUND}"):
+        equals(a, root_power_sum(n, [1], [1]))
+    assert time.perf_counter() - started < 1.0
+    assert equals(a, a)  # identical terms need no factoring
+
+
+def test_phi_reference_is_budgeted():
+    n = PHI_MAX_ORDER + 1
+    started = time.perf_counter()
+    for call in (
+        lambda: cyclotomic_polynomial(n),
+        lambda: phi_remainder(root_power_sum(n, [1], [1])),
+    ):
+        with pytest.raises(BudgetExceededError, match=f"{PHI_MAX_ORDER}.*{n}"):
+            call()
+    assert time.perf_counter() - started < 1.0

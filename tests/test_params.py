@@ -1,9 +1,11 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
-from suzuki_cd import divisors_of, make_params, outer_divisors
+from suzuki_cd import BudgetExceededError, divisors_of, make_params, outer_divisors
+from suzuki_cd.params import PRIME_TRIAL_BOUND, distinct_primes
 
 
 def test_f1_values():
@@ -60,3 +62,22 @@ def test_parameter_identities_random_f(f):
     assert divs[0] == 1 and divs[-1] == 2 * f + 1
     assert all(divs[i] < divs[i + 1] for i in range(len(divs) - 1))
     assert all((2 * f + 1) % d == 0 for d in divs)
+
+
+@given(st.integers(min_value=1, max_value=PRIME_TRIAL_BOUND**2 - 1))
+def test_distinct_primes_match_sympy(n):
+    # every n below the square of the bound is factored completely
+    assert list(distinct_primes(n)) == sorted(sympy.factorint(n))
+
+
+def test_distinct_primes_at_the_trial_bound():
+    assert PRIME_TRIAL_BOUND == 65536
+    # the largest prime below the bound, times the least above it: the
+    # cofactor 65537 is below 65521^2, so it is certified prime
+    assert distinct_primes(65521 * 65537) == (65521, 65537)
+    assert distinct_primes(2**21 - 1) == (7, 127, 337)  # a torus order at f = 10
+    for n in (65537 * 65539, (1 << 61) - 1):  # no prime factor below the bound
+        with pytest.raises(BudgetExceededError, match=f"{n.bit_length()}-bit order.*65536"):
+            distinct_primes(n)
+    with pytest.raises(ValueError):
+        distinct_primes(0)
