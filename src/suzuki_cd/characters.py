@@ -37,7 +37,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cyclotomic import CyclotomicSum, root_power_sum
+from .errors import BudgetExceededError
 from .params import SuzukiParams
+
+#: Exhaustive family sweeps (canonical_indices here, orbit_oracle and
+#: cd_oracle downstream) are refused above this f.
+ORACLE_F_MAX = 10
 
 
 class Family(Enum):
@@ -133,7 +138,15 @@ def make_label(p: SuzukiParams, family: Family, index: int = 0) -> CharacterLabe
 
 
 def canonical_indices(p: SuzukiParams, family: Family) -> list[int]:
-    """All canonical indices of a torus family, ascending."""
+    """All canonical indices of a torus family, ascending.
+
+    An oracle helper: it walks every residue of the torus, so it refuses
+    f > ORACLE_F_MAX with BudgetExceededError.
+    """
+    if p.f > ORACLE_F_MAX:
+        raise BudgetExceededError(
+            f"canonical index enumeration needs f <= {ORACLE_F_MAX}, got f={p.f}"
+        )
     n = torus_order_of(p, family)
     mult = multipliers_of(p, family)
     out = []

@@ -15,6 +15,12 @@ prime of n, at most t * 2^omega(n) terms for a t-term sum.  Only the
 primes of n are needed, and :func:`~suzuki_cd.params.distinct_primes`
 refuses an order it cannot factor quickly, so no call can hang.
 
+Multiplication by Q is linear, so a == b iff a * Q == b * Q term for
+term.  :func:`equals` tests the image of a - b for zero;
+:func:`quad_sum_equivalence` compares the images of the two four-root
+sums, each computed once per (n, exponent mod n, k) and kept in a
+bounded cache, since a sweep meets the same sums many times.
+
 The exact remainder mod Phi_n (:func:`phi_remainder`) is kept as the
 independent reference that the tests compare :func:`equals` against;
 it is budgeted to orders <= PHI_MAX_ORDER.  No floating point is
@@ -115,13 +121,23 @@ def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    n = a.order
     poly = dict(a.terms)
     for e, c in b.terms:
         poly[e] = poly.get(e, 0) - c
     poly = {e: c for e, c in poly.items() if c}
+    return not _annihilate(poly, a.order)
+
+
+def _annihilate(poly: dict[int, int], n: int) -> tuple[tuple[int, int], ...]:
+    """The sorted nonzero terms of poly * prod_{p | n} (x^(n/p) - 1)
+    modulo x^n - 1, for poly with nonzero coefficients only.
+
+    The map is linear and its kernel is exactly the sums that vanish at
+    a primitive n-th root, so two sums are equal iff their images are.
+    A zero poly maps to () without factoring n.
+    """
     if not poly:
-        return True
+        return ()
     for p in distinct_primes(n):
         shift = n // p
         out: dict[int, int] = {}
@@ -132,9 +148,7 @@ def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
             out[up] = out.get(up, 0) + c
             out[e] = out.get(e, 0) - c
         poly = {e: c for e, c in out.items() if c}
-        if not poly:
-            return True
-    return False
+    return tuple(sorted(poly.items()))
 
 
 def pair_equality(n: int, i: int, j: int) -> bool:
@@ -155,18 +169,21 @@ def quad_sum_equivalence(
 
     - identity_holds: zeta^(il) + zeta^(-il) + zeta^(ilk) + zeta^(-ilk)
       equals the same expression with j in place of i, for both l = 1
-      and l = k - 1, tested with exact cyclotomic equality;
+      and l = k - 1, tested exactly by comparing annihilator images;
     - congruence_holds: i == +-j (mod n) or i == +-jk (mod n).
 
     The two booleans always agree; the verification sweep checks this
-    exhaustively over boundary pairs and at random.
+    exhaustively over boundary pairs and at random.  Raises
+    BudgetExceededError if n cannot be factored below the trial-division
+    bound.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if (k * k + 1) % n != 0:
         raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
     identity = all(
-        equals(_quad(n, i, k, l), _quad(n, j, k, l)) for l in (1, k - 1)
+        _quad_image(n, i * l % n, k % n) == _quad_image(n, j * l % n, k % n)
+        for l in (1, k - 1)
     )
     congruence = (
         (i - j) % n == 0
@@ -177,9 +194,13 @@ def quad_sum_equivalence(
     return identity, congruence
 
 
-def _quad(n: int, a: int, k: int, l: int) -> CyclotomicSum:
-    e = a * l
-    return root_power_sum(n, [e, -e, e * k, -e * k], [1, 1, 1, 1])
+# Bounded, yet larger than the n distinct exponents e that a sweep over
+# one (n, k) can ask for while n <= 256; an entry costs about 2 KB.
+@lru_cache(maxsize=256)
+def _quad_image(n: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek)."""
+    quad = root_power_sum(n, [e, -e, e * k, -e * k], [1, 1, 1, 1])
+    return _annihilate(dict(quad.terms), n)
 
 
 # --- The Phi_n reference: dense, budgeted, used only to check equals. ---

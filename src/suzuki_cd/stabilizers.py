@@ -44,6 +44,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .characters import (
+    ORACLE_F_MAX,
     CharacterLabel,
     Family,
     TORUS_FAMILIES,
@@ -55,9 +56,6 @@ from .characters import (
 )
 from .errors import BudgetExceededError, InvariantError
 from .params import SuzukiParams, make_params, outer_divisors
-
-#: Exhaustive family sweeps are refused above this f.
-ORACLE_F_MAX = 10
 
 
 def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:

@@ -8,15 +8,14 @@ report with failures carries printable minimal counterexamples.
 
 The per-f work items are independent, so sweeps accept a ``jobs``
 argument and fan out over a process pool; results are merged in
-deterministic order regardless of worker count.
+deterministic order regardless of worker count.  The pool's modules are
+imported only when ``jobs > 1``.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from math import gcd as _math_gcd
 
@@ -404,6 +403,10 @@ def _check(report: SweepReport, ok: bool, message: str) -> None:
 def _map_ordered(fn, items, jobs: int) -> list[tuple[int, list[str]]]:
     items = list(items)
     if jobs > 1 and len(items) > 1:
+        # Imported here so that serial runs do not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 return list(pool.map(fn, items))

@@ -15,6 +15,7 @@ from suzuki_cd.characters import (
     torus_value,
 )
 from suzuki_cd.cyclotomic import equals, pair_equality, root_power_sum
+from suzuki_cd.errors import BudgetExceededError
 from suzuki_cd.params import distinct_primes, make_params, outer_divisors
 
 FAMILY_ORDER = (Family.ONE, Family.ST, Family.X, Family.Y, Family.Z, Family.W)
@@ -77,6 +78,14 @@ def test_canonical_class_counts_match_table(f, family):
     assert len(indices) == family_count(p, family)
     assert indices == sorted(set(indices))
     assert all(canonicalize(p, family, i) == i for i in indices)
+
+
+@pytest.mark.parametrize("family", [Family.X, Family.Y, Family.Z])
+def test_canonical_indices_refuses_past_oracle_budget(family):
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="f <= 10, got f=11"):
+        canonical_indices(make_params(11), family)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_canonicalize_examples():

@@ -28,6 +28,21 @@ def run_module(*argv, optimize=False):
     )
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, suzuki_cd.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_cd_table_sz8(capsys):
     code, out, _ = run(capsys, "cd", "--f", "1", "--d", "1")
     assert code == 0

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from suzuki_cd.cyclotomic import (
     PHI_MAX_ORDER,
     CyclotomicSum,
+    _quad_image,
     cyclotomic_polynomial,
     equals,
     pair_equality,
@@ -196,6 +198,65 @@ def test_quad_sum_equivalence_validation():
         quad_sum_equivalence(13, 4, 1, 1)  # 4^2 != -1 (mod 13)
     with pytest.raises(ValueError):
         quad_sum_equivalence(0, 1, 1, 1)
+
+
+def sqrt_minus_one(n):
+    return [k for k in range(n) if (k * k + 1) % n == 0]
+
+
+def fresh_quad(n, e, k):
+    """zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek), built afresh."""
+    return root_power_sum(n, [e, -e, e * k, -e * k], [1, 1, 1, 1])
+
+
+# Every order up to 300 with a square root of -1; half the examples
+# draw 1105 = 5.13.17 or 2210 = 2.5.13.17 (three and four distinct primes).
+QUAD_ORDERS = tuple(n for n in range(1, 301) if sqrt_minus_one(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.sampled_from(QUAD_ORDERS), st.sampled_from((1105, 2210))).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from(sqrt_minus_one(n)),
+            st.integers(0, n - 1),
+            st.sampled_from((1, -1)),
+            st.integers(0, 3),
+            st.integers(0, n - 1),
+        )
+    )
+)
+def test_quad_images_match_phi_remainder_oracle(args):
+    n, k, e, sign, power, other = args
+    # e times a multiplier +-k^power has the same four-root sum (verdict
+    # equal); a random exponent mostly has another one (verdict unequal)
+    partner = sign * e * pow(k, power, n) % n
+    for f in (partner, other):
+        same_image = _quad_image(n, e, k) == _quad_image(n, f, k)
+        oracle = not any(phi_remainder(fresh_quad(n, e, k) - fresh_quad(n, f, k)))
+        congruent = f in {e * m % n for m in (1, -1, k, -k)}
+        assert same_image == oracle == congruent, (n, k, e, f)
+
+
+@pytest.mark.parametrize("n", [13, 65, 130, 1105, 2210])
+def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
+    _quad_image.cache_clear()
+    rng = random.Random(n)
+    for k in sqrt_minus_one(n):
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+        pairs += [(i, i * k % n) for i, _ in pairs[:10]]
+        for _ in range(2):  # the second round answers from the cache
+            for i, j in pairs:
+                identity, congruence = quad_sum_equivalence(n, k, i, j)
+                fresh = all(
+                    equals(fresh_quad(n, i * l, k), fresh_quad(n, j * l, k))
+                    for l in (1, k - 1)
+                )
+                assert identity == fresh == congruence, (n, k, i, j)
+    info = _quad_image.cache_info()
+    assert info.hits > 0
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_sum_negation_arithmetic():
