@@ -42,7 +42,6 @@ from .stabilizers import (
     exact_stabilizer_exponent,
     orbit_counts,
     orbit_oracle,
-    orbit_report,
     witness_for,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "make_params",
     "orbit_counts",
     "orbit_oracle",
-    "orbit_report",
     "outer_divisors",
     "pair_equality",
     "phi_power_on_label",

@@ -8,8 +8,12 @@ Subcommands::
     suzuki-cd gcd-table --f 1..8 [--output PATH]
 
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
-usage error, 3 budget violation (oracle size cap or int->str digit
-limit), 4 I/O error.  All output is deterministic (ascending
+usage error, 3 budget violation (oracle size cap, sweep size cap or
+int->str digit limit), 4 I/O error.  ``orbits`` counts at any f and
+never enumerates; for X, Y and Z it exits 3 from f = 7143, where the
+family count passes the digit limit.  ``verify cyclotomic`` caps
+--n-max at N_MAX_LIMIT and --samples at SAMPLES_LIMIT, each about 3 s
+of sweep on its own.  All output is deterministic (ascending
 degrees/divisors, fixed key order) and uses UTF-8 with LF line endings;
 --output writes bytes identical to what stdout would receive.
 """
@@ -22,7 +26,7 @@ import io
 import json
 import sys
 
-from .characters import Family
+from .characters import Family, family_count
 from .degrees import (
     DegreeMultiset,
     ExtensionSpec,
@@ -33,7 +37,7 @@ from .degrees import (
 from .errors import BudgetExceededError, InvariantError, to_decimal
 from .numtheory import gcd_verification_rows
 from .params import divisors_of, make_params
-from .stabilizers import ORACLE_F_MAX, orbit_report
+from .stabilizers import ORACLE_F_MAX, orbit_counts
 from .verification import (
     DEFAULT_SEED,
     SweepReport,
@@ -46,6 +50,11 @@ from .verification import (
 )
 
 VERIFY_SCOPES = ("lemmas", "stabilizers", "theorem-a", "corollary-b", "cyclotomic")
+# Largest accepted verify cyclotomic sizes: at either limit, with the
+# other argument at its default, the sweep takes about 3 s (2-vCPU Xeon,
+# Python 3.11).  Both at their limits take about a minute.
+N_MAX_LIMIT = 1000
+SAMPLES_LIMIT = 10_000
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,6 +198,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f_max = args.f_max if args.f_max is not None else 16
         reports.append(verify_degree_count_bounds(f_max))
     else:
+        _require_within("--n-max", args.n_max, N_MAX_LIMIT)
+        _require_within("--samples", args.samples, SAMPLES_LIMIT)
         reports.append(
             verify_quad_identity(args.n_max, args.samples, args.seed, jobs=jobs)
         )
@@ -211,16 +222,28 @@ def _budgeted_f_max(requested: int | None, default: int) -> int:
     return f_max
 
 
+def _require_within(argument: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise BudgetExceededError(f"{argument} {value} is over its limit of {limit}")
+
+
 def _cmd_orbits(args: argparse.Namespace) -> int:
     p = make_params(args.f)
-    report = orbit_report(p, Family(args.family))
+    family = Family(args.family)
+    # every count is at most the family count, so this refuses first
+    to_decimal(family_count(p, family))
+    rows = sorted(orbit_counts(p, family).items())
     if args.json:
+        report = {
+            "f": p.f,
+            "family": family.value,
+            "orbits": [{"stabilizer_exponent": n, "count": c} for n, c in rows],
+        }
         text = json.dumps(report, indent=2) + "\n"
     else:
-        lines = [f"# orbits for f={p.f}, family={args.family}"]
+        lines = [f"# orbits for f={p.f}, family={family.value}"]
         lines.append("stabilizer_exponent count")
-        for row in report["orbits"]:
-            lines.append(f"{row['stabilizer_exponent']} {row['count']}")
+        lines.extend(f"{n} {c}" for n, c in rows)
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return 0

@@ -117,23 +117,6 @@ def _closed_form_exclusion(spec: ExtensionSpec, family: Family) -> int | None:
     return 3 if low else 1
 
 
-def cd_family(spec: ExtensionSpec, family: Family) -> frozenset[int]:
-    """Degrees of G lying over one semisimple family, from orbit counts.
-
-    Each exact stabilizer exponent m that occurs in the family gives the
-    degree m/gcd(e, m) times the family degree (the Clifford rule
-    above).  Quantifying over the occurring m matters: when e = 3 and
-    the family has no label of exponent 3, the family degree itself can
-    still be attained through an automorphism-invariant label.
-    """
-    if family not in TORUS_FAMILIES:
-        raise ValueError(f"cd_family applies to X, Y, Z; got {family.value}")
-    p = spec.params
-    e = p.out_order // spec.d
-    base = degree_of(p, family)
-    return frozenset(base * (m // math.gcd(e, m)) for m in orbit_counts(p, family))
-
-
 def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
     """Degree multiset of G by Clifford counting over orbit_counts.
 

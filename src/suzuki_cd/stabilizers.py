@@ -31,10 +31,12 @@ where n = 3 is all of 2f+1; the lone Z class of Sz(8) is invariant, so
 nothing there has exact exponent 3.
 
 The histogram of exact exponents over a whole family comes from
-counting (orbit_counts, gcds only, any f).  An independent brute-force
-oracle (orbit_oracle) enumerates the index-doubling dynamics of the
-family instead; it is budgeted to f <= ORACLE_F_MAX (largest torus
-around 2^21).  Per-label queries have no budget.
+counting (orbit_counts, gcds only, any f); it is the only route the
+command line and cd_multiset use.  An independent brute-force oracle
+(orbit_oracle) enumerates the index-doubling dynamics of the family
+instead; it runs only in the verification sweeps and tests, and is
+budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
+queries have no budget.
 """
 
 from __future__ import annotations
@@ -241,18 +243,6 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
             f"f={f} {family.value}: enumerated labels do not sum to the family count"
         )
     return tuple(sorted(counts.items()))
-
-
-def orbit_report(p: SuzukiParams, family: Family) -> dict:
-    """JSON-ready orbit summary for one family."""
-    hist = orbit_oracle(p, family)
-    return {
-        "f": p.f,
-        "family": family.value,
-        "orbits": [
-            {"stabilizer_exponent": n, "count": c} for n, c in sorted(hist.items())
-        ],
-    }
 
 
 def _require_divisor(p: SuzukiParams, n: int) -> None:

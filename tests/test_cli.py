@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,7 +209,51 @@ def test_orbits_table_and_budget(capsys):
     code, out, _ = run(capsys, "orbits", "--f", "4", "--family", "Y")
     assert code == 0
     assert "1 1" in out.splitlines() and "9 135" in out.splitlines()
-    assert run(capsys, "orbits", "--f", "11", "--family", "X")[0] == 3
+    # past the enumeration budget the counted histogram still prints
+    code, out, _ = run(capsys, "orbits", "--f", "11", "--family", "X")
+    assert code == 0
+    assert out.splitlines()[2:] == [f"23 {2**23 // 2 - 1}"]
+
+
+def test_production_commands_never_enumerate(capsys, monkeypatch):
+    from suzuki_cd import stabilizers
+
+    def enumerate_orbits(f, family):
+        raise AssertionError(f"enumerated the orbits of {family.value} at f={f}")
+
+    monkeypatch.setattr(stabilizers, "_orbit_histogram", enumerate_orbits)
+    for argv in (
+        ["orbits", "--f", "10", "--family", "X"],
+        ["cd", "--f", "10", "--d", "all", "--multiplicities"],
+        ["cd", "--f", "4", "--d", "all", "--json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        # the X family count q^2/2 - 1 = 2^14286 - 1 has 4301 digits
+        (["orbits", "--f", "7143", "--family", "X"], "14286-bit integer"),
+        (["verify", "cyclotomic", "--n-max", "1001"], "--n-max 1001 is over its limit of 1000"),
+        (["verify", "cyclotomic", "--samples", "10001"],
+         "--samples 10001 is over its limit of 10000"),
+    ],
+    ids=["orbits-f7143", "cyclotomic-n-max", "cyclotomic-samples"],
+)
+def test_budget_refusals_are_fast(argv, needle):
+    start = time.perf_counter()
+    proc = run_module(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert needle in proc.stderr
+    assert elapsed < 1.0, elapsed
 
 
 def test_gcd_table_stdout_matches_file(tmp_path, capsys):

@@ -6,7 +6,6 @@ from suzuki_cd.degrees import (
     ExtensionSpec,
     _clifford_multiset,
     cd_closed_form,
-    cd_family,
     cd_multiset,
     cd_oracle,
     check_corollary_b,
@@ -62,34 +61,34 @@ def test_closed_form_f4_d9():
     }
 
 
-def test_cd_family_f1():
+def test_counted_degrees_over_each_family_f1():
+    # X, Y, Z give {195}, {105}, {91} over Aut(S) and {65}, {35}, {91}
+    # over S; ONE, ST and W give 1, 64 and 14
     p = make_params(1)
-    aut = ExtensionSpec(p, 3)
-    assert cd_family(aut, Family.X) == {195}
-    assert cd_family(aut, Family.Y) == {105}
-    assert cd_family(aut, Family.Z) == {91}
-    sub = ExtensionSpec(p, 1)
-    assert cd_family(sub, Family.X) == {65}
-    assert cd_family(sub, Family.Y) == {35}
-    assert cd_family(sub, Family.Z) == {91}
-    with pytest.raises(ValueError):
-        cd_family(aut, Family.W)
+    for d, expected in ((3, {1, 14, 64, 91, 105, 195}), (1, {1, 14, 35, 64, 65, 91})):
+        spec = ExtensionSpec(p, d)
+        assert cd_multiset(spec).degree_set() == expected
+        assert cd_oracle(spec).degree_set() == expected
 
 
-def test_cd_family_f4_d9():
+def test_counted_degrees_f4_d9():
     spec = ExtensionSpec(make_params(4), 9)
     y_base = degree_of(spec.params, Family.Y)
-    assert cd_family(spec, Family.Y) == {y_base, 9 * y_base}  # b = 3 missing
+    degrees = cd_multiset(spec).degree_set()
+    assert y_base in degrees and 9 * y_base in degrees
+    assert 3 * y_base not in degrees  # b = 3 missing
+    assert degrees == cd_oracle(spec).degree_set()
 
 
-def test_cd_family_attains_one_through_invariant_label():
+def test_counted_degrees_attain_one_through_invariant_label():
     # f == 4, d == 3: G is generated by the cube of the automorphism,
     # the exponent-3 witness is excluded, yet b = 1 is attained via the
     # invariant label with exponent 1
     spec = ExtensionSpec(make_params(4), 3)
     y_base = degree_of(spec.params, Family.Y)
-    assert y_base in cd_family(spec, Family.Y)
-    assert cd_family(spec, Family.Y) == {y_base, 3 * y_base}
+    degrees = cd_multiset(spec).degree_set()
+    assert y_base in degrees and 3 * y_base in degrees
+    assert degrees == cd_oracle(spec).degree_set()
 
 
 def test_oracle_sz8():
@@ -141,10 +140,6 @@ def test_counting_route_sum_rules(f):
         multiset = cd_multiset(spec)
         assert multiset.sum_of_squares() == spec.order, (f, d)
         assert multiset.degree_set() == cd_closed_form(spec), (f, d)
-        tiled = {1, p.q4, degree_of(p, Family.W)}
-        for family in (Family.X, Family.Y, Family.Z):
-            tiled |= cd_family(spec, family)
-        assert tiled == cd_closed_form(spec), (f, d)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from suzuki_cd.stabilizers import (
     exact_stabilizer_exponent,
     orbit_counts,
     orbit_oracle,
-    orbit_report,
     witness_for,
 )
 
@@ -187,15 +186,6 @@ def test_orbit_counts_past_enumeration_budget():
     assert orbit_counts(p, Family.X) == {23: (p.q2 // 2 - 1)}
     y_hist = orbit_counts(p, Family.Y)
     assert y_hist == {1: 1, 23: (p.q2 + p.r) // 4 - 1}  # f == 3 (mod 4): a1/5 is invariant
-
-
-def test_orbit_report_shape():
-    report = orbit_report(make_params(1), Family.X)
-    assert report == {
-        "f": 1,
-        "family": "X",
-        "orbits": [{"stabilizer_exponent": 3, "count": 3}],
-    }
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
