@@ -5,10 +5,10 @@ root-of-unity identities, each checked against its oracle live."""
 from suzuki_cd import (
     Torus,
     coincidence_classify,
+    divisors_of,
     euclid_gcd,
     gcd_torus,
     make_params,
-    outer_divisors,
     pair_equality,
     quad_sum_equivalence,
     root_power_sum,
@@ -21,7 +21,7 @@ def main() -> None:
     print("Closed-form gcd(torus order, q^2 +- 2^n) vs Euclid:")
     for f in (2, 4, 7):
         p = make_params(f)
-        for n in outer_divisors(p)[:-1]:
+        for n in divisors_of(p.out_order)[:-1]:
             for torus in Torus:
                 for sign in (-1, 1):
                     case = gcd_torus(p, torus, n, sign)

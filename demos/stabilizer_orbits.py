@@ -9,11 +9,11 @@ f mod 4.
 from suzuki_cd import (
     Family,
     canonical_indices,
+    divisors_of,
     exact_stabilizer_exponent,
     make_label,
     make_params,
     orbit_oracle,
-    outer_divisors,
     phi_power_on_label,
     witness_for,
 )
@@ -54,7 +54,7 @@ def main() -> None:
     for f in (1, 4, 7):
         p = make_params(f)
         for family in (Family.X, Family.Y, Family.Z):
-            row = {n: witness_for(p, family, n) for n in outer_divisors(p)}
+            row = {n: witness_for(p, family, n) for n in divisors_of(p.out_order)}
             print(f"  f={f} {family.value}: {row}")
     print("\nNote the mirrored exceptions: at f=4 (f=0 mod 4) Y lacks an")
     print("exponent-3 witness and Z lacks exponent 1; at f=1 and f=7 the")

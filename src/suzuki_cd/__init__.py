@@ -6,8 +6,9 @@ oracle (Euclid, exact cyclotomic equality, orbit enumeration, Clifford
 counting); see :mod:`suzuki_cd.verification` for the sweeps that
 compare the two routes exhaustively.
 
-The package namespace holds what the command line, the demos and the
-README use; everything else is imported from its submodule.
+The package namespace holds the library API that the demos and the
+README use; everything else, the command line's helpers included, is
+imported from its submodule.
 """
 
 from .characters import (
@@ -25,7 +26,6 @@ from .degrees import (
     cd_multiset,
     cd_oracle,
     check_corollary_b,
-    degrees_json_payload,
 )
 from .errors import BudgetExceededError, InvariantError
 from .numtheory import (
@@ -33,10 +33,9 @@ from .numtheory import (
     coincidence_classify,
     euclid_gcd,
     gcd_torus,
-    gcd_verification_rows,
     torus_order,
 )
-from .params import divisors_of, make_params, outer_divisors
+from .params import divisors_of, make_params
 from .stabilizers import (
     ORACLE_F_MAX,
     exact_stabilizer_exponent,
@@ -61,18 +60,15 @@ __all__ = [
     "cd_oracle",
     "check_corollary_b",
     "coincidence_classify",
-    "degrees_json_payload",
     "divisors_of",
     "equals",
     "euclid_gcd",
     "exact_stabilizer_exponent",
     "gcd_torus",
-    "gcd_verification_rows",
     "make_label",
     "make_params",
     "orbit_counts",
     "orbit_oracle",
-    "outer_divisors",
     "pair_equality",
     "phi_power_on_label",
     "quad_sum_equivalence",

@@ -12,7 +12,8 @@ G-orbit has size s = m / gcd(e, m) and contributes d/s irreducible
 characters of G, all of degree s * theta(1).  Aggregating over Irr(S)
 gives the degree multiset, from counted orbit histograms (cd_multiset,
 any f) or from enumerated ones (cd_oracle, f <= ORACLE_F_MAX); the
-closed form below is what its degree set must equal.
+closed form below is what its degree set must equal, and cd_multiset
+raises InvariantError when it does not.
 
 Closed form: cd(G) is
 
@@ -27,7 +28,11 @@ with exceptions only when G = Aut(S) (d = 2f+1):
     (ii)  if f == 1 or 2 (mod 4): b != 1 and c != 3;
     (iii) if f == 0 or 3 (mod 4): b != 3 and c != 1.
 
-All the products above are pairwise distinct, so cardinalities add up.
+At Aut(S) a label of exact stabilizer exponent v has a G-orbit of size
+v, so the excluded multiples are exactly the witnessless exponents of
+stabilizers.is_witnessless; cd_closed_form reads that table and shares
+no code with the counting route (orbit_counts).  All the products above
+are pairwise distinct, so cardinalities add up.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Callable, Mapping
 from .characters import Family, TORUS_FAMILIES, degree_of
 from .errors import InvariantError, to_decimal
 from .params import SuzukiParams, distinct_primes, divisors_of
-from .stabilizers import orbit_counts, orbit_oracle
+from .stabilizers import is_witnessless, orbit_counts, orbit_oracle
 
 
 @dataclass(frozen=True)
@@ -96,34 +101,29 @@ def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:
     """The degree set of G, straight from the closed form above."""
     p = spec.params
     degs = {1, p.q4, degree_of(p, Family.W)}
-    for family in (Family.X, Family.Y, Family.Z):
+    for family in TORUS_FAMILIES:
         base = degree_of(p, family)
-        excluded = _closed_form_exclusion(spec, family)
         for v in divisors_of(spec.d):
-            if v != excluded:
+            if not (spec.is_aut and is_witnessless(p, family, v)):
                 degs.add(base * v)
     return frozenset(degs)
-
-
-def _closed_form_exclusion(spec: ExtensionSpec, family: Family) -> int | None:
-    """The single excluded divisor multiple for a family, if any."""
-    if not spec.is_aut:
-        return None
-    if family is Family.X:
-        return 1
-    low = spec.params.f % 4 in (1, 2)
-    if family is Family.Y:
-        return 1 if low else 3
-    return 3 if low else 1
 
 
 def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
     """Degree multiset of G by Clifford counting over orbit_counts.
 
     The production route for multiplicities: exact at any f, with the
-    same global sum rules enforced as cd_oracle.
+    same global sum rules enforced as cd_oracle.  Raises InvariantError
+    unless its degree set equals cd_closed_form(spec).
     """
-    return _clifford_multiset(spec, orbit_counts)
+    result = _clifford_multiset(spec, orbit_counts)
+    closed = cd_closed_form(spec)
+    if result.degree_set() != closed:
+        raise InvariantError(
+            f"f={spec.params.f} d={spec.d}: counted degrees "
+            f"{sorted(result.degree_set())} differ from the closed form {sorted(closed)}"
+        )
+    return result
 
 
 def cd_oracle(spec: ExtensionSpec) -> DegreeMultiset:
@@ -193,12 +193,11 @@ def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:
 def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> dict:
     """JSON-ready degree report; big integers become decimal strings.
 
-    ``multiset`` is the Clifford-counting result, or None when only the
-    closed form was computed (multiplicities then serialize as null and
-    verified_against_oracle is false).
+    ``multiset`` is the cd_multiset result, which has already agreed
+    with the closed form, or None when only the closed form was computed
+    (multiplicities then serialize as null and verified_against_oracle
+    is false).
     """
-    closed = cd_closed_form(spec)
-    verified = multiset is not None and multiset.degree_set() == closed
     if multiset is not None:
         degree_items = [
             {"degree": to_decimal(deg), "multiplicity": mult}
@@ -206,12 +205,13 @@ def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -
         ]
     else:
         degree_items = [
-            {"degree": to_decimal(deg), "multiplicity": None} for deg in sorted(closed)
+            {"degree": to_decimal(deg), "multiplicity": None}
+            for deg in sorted(cd_closed_form(spec))
         ]
     return {
         "f": spec.params.f,
         "d": spec.d,
         "q2": to_decimal(spec.params.q2),
         "degrees": degree_items,
-        "verified_against_oracle": verified,
+        "verified_against_oracle": multiset is not None,
     }

@@ -28,15 +28,6 @@ class Torus(Enum):
     MINUS = "minus"  # order q^2 - r + 1
 
 
-class GcdKind(Enum):
-    """Shape of a closed-form gcd value."""
-
-    TRIVIAL_ONE = "trivial_one"  # gcd is 1
-    FERMAT_FACTOR = "fermat_factor"  # 2^(2n) + 1
-    TORUS_PLUS = "torus_plus"  # 2^n + 2^((n+1)/2) + 1
-    TORUS_MINUS = "torus_minus"  # 2^n - 2^((n+1)/2) + 1
-
-
 @dataclass(frozen=True)
 class GcdCase:
     """A closed-form gcd value plus the congruence branch that produced it.
@@ -45,7 +36,6 @@ class GcdCase:
     about (the verification sweep enforces this against Euclid).
     """
 
-    kind: GcdKind
     value: int
     condition: str
 
@@ -129,8 +119,8 @@ def gcd_q4_plus1(p: SuzukiParams, n: int, sign: int) -> GcdCase:
         fires = (2 * p.f + 1 + n) % 4 == 0
         condition = "2f+1 == -n (mod 4)" if fires else "none"
     if fires:
-        return GcdCase(GcdKind.FERMAT_FACTOR, (1 << (2 * n)) + 1, condition)
-    return GcdCase(GcdKind.TRIVIAL_ONE, 1, condition)
+        return GcdCase((1 << (2 * n)) + 1, condition)
+    return GcdCase(1, condition)
 
 
 def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
@@ -165,12 +155,10 @@ def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
         plus_form = torus is Torus.MINUS
         condition = f"4 || {u_name}"
     else:
-        return GcdCase(GcdKind.TRIVIAL_ONE, 1, "none")
+        return GcdCase(1, "none")
     if plus_form:
-        return GcdCase(GcdKind.TORUS_PLUS, (1 << n) + half + 1, condition)
-    value = (1 << n) - half + 1
-    kind = GcdKind.TORUS_MINUS if value > 1 else GcdKind.TRIVIAL_ONE
-    return GcdCase(kind, value, condition)
+        return GcdCase((1 << n) + half + 1, condition)
+    return GcdCase((1 << n) - half + 1, condition)
 
 
 # f mod 4 -> (case label, torus, sign for 2^n=8, sign for 2^m=2).

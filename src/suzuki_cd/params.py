@@ -120,9 +120,3 @@ def distinct_primes(n: int) -> tuple[int, ...]:
     if m > 1:
         primes.append(m)
     return tuple(primes)
-
-
-def outer_divisors(p: SuzukiParams) -> list[int]:
-    """Positive divisors of 2f+1, ascending: the candidate stabilizer
-    exponents inside the outer automorphism group."""
-    return divisors_of(p.out_order)

@@ -12,9 +12,11 @@ The *exact stabilizer exponent* of a label is the least such n; the
 orbit of the label under index-doubling has exactly that size.
 witness_for constructs, for each admissible n, a label whose exact
 exponent is n, and returns None exactly when no label in the family has
-exact exponent n.  The witnessless cases are X at n = 1 (nothing is
-fixed by the whole automorphism group) and, for Y and Z, an f mod 4
-table that the two families mirror:
+exact exponent n.  is_witnessless holds the table of those cases, the
+single copy the closed form of theorem A also reads (its Aut(S)
+exclusions are these exponents): X at n = 1 (nothing is fixed by the
+whole automorphism group) and, for Y and Z, an f mod 4 table that the
+two families mirror:
 
 =======  ================  ================
 family   n = 1             n = 3
@@ -57,7 +59,7 @@ from .characters import (
     torus_order_of,
 )
 from .errors import BudgetExceededError, InvariantError
-from .params import SuzukiParams, make_params, outer_divisors
+from .params import SuzukiParams, divisors_of, make_params
 
 
 def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
@@ -68,14 +70,11 @@ def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
     makes gcd(N, 2^n - m) nontrivial (N the torus order); the witness is
     N divided by that gcd.  For X this is (q^2-1)/(2^n-1).
     """
-    if family not in TORUS_FAMILIES:
-        raise ValueError(f"no witness constructor for family {family.value}")
-    _require_divisor(p, n)
     # The exception table outranks the n = 2f+1 shortcut: at f = 1 the
     # divisor n = 3 is 2f+1 itself, yet the single Z class is already
     # invariant under the automorphism (a2 = 5 divides q^2 + 2 = 10),
     # so nothing has exact exponent 3 there.
-    if _is_exception(p, family, n):
+    if is_witnessless(p, family, n):
         return None
     if n == p.out_order:
         return 1
@@ -91,7 +90,15 @@ def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
     return canonicalize(p, family, order // nontrivial[0])
 
 
-def _is_exception(p: SuzukiParams, family: Family, n: int) -> bool:
+def is_witnessless(p: SuzukiParams, family: Family, n: int) -> bool:
+    """Does no label of the torus family have exact stabilizer exponent n?
+
+    The exception table above, read without counting; n must divide
+    2f+1.  orbit_counts(p, family) lacks exactly these exponents.
+    """
+    if family not in TORUS_FAMILIES:
+        raise ValueError(f"no exception table for family {family.value}")
+    _require_divisor(p, n)
     if family is Family.X:
         return n == 1
     low_classes = (1, 2) if family is Family.Y else (0, 3)
@@ -111,7 +118,7 @@ def exact_stabilizer_exponent(p: SuzukiParams, label: CharacterLabel) -> int:
     if label.family not in TORUS_FAMILIES:
         return 1
     # n = 2f+1 always fixes the label; a None here fails the cross-check
-    exponent = next((n for n in outer_divisors(p) if _invariant(p, label, n)), None)
+    exponent = next((n for n in divisors_of(p.out_order) if _invariant(p, label, n)), None)
     length = _orbit_length(p, label)
     if exponent != length:
         raise InvariantError(
@@ -168,7 +175,7 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
     mult = sorted(multipliers_of(p, family))
     subsets = [s for size in range(1, len(mult) + 1) for s in combinations(mult, size)]
     exact: dict[int, int] = {}
-    for n in outer_divisors(p):
+    for n in divisors_of(p.out_order):
         two_n = pow(2, n, order)
         union = sum(
             (-1) ** (len(s) + 1) * math.gcd(order, *(two_n - m for m in s))

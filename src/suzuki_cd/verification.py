@@ -61,11 +61,8 @@ class SweepReport:
 def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
     """Every closed-form gcd equals Euclid, and collisions between
     exponents happen exactly where the classifier says they do."""
-    report = _merge("gcd-closed-forms", _map_ordered(_gcd_worker, range(1, f_max + 1), jobs))
-    checks, failures = _two_power_table_checks()
-    report.checks += checks
-    report.failures.extend(failures)
-    return report
+    reports = _map_ordered(_gcd_worker, range(1, f_max + 1), jobs)
+    return _merge("gcd-closed-forms", reports + [_two_power_table_checks()])
 
 
 def verify_class_counts(f_max: int = 64) -> SweepReport:
@@ -141,7 +138,7 @@ def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
 # per-item workers (top level so they pickle for the process pool)
 
 
-def _gcd_worker(f: int) -> tuple[int, list[str]]:
+def _gcd_worker(f: int) -> SweepReport:
     report = SweepReport("")
     p = make_params(f)
     proper = divisors_of(p.out_order)[:-1]
@@ -226,10 +223,10 @@ def _gcd_worker(f: int) -> tuple[int, list[str]]:
                                 d1 == d2 == 5,
                                 f"f={f} collision with d1={d1}, d2={d2} != 5",
                             )
-    return report.checks, report.failures
+    return report
 
 
-def _two_power_table_checks() -> tuple[int, list[str]]:
+def _two_power_table_checks() -> SweepReport:
     report = SweepReport("")
     for m in range(1, 13):
         for n in range(m, 25, m):
@@ -243,10 +240,10 @@ def _two_power_table_checks() -> tuple[int, list[str]]:
                         f"two-power gcd n={n} m={m} signs=({sign_n},{sign_m}): "
                         f"{closed} != {actual}",
                     )
-    return report.checks, report.failures
+    return report
 
 
-def _quad_worker(args: tuple[int, int, int]) -> tuple[int, list[str]]:
+def _quad_worker(args: tuple[int, int, int]) -> SweepReport:
     n, samples, seed = args
     report = SweepReport("")
     roots = _roots_of_minus_one(n)
@@ -269,10 +266,10 @@ def _quad_worker(args: tuple[int, int, int]) -> tuple[int, list[str]]:
                 identity == congruence,
                 f"n={n} k={k} i={i} j={j}: identity={identity} congruence={congruence}",
             )
-    return report.checks, report.failures
+    return report
 
 
-def _stabilizer_worker(f: int) -> tuple[int, list[str]]:
+def _stabilizer_worker(f: int) -> SweepReport:
     report = SweepReport("")
     p = make_params(f)
     divisors = divisors_of(p.out_order)
@@ -351,10 +348,10 @@ def _stabilizer_worker(f: int) -> tuple[int, list[str]]:
             and exact_stabilizer_exponent(p, make_label(p, Family.Z, k)) == 1,
             f"f={f}: Z index a2/5={p.a2 // 5} is not invariant",
         )
-    return report.checks, report.failures
+    return report
 
 
-def _degree_worker(f: int) -> tuple[int, list[str]]:
+def _degree_worker(f: int) -> SweepReport:
     report = SweepReport("")
     p = make_params(f)
     for d in divisors_of(p.out_order):
@@ -377,7 +374,7 @@ def _degree_worker(f: int) -> tuple[int, list[str]]:
             cd_multiset(spec).entries == oracle.entries,
             f"f={f} d={d}: counted multiset differs from the enumerated one",
         )
-    return report.checks, report.failures
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +391,7 @@ def _check(report: SweepReport, ok: bool, message: str) -> None:
         report.failures.append(message)
 
 
-def _map_ordered(fn, items, jobs: int) -> list[tuple[int, list[str]]]:
+def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
     items = list(items)
     if jobs > 1 and len(items) > 1:
         # Imported here so that serial runs do not load multiprocessing.
@@ -409,9 +406,9 @@ def _map_ordered(fn, items, jobs: int) -> list[tuple[int, list[str]]]:
     return [fn(item) for item in items]
 
 
-def _merge(scope: str, results: list[tuple[int, list[str]]]) -> SweepReport:
-    report = SweepReport(scope)
-    for checks, failures in results:
-        report.checks += checks
-        report.failures.extend(failures)
-    return report
+def _merge(scope: str, reports: list[SweepReport]) -> SweepReport:
+    merged = SweepReport(scope)
+    for report in reports:
+        merged.checks += report.checks
+        merged.failures.extend(report.failures)
+    return merged

@@ -16,7 +16,7 @@ from suzuki_cd.characters import (
 )
 from suzuki_cd.cyclotomic import equals, pair_equality, root_power_sum
 from suzuki_cd.errors import BudgetExceededError
-from suzuki_cd.params import distinct_primes, make_params, outer_divisors
+from suzuki_cd.params import distinct_primes, divisors_of, make_params
 
 FAMILY_ORDER = (Family.ONE, Family.ST, Family.X, Family.Y, Family.Z, Family.W)
 
@@ -222,7 +222,7 @@ def test_phi_action_matches_value_reindexing(f):
         order = torus_order_of(p, family)
         for idx in canonical_indices(p, family):
             label = make_label(p, family, idx)
-            for n in outer_divisors(p):
+            for n in divisors_of(p.out_order):
                 moved = phi_power_on_label(p, label, n)
                 for l in range(1, order + 1):
                     twisted = (-l * pow(2, n, order)) % order or order

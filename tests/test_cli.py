@@ -97,7 +97,7 @@ def test_cd_multiplicities_past_enumeration_budget(capsys):
 
 
 def test_cd_checked_past_enumeration_budget(capsys):
-    code, out, _ = run(capsys, "cd", "--f", "11", "--checked", "--json")
+    code, out, _ = run(capsys, "cd", "--f", "11", "--multiplicities", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verified_against_oracle"] is True
@@ -180,6 +180,24 @@ def test_invariant_error_exits_one(capsys, monkeypatch):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cd", "--f", "3", "--d", "all", "--json"],
+        ["cd", "--f", "10", "--d", "all", "--multiplicities"],
+    ],
+)
+def test_counted_degrees_disagreeing_with_closed_form_exit_one(capsys, monkeypatch, argv):
+    from suzuki_cd import degrees
+
+    closed_form = degrees.cd_closed_form
+    monkeypatch.setattr(degrees, "cd_closed_form", lambda spec: closed_form(spec) - {1})
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "differ from the closed form" in err
+
+
 def test_cd_usage_errors(capsys):
     assert run(capsys, "cd", "--f", "0", "--d", "1")[0] == 2
     assert run(capsys, "cd", "--f", "1", "--d", "2")[0] == 2
@@ -242,9 +260,11 @@ def test_production_commands_never_enumerate(capsys, monkeypatch):
         (["orbits", "--f", "7143", "--family", "X"], "14286-bit integer"),
         (["verify", "cyclotomic", "--n-max", "1001"], "--n-max 1001 is over its limit of 1000"),
         (["verify", "cyclotomic", "--samples", "10001"],
-         "--samples 10001 is over its limit of 10000"),
+         "--n-max 200 * --samples 10001 = 2000200 is over its limit of 600000"),
+        (["verify", "cyclotomic", "--n-max", "1000", "--samples", "10000"],
+         "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 600000"),
     ],
-    ids=["orbits-f7143", "cyclotomic-n-max", "cyclotomic-samples"],
+    ids=["orbits-f7143", "cyclotomic-n-max", "cyclotomic-samples", "cyclotomic-pairs"],
 )
 def test_budget_refusals_are_fast(argv, needle):
     start = time.perf_counter()

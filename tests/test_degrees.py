@@ -193,7 +193,7 @@ def test_corollary_reports():
 
 def test_json_payload_with_oracle():
     spec = ExtensionSpec(make_params(1), 3)
-    payload = degrees_json_payload(spec, cd_oracle(spec))
+    payload = degrees_json_payload(spec, cd_multiset(spec))
     assert payload["f"] == 1 and payload["d"] == 3
     assert payload["q2"] == "8"
     assert payload["verified_against_oracle"] is True

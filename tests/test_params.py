@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from suzuki_cd import BudgetExceededError, divisors_of, make_params, outer_divisors
+from suzuki_cd import BudgetExceededError, divisors_of, make_params
 from suzuki_cd.params import PRIME_TRIAL_BOUND, distinct_primes
 
 
@@ -32,7 +32,7 @@ def test_rejects_bad_f(bad):
     [(1, [1, 3]), (4, [1, 3, 9]), (7, [1, 3, 5, 15]), (2, [1, 5])],
 )
 def test_outer_divisors(f, expected):
-    assert outer_divisors(make_params(f)) == expected
+    assert divisors_of(make_params(f).out_order) == expected
 
 
 def test_divisors_of():
@@ -58,7 +58,7 @@ def test_parameter_identities_random_f(f):
     p = make_params(f)
     assert p.q2 == 2 ** (2 * f + 1)
     assert p.group_order == (p.q4 + 1) * p.q4 * (p.q2 - 1)
-    divs = outer_divisors(p)
+    divs = divisors_of(p.out_order)
     assert divs[0] == 1 and divs[-1] == 2 * f + 1
     assert all(divs[i] < divs[i + 1] for i in range(len(divs) - 1))
     assert all((2 * f + 1) % d == 0 for d in divs)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from suzuki_cd import stabilizers
 from suzuki_cd.characters import (
@@ -12,10 +13,11 @@ from suzuki_cd.characters import (
 )
 from suzuki_cd.cyclotomic import equals
 from suzuki_cd.errors import BudgetExceededError, InvariantError
-from suzuki_cd.params import make_params, outer_divisors
+from suzuki_cd.params import divisors_of, make_params
 from suzuki_cd.stabilizers import (
     _invariant,
     exact_stabilizer_exponent,
+    is_witnessless,
     orbit_counts,
     orbit_oracle,
     witness_for,
@@ -194,7 +196,7 @@ def test_invariance_predicates_match_orbit_dynamics(f):
     for family in (Family.X, Family.Y, Family.Z):
         for idx in canonical_indices(p, family):
             label = make_label(p, family, idx)
-            for n in outer_divisors(p):
+            for n in divisors_of(p.out_order):
                 predicted = _invariant(p, label, n)
                 actual = phi_power_on_label(p, label, n) == label
                 assert predicted == actual, (f, family, idx, n)
@@ -209,7 +211,7 @@ def test_invariance_matches_exact_value_vectors(f):
         order = torus_order_of(p, family)
         for idx in canonical_indices(p, family):
             label = make_label(p, family, idx)
-            for n in outer_divisors(p):
+            for n in divisors_of(p.out_order):
                 predicted = _invariant(p, label, n)
                 actual = all(
                     equals(
@@ -226,7 +228,7 @@ def test_witnesses_agree_with_oracle(f):
     p = make_params(f)
     for family in (Family.X, Family.Y, Family.Z):
         hist = orbit_oracle(p, family)
-        for n in outer_divisors(p):
+        for n in divisors_of(p.out_order):
             w = witness_for(p, family, n)
             assert (w is not None) == (hist.get(n, 0) > 0), (f, family, n)
             if w is not None:
@@ -237,3 +239,22 @@ def test_witness_for_rejects_non_torus_families():
     p = make_params(1)
     with pytest.raises(ValueError):
         witness_for(p, Family.W, 1)
+
+
+@given(st.integers(min_value=1, max_value=500))
+def test_witnessless_table_matches_counting(f):
+    # the exception table that witness_for and the closed form read,
+    # against the counting route, which shares no code with it
+    p = make_params(f)
+    for family in (Family.X, Family.Y, Family.Z):
+        counts = orbit_counts(p, family)
+        for n in divisors_of(p.out_order):
+            assert is_witnessless(p, family, n) == (counts.get(n, 0) == 0), (f, family, n)
+
+
+def test_is_witnessless_rejects_bad_input():
+    p = make_params(4)
+    with pytest.raises(ValueError):
+        is_witnessless(p, Family.W, 1)
+    with pytest.raises(ValueError):
+        is_witnessless(p, Family.Y, 5)  # 5 does not divide 9
