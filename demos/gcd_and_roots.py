@@ -35,11 +35,16 @@ def main() -> None:
     print("\nGcd collisions between exponents 3 and 1 (always value 5,")
     print("torus and signs determined by f mod 4):")
     for f in (4, 7, 10, 13):
-        case = coincidence_classify(make_params(f), 1, 3)
+        p = make_params(f)
+        case = coincidence_classify(p, 1, 3)
+        order = torus_order(p, case.torus)
+        d1 = euclid_gcd(order, p.q2 + case.sign_n * 2**3)
+        d2 = euclid_gcd(order, p.q2 + case.sign_m * 2**1)
+        gcds = f"d1 = d2 = {d1}" if d1 == d2 else f"d1 = {d1}, d2 = {d2}"
         print(
             f"  f={f} (f mod 4 = {f % 4}): case {case.case} on torus "
             f"{case.torus.value}, signs ({case.sign_n:+d}, {case.sign_m:+d}), "
-            f"d1 = d2 = {case.d1}"
+            f"{gcds}"
         )
 
     print("\nExact root-of-unity arithmetic (no floating point):")

@@ -31,13 +31,7 @@ import json
 import sys
 
 from .characters import Family, family_count
-from .degrees import (
-    DegreeMultiset,
-    ExtensionSpec,
-    cd_closed_form,
-    cd_multiset,
-    degrees_json_payload,
-)
+from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_multiset
 from .errors import BudgetExceededError, InvariantError, to_decimal
 from .numtheory import gcd_verification_rows
 from .params import divisors_of, make_params
@@ -168,6 +162,33 @@ def _cd_table(
     return "\n".join(lines) + "\n"
 
 
+def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> dict:
+    """JSON-ready degree report; big integers become decimal strings.
+
+    ``multiset`` is the cd_multiset result, which has already agreed
+    with the closed form, or None when only the closed form was computed
+    (multiplicities then serialize as null and verified_against_oracle
+    is false).
+    """
+    if multiset is not None:
+        degree_items = [
+            {"degree": to_decimal(deg), "multiplicity": mult}
+            for deg, mult in sorted(multiset.entries.items())
+        ]
+    else:
+        degree_items = [
+            {"degree": to_decimal(deg), "multiplicity": None}
+            for deg in sorted(cd_closed_form(spec))
+        ]
+    return {
+        "f": spec.params.f,
+        "d": spec.d,
+        "q2": to_decimal(spec.params.q2),
+        "degrees": degree_items,
+        "verified_against_oracle": multiset is not None,
+    }
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     jobs = args.jobs
     if jobs < 1:
@@ -178,20 +199,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    # each sweep's default size lives in its verify_* signature
+    sized = {} if args.f_max is None else {"f_max": args.f_max}
     reports: list[SweepReport] = []
     if args.scope == "lemmas":
-        f_max = args.f_max if args.f_max is not None else 64
-        reports.append(verify_gcd_closed_forms(f_max, jobs=jobs))
-        reports.append(verify_class_counts(f_max))
+        reports.append(verify_gcd_closed_forms(**sized, jobs=jobs))
+        reports.append(verify_class_counts(**sized))
     elif args.scope == "stabilizers":
-        f_max = _budgeted_f_max(args.f_max, 8)
-        reports.append(verify_stabilizer_witnesses(f_max, jobs=jobs))
+        _require_oracle_budget(args.f_max)
+        reports.append(verify_stabilizer_witnesses(**sized, jobs=jobs))
     elif args.scope == "theorem-a":
-        f_max = _budgeted_f_max(args.f_max, 8)
-        reports.append(verify_degree_sets(f_max, jobs=jobs))
+        _require_oracle_budget(args.f_max)
+        reports.append(verify_degree_sets(**sized, jobs=jobs))
     elif args.scope == "corollary-b":
-        f_max = args.f_max if args.f_max is not None else 16
-        reports.append(verify_degree_count_bounds(f_max))
+        reports.append(verify_degree_count_bounds(**sized))
     else:
         _require_within(f"--n-max {args.n_max}", args.n_max, N_MAX_LIMIT)
         _require_within(
@@ -212,13 +233,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _budgeted_f_max(requested: int | None, default: int) -> int:
-    f_max = requested if requested is not None else default
-    if f_max > ORACLE_F_MAX:
+def _require_oracle_budget(f_max: int | None) -> None:
+    if f_max is not None and f_max > ORACLE_F_MAX:
         raise BudgetExceededError(
             f"this sweep enumerates orbits and needs --f-max <= {ORACLE_F_MAX}"
         )
-    return f_max
 
 
 def _require_within(what: str, value: int, limit: int) -> None:
@@ -251,15 +270,22 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 def _cmd_gcd_table(args: argparse.Namespace) -> int:
     f_values = _parse_f_range(args.f)
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf,
-        fieldnames=["f", "n", "torus", "sign", "closed_form", "euclid", "branch", "match"],
-        lineterminator="\n",
-    )
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["f", "n", "torus", "sign", "closed_form", "euclid", "branch", "match"])
     for f in f_values:
-        for row in gcd_verification_rows(make_params(f)):
-            writer.writerow(row)
+        for n, torus, sign, case, actual in gcd_verification_rows(make_params(f)):
+            writer.writerow(
+                [
+                    f,
+                    n,
+                    torus,
+                    "+" if sign > 0 else "-",
+                    to_decimal(case.value),
+                    to_decimal(actual),
+                    case.condition,
+                    "true" if case.value == actual else "false",
+                ]
+            )
     _emit(buf.getvalue(), args.output)
     return 0
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
-from .errors import InvariantError, to_decimal
+from .errors import InvariantError
 from .params import SuzukiParams, distinct_primes, divisors_of
 from .stabilizers import is_witnessless, orbit_counts, orbit_oracle
 
@@ -77,9 +77,6 @@ class DegreeMultiset:
 
     def degree_set(self) -> frozenset[int]:
         return frozenset(self.entries)
-
-    def total_multiplicity(self) -> int:
-        return sum(self.entries.values())
 
     def sum_of_squares(self) -> int:
         return sum(deg * deg * mult for deg, mult in self.entries.items())
@@ -188,30 +185,3 @@ def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:
     return CorollaryReport(
         p.f, spec.d, True, cardinality, required, cardinality >= required
     )
-
-
-def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> dict:
-    """JSON-ready degree report; big integers become decimal strings.
-
-    ``multiset`` is the cd_multiset result, which has already agreed
-    with the closed form, or None when only the closed form was computed
-    (multiplicities then serialize as null and verified_against_oracle
-    is false).
-    """
-    if multiset is not None:
-        degree_items = [
-            {"degree": to_decimal(deg), "multiplicity": mult}
-            for deg, mult in sorted(multiset.entries.items())
-        ]
-    else:
-        degree_items = [
-            {"degree": to_decimal(deg), "multiplicity": None}
-            for deg in sorted(cd_closed_form(spec))
-        ]
-    return {
-        "f": spec.params.f,
-        "d": spec.d,
-        "q2": to_decimal(spec.params.q2),
-        "degrees": degree_items,
-        "verified_against_oracle": multiset is not None,
-    }

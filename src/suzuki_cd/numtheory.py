@@ -5,8 +5,9 @@ their gcds with numbers of the form q^2 +- 2^n (n a proper divisor of
 2f+1) collapse to a three-way branch on the congruence class of
 2f -+ n + 1 modulo 8.  The case analysis is easy to mis-transcribe, so
 euclid_gcd, a plain Euclidean oracle on the actual pair of integers, is
-the ground truth: the sweep in :mod:`suzuki_cd.verification` compares
-the two exhaustively.
+the ground truth.  gcd_verification_rows is the only code here that
+calls it: one grid of closed form vs Euclid per f, which ``gcd-table``
+prints and the sweep in :mod:`suzuki_cd.verification` checks.
 
 Notation used in branch records: ``4 || x`` means 4 divides x but 8
 does not (4 divides x exactly).
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvariantError, to_decimal
 from .params import SuzukiParams, divisors_of
 
 
@@ -53,15 +53,14 @@ class CoincidenceCase:
     torus: Torus
     sign_n: int
     sign_m: int
-    d1: int
-    d2: int
 
 
 def euclid_gcd(a: int, b: int) -> int:
     """Greatest common divisor by the plain Euclidean algorithm.
 
     This is the independent oracle for every closed form in this
-    module, so it deliberately shares no code with them.
+    module, so it deliberately shares no code with them; within the
+    module only gcd_verification_rows calls it.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError(f"need a, b >= 0 and not both zero, got {a}, {b}")
@@ -181,8 +180,9 @@ def coincidence_classify(
     nontrivial d1 = gcd(torus, q^2 +- 2^n) can equal
     d2 = gcd(torus, q^2 -+ 2^m) only when (m, n) = (1, 3); then both
     gcds are 5, in the torus and with the signs listed in
-    ``_COINCIDENCE_TABLE`` for f mod 4.  Returns the verified case, or
-    None when no collision occurs for (m, n).
+    ``_COINCIDENCE_TABLE`` for f mod 4.  Returns that case, or None
+    when no collision occurs for (m, n).  A pure table read: the
+    verification sweep checks every prediction against Euclid.
     """
     _require_proper_divisor(p, m)
     _require_proper_divisor(p, n)
@@ -190,26 +190,18 @@ def coincidence_classify(
         raise ValueError(f"need distinct proper divisors with m | n, got m={m}, n={n}")
     if (m, n) != (1, 3):
         return None
-    label, torus, sign_n, sign_m = _COINCIDENCE_TABLE[p.f % 4]
-    order = torus_order(p, torus)
-    d1 = euclid_gcd(order, p.q2 + sign_n * (1 << n))
-    d2 = euclid_gcd(order, p.q2 + sign_m * (1 << m))
-    if not d1 == d2 == 5:
-        raise InvariantError(
-            f"f={p.f} case {label}: the gcds at exponents 3 and 1 are not both 5"
-        )
-    return CoincidenceCase(
-        case=label, torus=torus, sign_n=sign_n, sign_m=sign_m, d1=d1, d2=d2
-    )
+    return CoincidenceCase(*_COINCIDENCE_TABLE[p.f % 4])
 
 
-def gcd_verification_rows(p: SuzukiParams) -> list[dict[str, str]]:
+def gcd_verification_rows(
+    p: SuzukiParams,
+) -> list[tuple[int, str, int, GcdCase, int]]:
     """Closed form vs Euclid for every (n, torus, sign) at this f.
 
-    One row per gcd query, including the q^4+1 queries under
-    torus="product".  All values rendered as strings so the rows can go
-    straight into a CSV writer; a value past Python's int->str digit
-    limit raises BudgetExceededError (see :func:`~suzuki_cd.errors.to_decimal`).
+    One row ``(n, torus, sign, case, euclid)`` per gcd query, n over the
+    proper divisors of 2f+1 ascending, torus over "plus", "minus" and
+    "product" (the q^4+1 queries), sign over -1, +1: ``case`` is the
+    closed form and ``euclid`` the oracle's gcd of the same pair.
     """
     rows = []
     for n in divisors_of(p.out_order)[:-1]:
@@ -223,18 +215,7 @@ def gcd_verification_rows(p: SuzukiParams) -> list[dict[str, str]]:
                     case = gcd_torus(p, torus, n, sign)
                     left = torus_order(p, torus)
                 actual = euclid_gcd(left, p.q2 + sign * (1 << n))
-                rows.append(
-                    {
-                        "f": str(p.f),
-                        "n": str(n),
-                        "torus": torus_name,
-                        "sign": "+" if sign > 0 else "-",
-                        "closed_form": to_decimal(case.value),
-                        "euclid": to_decimal(actual),
-                        "branch": case.condition,
-                        "match": "true" if case.value == actual else "false",
-                    }
-                )
+                rows.append((n, torus_name, sign, case, actual))
     return rows
 
 

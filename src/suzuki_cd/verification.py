@@ -32,10 +32,8 @@ from .numtheory import (
     Torus,
     coincidence_classify,
     euclid_gcd,
-    gcd_q4_plus1,
-    gcd_torus,
     gcd_two_powers,
-    torus_order,
+    gcd_verification_rows,
 )
 from .params import divisors_of, make_params
 from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, witness_for
@@ -141,35 +139,30 @@ def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
 def _gcd_worker(f: int) -> SweepReport:
     report = SweepReport("")
     p = make_params(f)
+    # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid
+    closed: dict[tuple[int, str, int], int] = {}
+    euclid: dict[tuple[int, str, int], int] = {}
+    for n, torus_name, sign, case, actual in gcd_verification_rows(p):
+        closed[n, torus_name, sign] = case.value
+        euclid[n, torus_name, sign] = actual
+        _check(
+            report,
+            case.value == actual,
+            f"f={f} n={n} {torus_name} sign={sign}: "
+            f"closed {case.value} != euclid {actual}",
+        )
     proper = divisors_of(p.out_order)[:-1]
     for n in proper:
         for sign in (-1, 1):
-            rhs = p.q2 + sign * (1 << n)
-            q4_case = gcd_q4_plus1(p, n, sign)
-            _check(
-                report,
-                q4_case.value == euclid_gcd(p.q4 + 1, rhs),
-                f"f={f} n={n} sign={sign}: q4 closed form {q4_case.value}",
-            )
             _check(
                 report,
                 euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1,
                 f"f={f} n={n} sign={sign}: gcd(q^4+1, 2^n{sign:+d}) != 1",
             )
-            torus_values = {}
-            for torus in Torus:
-                case = gcd_torus(p, torus, n, sign)
-                actual = euclid_gcd(torus_order(p, torus), rhs)
-                torus_values[torus] = actual
-                _check(
-                    report,
-                    case.value == actual,
-                    f"f={f} n={n} {torus.value} sign={sign}: "
-                    f"closed {case.value} != euclid {actual}",
-                )
             _check(
                 report,
-                torus_values[Torus.PLUS] * torus_values[Torus.MINUS] == q4_case.value,
+                euclid[n, "plus", sign] * euclid[n, "minus", sign]
+                == closed[n, "product", sign],
                 f"f={f} n={n} sign={sign}: torus gcds do not multiply to q4 gcd",
             )
         # exactly one of 2f-n+1, 2f+n+1 is divisible by 4
@@ -179,11 +172,7 @@ def _gcd_worker(f: int) -> SweepReport:
             f"f={f} n={n}: 4-divisibility split violated",
         )
         for torus in Torus:
-            nontrivial = sum(
-                1
-                for sign in (-1, 1)
-                if euclid_gcd(torus_order(p, torus), p.q2 + sign * (1 << n)) > 1
-            )
+            nontrivial = sum(1 for sign in (-1, 1) if euclid[n, torus.value, sign] > 1)
             _check(
                 report,
                 nontrivial <= 1,
@@ -196,13 +185,12 @@ def _gcd_worker(f: int) -> SweepReport:
                 continue
             case = coincidence_classify(p, m, n)
             for torus in Torus:
-                order = torus_order(p, torus)
                 for sign_n in (-1, 1):
-                    d1 = euclid_gcd(order, p.q2 + sign_n * (1 << n))
+                    d1 = euclid[n, torus.value, sign_n]
                     if d1 == 1:
                         continue
                     for sign_m in (-1, 1):
-                        d2 = euclid_gcd(order, p.q2 + sign_m * (1 << m))
+                        d2 = euclid[m, torus.value, sign_m]
                         observed = d1 == d2
                         predicted = (
                             case is not None

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -289,6 +290,16 @@ def test_gcd_table_stdout_matches_file(tmp_path, capsys):
     assert rows and all(row.endswith(",true") for row in rows)
 
 
+def test_gcd_table_pinned(capsys):
+    # every (f, n, torus, sign) row and its rendering, byte for byte
+    code, out, _ = run(capsys, "gcd-table", "--f", "1..64")
+    assert code == 0
+    assert len(out.splitlines()) == 859
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5c2d3f3804a27f44ec2ca573c08db356f5138805f75c96221da3c856a4dd3f9e"
+    )
+
+
 def test_gcd_table_empty_range(capsys):
     code, out, err = run(capsys, "gcd-table", "--f", "5..4")
     assert code == 2
@@ -301,6 +312,12 @@ def test_gcd_table_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "gcd-table", "--f", "1..2", "--output", str(missing))
     assert code == 4
     assert err
+
+
+def test_verify_lemmas_check_counts_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "lemmas")
+    assert code == 0
+    assert out == "gcd-closed-forms: 2588 checks, ok\nclass-counts: 384 checks, ok\n"
 
 
 def test_verify_exit_zero(capsys):
@@ -337,7 +354,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     from suzuki_cd.verification import SweepReport
 
     broken = SweepReport("degree-sets", checks=3, failures=["f=9 d=1: mismatch"])
-    monkeypatch.setattr(cli, "verify_degree_sets", lambda f_max, jobs: broken)
+    monkeypatch.setattr(cli, "verify_degree_sets", lambda f_max=8, jobs=1: broken)
     code, out, _ = run(capsys, "verify", "theorem-a")
     assert code == 1
     assert "FAILED" in out

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from suzuki_cd import numtheory
 from suzuki_cd.numtheory import (
     Torus,
     coincidence_classify,
@@ -160,7 +161,7 @@ def test_coincidence_case_i_at_f4():
     assert case is not None
     assert case.case == "i" and case.torus is Torus.PLUS
     assert (case.sign_n, case.sign_m) == (+1, -1)
-    assert case.d1 == case.d2 == 5
+    # d1 = d2 = 5: a1 = 545 against q^2 + 8 and q^2 - 2
     assert euclid_gcd(545, 520) == euclid_gcd(545, 510) == 5
 
 
@@ -170,6 +171,7 @@ def test_coincidence_case_ii_at_f7():
     assert case is not None
     assert case.case == "ii" and case.torus is Torus.PLUS
     assert (case.sign_n, case.sign_m) == (-1, +1)
+    assert euclid_gcd(p.a1, p.q2 - 8) == euclid_gcd(p.a1, p.q2 + 2) == 5
     # the other torus has no collision at f=7: d1=13 while both
     # exponent-1 gcds are trivial
     assert euclid_gcd(p.a2, p.q2 - 8) == 13
@@ -191,6 +193,24 @@ def test_coincidence_case_iv_at_f10():
     assert case is not None
     assert case.case == "iv" and case.torus is Torus.MINUS
     assert euclid_gcd(p.a2, p.q2 + 8) == euclid_gcd(p.a2, p.q2 - 2) == 5
+
+
+@pytest.mark.parametrize(
+    "f, label, torus, signs",
+    [
+        (4, "i", Torus.PLUS, (+1, -1)),
+        (7, "ii", Torus.PLUS, (-1, +1)),
+        (13, "iii", Torus.MINUS, (-1, +1)),
+        (10, "iv", Torus.MINUS, (+1, -1)),
+    ],
+)
+def test_coincidence_classify_computes_no_gcd(monkeypatch, f, label, torus, signs):
+    def refuse(a, b):
+        raise AssertionError("coincidence_classify called euclid_gcd")
+
+    monkeypatch.setattr(numtheory, "euclid_gcd", refuse)
+    case = coincidence_classify(make_params(f), 1, 3)
+    assert (case.case, case.torus, (case.sign_n, case.sign_m)) == (label, torus, signs)
 
 
 def test_coincidence_none_for_other_pairs():
@@ -215,10 +235,14 @@ def test_coincidence_preconditions():
 
 def test_gcd_verification_rows_all_match():
     for f in (1, 4, 7, 12):
-        rows = gcd_verification_rows(make_params(f))
-        assert rows, f
-        assert all(row["match"] == "true" for row in rows)
-        assert all(
-            set(row) == {"f", "n", "torus", "sign", "closed_form", "euclid", "branch", "match"}
-            for row in rows
-        )
+        p = make_params(f)
+        rows = gcd_verification_rows(p)
+        proper = divisors_of(p.out_order)[:-1]
+        assert [row[:3] for row in rows] == [
+            (n, torus, sign)
+            for n in proper
+            for torus in ("plus", "minus", "product")
+            for sign in (-1, 1)
+        ]
+        assert all(case.value == actual for *_, case, actual in rows)
+        assert all(isinstance(actual, int) for *_, actual in rows)
