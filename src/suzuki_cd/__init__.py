@@ -8,72 +8,41 @@ compare the two routes exhaustively.
 
 The package namespace holds the library API that the demos and the
 README use; everything else, the command line's helpers included, is
-imported from its submodule.
+imported from its submodule.  Each name is resolved on first use, so
+``import suzuki_cd`` loads none of the submodules.
 """
 
-from .characters import (
-    Family,
-    canonical_indices,
-    make_label,
-    phi_power_on_label,
-    torus_value,
-)
-from .cyclotomic import equals, pair_equality, quad_sum_equivalence, root_power_sum
-from .degrees import (
-    DegreeMultiset,
-    ExtensionSpec,
-    cd_closed_form,
-    cd_multiset,
-    cd_oracle,
-    check_corollary_b,
-)
-from .errors import BudgetExceededError, InvariantError
-from .numtheory import (
-    Torus,
-    coincidence_classify,
-    euclid_gcd,
-    gcd_torus,
-    torus_order,
-)
-from .params import divisors_of, make_params
-from .stabilizers import (
-    ORACLE_F_MAX,
-    exact_stabilizer_exponent,
-    orbit_counts,
-    orbit_oracle,
-    witness_for,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetExceededError",
-    "DegreeMultiset",
-    "ExtensionSpec",
-    "Family",
-    "InvariantError",
-    "ORACLE_F_MAX",
-    "Torus",
-    "canonical_indices",
-    "cd_closed_form",
-    "cd_multiset",
-    "cd_oracle",
-    "check_corollary_b",
-    "coincidence_classify",
-    "divisors_of",
-    "equals",
-    "euclid_gcd",
-    "exact_stabilizer_exponent",
-    "gcd_torus",
-    "make_label",
-    "make_params",
-    "orbit_counts",
-    "orbit_oracle",
-    "pair_equality",
-    "phi_power_on_label",
-    "quad_sum_equivalence",
-    "root_power_sum",
-    "torus_order",
-    "torus_value",
-    "witness_for",
-]
+# public name -> the submodule that defines it
+_HOMES = {
+    name: module
+    for module, names in (
+        ("characters", "Family canonical_indices make_label phi_power_on_label torus_value"),
+        ("cyclotomic", "equals pair_equality quad_sum_equivalence root_power_sum"),
+        ("degrees", "DegreeMultiset ExtensionSpec cd_closed_form cd_multiset cd_oracle"),
+        ("degrees", "check_corollary_b"),
+        ("errors", "BudgetExceededError InvariantError"),
+        ("numtheory", "Torus coincidence_classify euclid_gcd gcd_torus torus_order"),
+        ("params", "divisors_of make_params"),
+        ("stabilizers", "ORACLE_F_MAX exact_stabilizer_exponent orbit_counts orbit_oracle"),
+        ("stabilizers", "witness_for"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMES))

@@ -33,12 +33,10 @@ W are fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .cyclotomic import CyclotomicSum, root_power_sum
 from .errors import BudgetExceededError
-from .params import SuzukiParams
+from .params import Record, SuzukiParams
 
 #: Exhaustive family sweeps (canonical_indices here, orbit_oracle and
 #: cd_oracle downstream) are refused above this f.
@@ -58,17 +56,15 @@ class Family(Enum):
 TORUS_FAMILIES = (Family.X, Family.Y, Family.Z)
 
 
-@dataclass(frozen=True)
-class CharacterLabel:
-    """One irreducible character of S: a family plus a canonical index.
+class CharacterLabel(Record):
+    """One irreducible character of S: a Family plus a canonical int index.
 
     ONE and ST use index 0, W uses index 1 or 2, and X/Y/Z use the
     canonical representative of their residue class.  Build through
     :func:`make_label` to get validation.
     """
 
-    family: Family
-    index: int
+    __slots__ = ("family", "index")
 
 
 def degree_of(p: SuzukiParams, family: Family) -> int:
@@ -164,6 +160,7 @@ def torus_value(p: SuzukiParams, label: CharacterLabel, l: int) -> CyclotomicSum
     on theirs.  Values away from the indexing torus are out of scope,
     as are ONE/ST/W values.
     """
+    from .cyclotomic import root_power_sum  # here, so that cd and orbits never load it
     if label.family not in TORUS_FAMILIES:
         raise ValueError(f"no torus value formula for family {label.family.value}")
     n = torus_order_of(p, label.family)

@@ -15,8 +15,11 @@ when --multiplicities is given or f <= 4, and then prints
 closed form, since a disagreement raises InvariantError and exits 1.
 ``orbits`` counts at any f and never enumerates; for X, Y and Z it
 exits 3 from f = 7143, where the family count passes the digit limit.
-``verify cyclotomic`` caps --n-max at N_MAX_LIMIT and --n-max times
---samples at SAMPLED_PAIRS_LIMIT, about 3 s of sweep at most.  All
+``verify`` caps --f-max per scope at F_MAX_LIMIT, and ``verify
+cyclotomic`` caps --n-max at N_MAX_LIMIT and --n-max times --samples at
+SAMPLED_PAIRS_LIMIT, about 3 s of sweep at most.  Each subcommand
+imports only the modules it runs, so ``cd`` and ``orbits`` start
+without the sweeps, the gcd closed forms or the cyclotomic code.  All
 output is deterministic (ascending degrees/divisors, fixed key order)
 and uses UTF-8 with LF line endings; --output writes bytes identical to
 what stdout would receive.
@@ -25,29 +28,22 @@ what stdout would receive.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from .characters import Family, family_count
 from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_multiset
 from .errors import BudgetExceededError, InvariantError, to_decimal
-from .numtheory import gcd_verification_rows
 from .params import divisors_of, make_params
 from .stabilizers import ORACLE_F_MAX, orbit_counts
-from .verification import (
-    DEFAULT_SEED,
-    SweepReport,
-    verify_class_counts,
-    verify_degree_count_bounds,
-    verify_degree_sets,
-    verify_gcd_closed_forms,
-    verify_quad_identity,
-    verify_stabilizer_witnesses,
-)
 
 VERIFY_SCOPES = ("lemmas", "stabilizers", "theorem-a", "corollary-b", "cyclotomic")
+# Largest accepted --f-max per scope.  The stabilizers and theorem-a
+# sweeps enumerate orbits.  lemmas and corollary-b grow superlinearly in
+# f-max; at their limits they take about 2.4 s and 2.5 s (3.2 s at
+# --f-max 2500 and 4000; 2-vCPU Xeon, Python 3.11).  cyclotomic has no
+# --f-max.
+F_MAX_LIMIT = {"lemmas": 2400, "corollary-b": 3800, "stabilizers": ORACLE_F_MAX,
+               "theorem-a": ORACLE_F_MAX}
 # Largest accepted verify cyclotomic sizes.  The sweep's cost grows with
 # n-max times samples and, per check, with n: the slowest accepted pair,
 # --n-max 1000 --samples 600, takes about 2.9 s (2-vCPU Xeon, Python 3.11).
@@ -98,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--f-max", type=int, default=None, dest="f_max")
     p_verify.add_argument("--n-max", type=int, default=200, dest="n_max")
     p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -134,6 +130,7 @@ def _cmd_cd(args: argparse.Namespace) -> int:
         else:
             blocks.append(_cd_table(spec, multiset, args.multiplicities))
     if args.json:
+        import json
         body = payloads[0] if args.d != "all" else payloads
         text = json.dumps(body, indent=2) + "\n"
     else:
@@ -190,6 +187,7 @@ def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verification
     jobs = args.jobs
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
@@ -199,20 +197,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
-    # each sweep's default size lives in its verify_* signature
+    if args.f_max is not None and args.scope in F_MAX_LIMIT:
+        _require_within(f"--f-max {args.f_max}", args.f_max, F_MAX_LIMIT[args.scope])
+    # each sweep's default size and seed live in its verify_* signature
     sized = {} if args.f_max is None else {"f_max": args.f_max}
-    reports: list[SweepReport] = []
+    seeded = {} if args.seed is None else {"seed": args.seed}
+    reports: list[verification.SweepReport] = []
     if args.scope == "lemmas":
-        reports.append(verify_gcd_closed_forms(**sized, jobs=jobs))
-        reports.append(verify_class_counts(**sized))
+        reports.append(verification.verify_gcd_closed_forms(**sized, jobs=jobs))
+        reports.append(verification.verify_class_counts(**sized))
     elif args.scope == "stabilizers":
-        _require_oracle_budget(args.f_max)
-        reports.append(verify_stabilizer_witnesses(**sized, jobs=jobs))
+        reports.append(verification.verify_stabilizer_witnesses(**sized, jobs=jobs))
     elif args.scope == "theorem-a":
-        _require_oracle_budget(args.f_max)
-        reports.append(verify_degree_sets(**sized, jobs=jobs))
+        reports.append(verification.verify_degree_sets(**sized, jobs=jobs))
     elif args.scope == "corollary-b":
-        reports.append(verify_degree_count_bounds(**sized))
+        reports.append(verification.verify_degree_count_bounds(**sized))
     else:
         _require_within(f"--n-max {args.n_max}", args.n_max, N_MAX_LIMIT)
         _require_within(
@@ -221,7 +220,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             SAMPLED_PAIRS_LIMIT,
         )
         reports.append(
-            verify_quad_identity(args.n_max, args.samples, args.seed, jobs=jobs)
+            verification.verify_quad_identity(args.n_max, args.samples, **seeded, jobs=jobs)
         )
     ok = True
     for report in reports:
@@ -231,13 +230,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for failure in report.failures[:5]:
                 print(f"  counterexample: {failure}")
     return 0 if ok else 1
-
-
-def _require_oracle_budget(f_max: int | None) -> None:
-    if f_max is not None and f_max > ORACLE_F_MAX:
-        raise BudgetExceededError(
-            f"this sweep enumerates orbits and needs --f-max <= {ORACLE_F_MAX}"
-        )
 
 
 def _require_within(what: str, value: int, limit: int) -> None:
@@ -252,6 +244,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     to_decimal(family_count(p, family))
     rows = sorted(orbit_counts(p, family).items())
     if args.json:
+        import json
         report = {
             "f": p.f,
             "family": family.value,
@@ -268,6 +261,10 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_gcd_table(args: argparse.Namespace) -> int:
+    import csv
+    import io
+
+    from .numtheory import gcd_verification_rows
     f_values = _parse_f_range(args.f)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -32,29 +32,26 @@ not needed for character values and is deliberately left out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BudgetExceededError, InvariantError
-from .params import distinct_primes, divisors_of
+from .params import Record, distinct_primes, divisors_of
 
 #: Largest order the Phi_n reference builds a dense polynomial for.
 PHI_MAX_ORDER = 10_000
 
 
-@dataclass(frozen=True)
-class CyclotomicSum:
+class CyclotomicSum(Record):
     """An integer combination of the n-th roots of unity.
 
-    ``terms`` holds (exponent, coefficient) pairs with exponents strictly
-    ascending in [0, order) and nonzero coefficients; the empty tuple is
-    zero.
+    ``order`` is the int n; ``terms`` is a tuple of (exponent,
+    coefficient) int pairs with exponents strictly ascending in
+    [0, order) and nonzero coefficients; the empty tuple is zero.
     """
 
-    order: int
-    terms: tuple[tuple[int, int], ...]
+    __slots__ = ("order", "terms")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.order < 1:
             raise ValueError(f"order must be >= 1, got {self.order}")
         prev = -1
@@ -199,8 +196,12 @@ def quad_sum_equivalence(
 @lru_cache(maxsize=256)
 def _quad_image(n: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
     """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek)."""
-    quad = root_power_sum(n, [e, -e, e * k, -e * k], [1, 1, 1, 1])
-    return _annihilate(dict(quad.terms), n)
+    # terms summed directly: a sweep calls this too often to build a CyclotomicSum
+    quad: dict[int, int] = {}
+    for t in (e, -e, e * k, -e * k):
+        t %= n
+        quad[t] = quad.get(t, 0) + 1
+    return _annihilate(quad, n)
 
 
 # --- The Phi_n reference: dense, budgeted, used only to check equals. ---

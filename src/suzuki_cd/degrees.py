@@ -38,23 +38,21 @@ are pairwise distinct, so cardinalities add up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
 from .errors import InvariantError
-from .params import SuzukiParams, distinct_primes, divisors_of
+from .params import Record, SuzukiParams, distinct_primes, divisors_of
 from .stabilizers import is_witnessless, orbit_counts, orbit_oracle
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """A group S <= G <= Aut(S) with |G : S| = d, d | 2f+1."""
+class ExtensionSpec(Record):
+    """A group S <= G <= Aut(S) with |G : S| = d, d | 2f+1; ``params``
+    is the SuzukiParams of S."""
 
-    params: SuzukiParams
-    d: int
+    __slots__ = ("params", "d")
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.d < 1 or self.params.out_order % self.d != 0:
             raise ValueError(
                 f"d must divide 2f+1={self.params.out_order}, got {self.d}"
@@ -69,11 +67,13 @@ class ExtensionSpec:
         return self.d * self.params.group_order
 
 
-@dataclass(frozen=True)
-class DegreeMultiset:
-    """Map from character degree to multiplicity."""
+class DegreeMultiset(Record):
+    """Map ``entries`` from character degree to multiplicity."""
 
-    entries: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Mapping[int, int] | None = None) -> None:
+        super().__init__({} if entries is None else entries)
 
     def degree_set(self) -> frozenset[int]:
         return frozenset(self.entries)
@@ -82,16 +82,12 @@ class DegreeMultiset:
         return sum(deg * deg * mult for deg, mult in self.entries.items())
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(Record):
     """Outcome of the degree-count lower bound check for one (f, d)."""
 
-    f: int
-    d: int
-    hypotheses_met: bool  # f > 1 and d > 1
-    cardinality: int
-    required: int | None  # 7 for prime d, 9 for composite d
-    passed: bool | None  # None when hypotheses fail
+    # hypotheses_met: f > 1 and d > 1; required: 7 for prime d, 9 for
+    # composite d; required and passed are None when hypotheses fail
+    __slots__ = ("f", "d", "hypotheses_met", "cardinality", "required", "passed")
 
 
 def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:

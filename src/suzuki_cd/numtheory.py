@@ -15,10 +15,9 @@ does not (4 divides x exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .params import SuzukiParams, divisors_of
+from .params import Record, SuzukiParams, divisors_of
 
 
 class Torus(Enum):
@@ -28,31 +27,26 @@ class Torus(Enum):
     MINUS = "minus"  # order q^2 - r + 1
 
 
-@dataclass(frozen=True)
-class GcdCase:
-    """A closed-form gcd value plus the congruence branch that produced it.
+class GcdCase(Record):
+    """A closed-form gcd value (int) plus the congruence branch (str)
+    that produced it.
 
     ``value`` always divides both members of the pair the query was
     about (the verification sweep enforces this against Euclid).
     """
 
-    value: int
-    condition: str
+    __slots__ = ("value", "condition")
 
 
-@dataclass(frozen=True)
-class CoincidenceCase:
+class CoincidenceCase(Record):
     """A (d1, d2) collision between gcds at exponents n and m.
 
     d1 = gcd(torus order, q^2 + sign_n * 2^n) and
     d2 = gcd(torus order, q^2 + sign_m * 2^m) are equal (to 5); this
-    happens only for (m, n) = (1, 3), in one torus per f mod 4 class.
+    happens only for (m, n) = (1, 3), in one Torus per f mod 4 class.
     """
 
-    case: str  # "i", "ii", "iii" or "iv"
-    torus: Torus
-    sign_n: int
-    sign_m: int
+    __slots__ = ("case", "torus", "sign_n", "sign_m")  # case: "i", "ii", "iii" or "iv"
 
 
 def euclid_gcd(a: int, b: int) -> int:

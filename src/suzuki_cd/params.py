@@ -10,8 +10,8 @@ Python ints, so arithmetic stays exact at any f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import BudgetExceededError, InvariantError
 
@@ -20,19 +20,68 @@ from .errors import BudgetExceededError, InvariantError
 #: every other order is factored in milliseconds.
 PRIME_TRIAL_BOUND = 1 << 16
 
+_set_slot = object.__setattr__  # records refuse their own __setattr__
 
-@dataclass(frozen=True)
-class SuzukiParams:
-    """Derived quantities of one parameter f; immutable and safe to share."""
 
-    f: int
-    q2: int  # 2^(2f+1)
-    r: int  # 2^(f+1)
-    a0: int  # q^2 - 1, order of the split torus
-    a1: int  # q^2 + r + 1
-    a2: int  # q^2 - r + 1; a1 * a2 = q^4 + 1
-    group_order: int  # (q^4 + 1) * q^4 * (q^2 - 1)
-    out_order: int  # 2f + 1
+class Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in ``__slots__`` and is built from them
+    positionally or by keyword.  Records compare by type and field
+    values, hash by field values, repr as ``Name(field=value, ...)``,
+    refuse assignment, and pickle and copy through the constructor,
+    which calls the ``_validate`` hook last.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, args):
+            _set_slot(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class SuzukiParams(Record):
+    """Derived quantities of one parameter f; immutable and safe to share.
+
+    All ints: q2 = 2^(2f+1), r = 2^(f+1), a0 = q^2 - 1 (order of the
+    split torus), a1 = q^2 + r + 1 and a2 = q^2 - r + 1 (a1 * a2 =
+    q^4 + 1), group_order = (q^4 + 1) * q^4 * (q^2 - 1), out_order = 2f + 1.
+    """
+
+    __slots__ = ("f", "q2", "r", "a0", "a1", "a2", "group_order", "out_order")
 
     @property
     def q4(self) -> int:
@@ -53,16 +102,7 @@ def make_params(f: int) -> SuzukiParams:
     a1 = q2 + r + 1
     a2 = q2 - r + 1
     q4 = q2 * q2
-    p = SuzukiParams(
-        f=f,
-        q2=q2,
-        r=r,
-        a0=a0,
-        a1=a1,
-        a2=a2,
-        group_order=(q4 + 1) * q4 * a0,
-        out_order=2 * f + 1,
-    )
+    p = SuzukiParams(f, q2, r, a0, a1, a2, (q4 + 1) * q4 * a0, 2 * f + 1)
     # Structural identities; cheap, so checked on every construction.
     identities = (
         (p.r * p.r == 2 * p.q2, "r^2 = 2q^2"),

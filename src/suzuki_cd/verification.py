@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
 from math import gcd as _math_gcd
 
 from .characters import Family, canonicalize, family_count, make_label
@@ -41,11 +40,16 @@ from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, 
 DEFAULT_SEED = 20160414
 
 
-@dataclass
 class SweepReport:
-    scope: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    """Mutable tally of one sweep: its scope name, the number of checks
+    run, and one printable message per failed check."""
+
+    __slots__ = ("scope", "checks", "failures")
+
+    def __init__(self, scope: str, checks: int = 0, failures: list[str] | None = None) -> None:
+        self.scope = scope
+        self.checks = checks
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

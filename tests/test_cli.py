@@ -264,8 +264,22 @@ def test_production_commands_never_enumerate(capsys, monkeypatch):
          "--n-max 200 * --samples 10001 = 2000200 is over its limit of 600000"),
         (["verify", "cyclotomic", "--n-max", "1000", "--samples", "10000"],
          "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 600000"),
+        # without the limits these two ran for minutes
+        (["verify", "lemmas", "--f-max", "100000"], "--f-max 100000 is over its limit of 2400"),
+        (["verify", "corollary-b", "--f-max", "3801"], "--f-max 3801 is over its limit of 3800"),
+        (["verify", "stabilizers", "--f-max", "11"], "--f-max 11 is over its limit of 10"),
+        (["verify", "theorem-a", "--f-max", "11"], "--f-max 11 is over its limit of 10"),
     ],
-    ids=["orbits-f7143", "cyclotomic-n-max", "cyclotomic-samples", "cyclotomic-pairs"],
+    ids=[
+        "orbits-f7143",
+        "cyclotomic-n-max",
+        "cyclotomic-samples",
+        "cyclotomic-pairs",
+        "lemmas-f-max",
+        "corollary-b-f-max",
+        "stabilizers-f-max",
+        "theorem-a-f-max",
+    ],
 )
 def test_budget_refusals_are_fast(argv, needle):
     start = time.perf_counter()
@@ -350,11 +364,10 @@ def test_verify_budget_guard(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    import suzuki_cd.cli as cli
-    from suzuki_cd.verification import SweepReport
+    from suzuki_cd import verification
 
-    broken = SweepReport("degree-sets", checks=3, failures=["f=9 d=1: mismatch"])
-    monkeypatch.setattr(cli, "verify_degree_sets", lambda f_max=8, jobs=1: broken)
+    broken = verification.SweepReport("degree-sets", checks=3, failures=["f=9 d=1: mismatch"])
+    monkeypatch.setattr(verification, "verify_degree_sets", lambda f_max=8, jobs=1: broken)
     code, out, _ = run(capsys, "verify", "theorem-a")
     assert code == 1
     assert "FAILED" in out
