@@ -3,26 +3,28 @@
 Subcommands::
 
     suzuki-cd cd --f 1 --d 3 [--json] [--multiplicities] [--output PATH]
-    suzuki-cd verify {lemmas,stabilizers,theorem-a,corollary-b,cyclotomic} [--f-max N]
+    suzuki-cd verify {lemmas,stabilizers,theorem-a} [--f-max N] [--jobs N]
+    suzuki-cd verify corollary-b [--f-max N]
+    suzuki-cd verify cyclotomic [--n-max N] [--samples N] [--seed N] [--jobs N]
     suzuki-cd orbits --f 1 --family X [--json]
     suzuki-cd gcd-table --f 1..8 [--output PATH]
 
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
-usage error, 3 budget violation (oracle size cap, sweep size cap or
-int->str digit limit), 4 I/O error.  ``cd`` counts orbits (cd_multiset)
-when --multiplicities is given or f <= 4, and then prints
-``verified_against_oracle: true``: the counted degrees agreed with the
-closed form, since a disagreement raises InvariantError and exits 1.
-``orbits`` counts at any f and never enumerates; for X, Y and Z it
-exits 3 from f = 7143, where the family count passes the digit limit.
-``verify`` caps --f-max per scope at F_MAX_LIMIT, and ``verify
-cyclotomic`` caps --n-max at N_MAX_LIMIT and --n-max times --samples at
-SAMPLED_PAIRS_LIMIT, about 3 s of sweep at most.  Each subcommand
-imports only the modules it runs, so ``cd`` and ``orbits`` start
-without the sweeps, the gcd closed forms or the cyclotomic code.  All
-output is deterministic (ascending degrees/divisors, fixed key order)
-and uses UTF-8 with LF line endings; --output writes bytes identical to
-what stdout would receive.
+usage error, 3 budget violation (oracle size cap, sweep size cap,
+gcd-table range cap or int->str digit limit), 4 I/O error.  ``cd``
+counts orbits (cd_multiset) when --multiplicities is given or f <= 4,
+and then prints ``verified_against_oracle: true``: the counted degrees
+agreed with the closed form, since a disagreement raises InvariantError
+and exits 1.  ``orbits`` counts at any f and never enumerates; for X, Y
+and Z it exits 3 from f = 7143, where the family count passes the digit
+limit.  ``verify`` offers each scope only the options its sweeps read
+(VERIFY_OPTIONS), and each sweep checks its own sizes.  ``gcd-table``
+caps a range's sum of f^2 at GCD_TABLE_SIZE_LIMIT.  Each subcommand
+imports only the modules it runs, so ``cd`` and ``orbits`` start without
+the sweeps, the gcd closed forms or the cyclotomic code.  All output is
+deterministic (ascending degrees/divisors, fixed key order) and uses
+UTF-8 with LF line endings; --output writes bytes identical to what
+stdout would receive.
 """
 
 from __future__ import annotations
@@ -34,21 +36,22 @@ from .characters import Family, family_count
 from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_multiset
 from .errors import BudgetExceededError, InvariantError, to_decimal
 from .params import divisors_of, make_params
-from .stabilizers import ORACLE_F_MAX, orbit_counts
+from .stabilizers import orbit_counts
 
-VERIFY_SCOPES = ("lemmas", "stabilizers", "theorem-a", "corollary-b", "cyclotomic")
-# Largest accepted --f-max per scope.  The stabilizers and theorem-a
-# sweeps enumerate orbits.  lemmas and corollary-b grow superlinearly in
-# f-max; at their limits they take about 2.4 s and 2.5 s (3.2 s at
-# --f-max 2500 and 4000; 2-vCPU Xeon, Python 3.11).  cyclotomic has no
-# --f-max.
-F_MAX_LIMIT = {"lemmas": 2400, "corollary-b": 3800, "stabilizers": ORACLE_F_MAX,
-               "theorem-a": ORACLE_F_MAX}
-# Largest accepted verify cyclotomic sizes.  The sweep's cost grows with
-# n-max times samples and, per check, with n: the slowest accepted pair,
-# --n-max 1000 --samples 600, takes about 2.9 s (2-vCPU Xeon, Python 3.11).
-N_MAX_LIMIT = 1000
-SAMPLED_PAIRS_LIMIT = 600_000
+# The options each verify scope reads: the parameters of its sweeps.
+VERIFY_OPTIONS = {
+    "lemmas": ("f_max", "jobs"),
+    "stabilizers": ("f_max", "jobs"),
+    "theorem-a": ("f_max", "jobs"),
+    "corollary-b": ("f_max",),
+    "cyclotomic": ("n_max", "samples", "seed", "jobs"),
+}
+# Largest accepted sum of f^2 over a gcd-table range LO..HI: each row runs
+# Euclid on (2f+1)-bit integers.  The model overstates the cost at large f,
+# so the slowest accepted range is the longest 1..HI, 1..2691, which takes
+# about 2.4 s (5000..5200 about 1.1 s; 2-vCPU Xeon, Python 3.11).  A single
+# f is not a range and is not capped here; the digit limit refuses it.
+GCD_TABLE_SIZE_LIMIT = 6_500_000_000
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -90,13 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cd.set_defaults(func=_cmd_cd)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument("scope", choices=VERIFY_SCOPES)
-    p_verify.add_argument("--f-max", type=int, default=None, dest="f_max")
-    p_verify.add_argument("--n-max", type=int, default=200, dest="n_max")
-    p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.set_defaults(func=_cmd_verify)
+    scopes = p_verify.add_subparsers(dest="scope", required=True)
+    for scope, options in VERIFY_OPTIONS.items():
+        p_scope = scopes.add_parser(scope)
+        for option in options:
+            p_scope.add_argument("--" + option.replace("_", "-"), type=int)
+        p_scope.set_defaults(func=_cmd_verify)
 
     p_orbits = sub.add_parser("orbits", help="stabilizer-exponent histogram of one family")
     p_orbits.add_argument("--f", type=int, required=True)
@@ -139,6 +141,14 @@ def _cmd_cd(args: argparse.Namespace) -> int:
     return 0
 
 
+def _degree_rows(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> list[tuple]:
+    """(degree, multiplicity or None), ascending: the counted multiset's
+    degrees are the closed form's, since cd_multiset raises otherwise."""
+    if multiset is None:
+        return [(deg, None) for deg in sorted(cd_closed_form(spec))]
+    return sorted(multiset.entries.items())
+
+
 def _cd_table(
     spec: ExtensionSpec, multiset: DegreeMultiset | None, show_mult: bool
 ) -> str:
@@ -147,14 +157,13 @@ def _cd_table(
         f"# cd(G) for f={p.f}, d={spec.d} "
         f"(q2={to_decimal(p.q2)}, |G|={to_decimal(spec.order)})"
     ]
-    if show_mult and multiset is not None:
+    rows = _degree_rows(spec, multiset)
+    if show_mult:
         lines.append("degree multiplicity")
-        for deg, mult in sorted(multiset.entries.items()):
-            lines.append(f"{to_decimal(deg)} {to_decimal(mult)}")
+        lines.extend(f"{to_decimal(deg)} {to_decimal(mult)}" for deg, mult in rows)
     else:
-        lines.extend(to_decimal(deg) for deg in sorted(cd_closed_form(spec)))
+        lines.extend(to_decimal(deg) for deg, _ in rows)
     if multiset is not None:
-        # cd_multiset raises rather than return degrees that disagree
         lines.append("verified_against_oracle: true")
     return "\n".join(lines) + "\n"
 
@@ -162,79 +171,45 @@ def _cd_table(
 def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> dict:
     """JSON-ready degree report; big integers become decimal strings.
 
-    ``multiset`` is the cd_multiset result, which has already agreed
-    with the closed form, or None when only the closed form was computed
-    (multiplicities then serialize as null and verified_against_oracle
-    is false).
+    ``multiset`` is the cd_multiset result, or None when only the closed
+    form was computed (multiplicities then serialize as null and
+    verified_against_oracle is false).
     """
-    if multiset is not None:
-        degree_items = [
-            {"degree": to_decimal(deg), "multiplicity": mult}
-            for deg, mult in sorted(multiset.entries.items())
-        ]
-    else:
-        degree_items = [
-            {"degree": to_decimal(deg), "multiplicity": None}
-            for deg in sorted(cd_closed_form(spec))
-        ]
     return {
         "f": spec.params.f,
         "d": spec.d,
         "q2": to_decimal(spec.params.q2),
-        "degrees": degree_items,
+        "degrees": [
+            {"degree": to_decimal(deg), "multiplicity": mult}
+            for deg, mult in _degree_rows(spec, multiset)
+        ],
         "verified_against_oracle": multiset is not None,
     }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
-    jobs = args.jobs
-    if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
-    if args.f_max is not None and args.f_max < 1:
-        raise ValueError(f"--f-max must be >= 1, got {args.f_max}")
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    if args.samples < 0:
-        raise ValueError(f"--samples must be >= 0, got {args.samples}")
-    if args.f_max is not None and args.scope in F_MAX_LIMIT:
-        _require_within(f"--f-max {args.f_max}", args.f_max, F_MAX_LIMIT[args.scope])
-    # each sweep's default size and seed live in its verify_* signature
-    sized = {} if args.f_max is None else {"f_max": args.f_max}
-    seeded = {} if args.seed is None else {"seed": args.seed}
-    reports: list[verification.SweepReport] = []
+    # an option left out takes its sweep's own default
+    options = VERIFY_OPTIONS[args.scope]
+    given = {k: v for k, v in vars(args).items() if k in options and v is not None}
     if args.scope == "lemmas":
-        reports.append(verification.verify_gcd_closed_forms(**sized, jobs=jobs))
-        reports.append(verification.verify_class_counts(**sized))
+        reports = [
+            verification.verify_gcd_closed_forms(**given),
+            verification.verify_class_counts(**{k: v for k, v in given.items() if k != "jobs"}),
+        ]
     elif args.scope == "stabilizers":
-        reports.append(verification.verify_stabilizer_witnesses(**sized, jobs=jobs))
+        reports = [verification.verify_stabilizer_witnesses(**given)]
     elif args.scope == "theorem-a":
-        reports.append(verification.verify_degree_sets(**sized, jobs=jobs))
+        reports = [verification.verify_degree_sets(**given)]
     elif args.scope == "corollary-b":
-        reports.append(verification.verify_degree_count_bounds(**sized))
+        reports = [verification.verify_degree_count_bounds(**given)]
     else:
-        _require_within(f"--n-max {args.n_max}", args.n_max, N_MAX_LIMIT)
-        _require_within(
-            f"--n-max {args.n_max} * --samples {args.samples} = {args.n_max * args.samples}",
-            args.n_max * args.samples,
-            SAMPLED_PAIRS_LIMIT,
-        )
-        reports.append(
-            verification.verify_quad_identity(args.n_max, args.samples, **seeded, jobs=jobs)
-        )
-    ok = True
+        reports = [verification.verify_quad_identity(**given)]
     for report in reports:
         print(report.summary())
-        if not report.passed:
-            ok = False
-            for failure in report.failures[:5]:
-                print(f"  counterexample: {failure}")
-    return 0 if ok else 1
-
-
-def _require_within(what: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise BudgetExceededError(f"{what} is over its limit of {limit}")
+        for failure in report.failures[:5]:
+            print(f"  counterexample: {failure}")
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
@@ -293,6 +268,12 @@ def _parse_f_range(text: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"--f range {text!r} is empty")
+        # sum of f^2 for f = lo..hi: the sum up to hi minus the sum up to lo-1
+        size = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+        if size > GCD_TABLE_SIZE_LIMIT:
+            raise BudgetExceededError(
+                f"--f {text}: sum of f^2 = {size} is over its limit of {GCD_TABLE_SIZE_LIMIT}"
+            )
         return list(range(lo, hi + 1))
     return [int(text)]
 

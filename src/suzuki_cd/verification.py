@@ -4,7 +4,9 @@ Each sweep re-derives one layer of the library from first principles
 (Euclid, exact cyclotomic equality, orbit enumeration, Clifford
 counting) and compares against the closed-form implementation, over an
 exhaustive parameter range.  Sweeps return a :class:`SweepReport`; a
-report with failures carries printable minimal counterexamples.
+report with failures carries printable minimal counterexamples.  Each
+sweep checks its sizes before any work: too small raises ValueError,
+too large BudgetExceededError, naming the ``suzuki-cd verify`` option.
 
 The per-f work items are independent, so sweeps accept a ``jobs``
 argument and fan out over a process pool; results are merged in
@@ -18,7 +20,7 @@ import random
 import sys
 from math import gcd as _math_gcd
 
-from .characters import Family, canonicalize, family_count, make_label
+from .characters import ORACLE_F_MAX, Family, canonicalize, family_count, make_label
 from .cyclotomic import quad_sum_equivalence
 from .degrees import (
     ExtensionSpec,
@@ -27,6 +29,7 @@ from .degrees import (
     cd_oracle,
     check_corollary_b,
 )
+from .errors import BudgetExceededError
 from .numtheory import (
     Torus,
     coincidence_classify,
@@ -38,6 +41,15 @@ from .params import divisors_of, make_params
 from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, witness_for
 
 DEFAULT_SEED = 20160414
+# Largest accepted sizes (2-vCPU Xeon, Python 3.11).  The gcd and class-count
+# sweeps and the corollary-b sweep grow superlinearly in f_max: 2.4 s and 2.5 s
+# at their limits, 3.2 s at 2500 and 4000.  The quad sweep grows with n_max *
+# samples and, per check, with n: n_max 1000 with samples 600 takes 2.9 s.
+# ORACLE_F_MAX caps the two sweeps that enumerate orbits.
+LEMMAS_F_MAX_LIMIT = 2400
+COROLLARY_B_F_MAX_LIMIT = 3800
+N_MAX_LIMIT = 1000
+SAMPLED_PAIRS_LIMIT = 600_000
 
 
 class SweepReport:
@@ -63,6 +75,7 @@ class SweepReport:
 def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
     """Every closed-form gcd equals Euclid, and collisions between
     exponents happen exactly where the classifier says they do."""
+    _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
     reports = _map_ordered(_gcd_worker, range(1, f_max + 1), jobs)
     return _merge("gcd-closed-forms", reports + [_two_power_table_checks()])
 
@@ -70,6 +83,7 @@ def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
 def verify_class_counts(f_max: int = 64) -> SweepReport:
     """Family counts sum to q^2 + 3; torus orders pairwise coprime; 3
     never divides the group order."""
+    _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
     report = SweepReport("class-counts")
     for f in range(1, f_max + 1):
         p = make_params(f)
@@ -90,6 +104,13 @@ def verify_quad_identity(
 ) -> SweepReport:
     """Exact cyclotomic equality of the four-root sums agrees with the
     congruence criterion, for every order with a square root of -1."""
+    _require_size("--n-max", n_max, 1, N_MAX_LIMIT)
+    _require_size("--samples", samples, 0)
+    if n_max * samples > SAMPLED_PAIRS_LIMIT:
+        raise BudgetExceededError(
+            f"--n-max {n_max} * --samples {samples} = {n_max * samples} "
+            f"is over its limit of {SAMPLED_PAIRS_LIMIT}"
+        )
     items = [
         (n, samples, seed) for n in range(1, n_max + 1) if _roots_of_minus_one(n)
     ]
@@ -99,6 +120,7 @@ def verify_quad_identity(
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
     """The witness constructor and orbit counting agree with exhaustive
     orbit enumeration, including every exceptional (witnessless) branch."""
+    _require_size("--f-max", f_max, 1, ORACLE_F_MAX)
     return _merge("stabilizer-witnesses", _map_ordered(_stabilizer_worker, range(1, f_max + 1), jobs))
 
 
@@ -109,12 +131,14 @@ def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
     The closed form's per-family degrees are pairwise distinct, so a
     wrong degree over one family cannot cancel in the union: agreement
     of the whole set pins every family's degrees."""
+    _require_size("--f-max", f_max, 1, ORACLE_F_MAX)
     return _merge("degree-sets", _map_ordered(_degree_worker, range(1, f_max + 1), jobs))
 
 
 def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
     """|cd(G)| >= 7 for proper extensions with f > 1 (>= 9 for composite
     d), while f = 1, d = 3 gives exactly 6."""
+    _require_size("--f-max", f_max, 1, COROLLARY_B_F_MAX_LIMIT)
     report = SweepReport("degree-count-bounds")
     for f in range(2, f_max + 1):
         p = make_params(f)
@@ -383,7 +407,15 @@ def _check(report: SweepReport, ok: bool, message: str) -> None:
         report.failures.append(message)
 
 
+def _require_size(name: str, value: int, least: int, limit: int | None = None) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if limit is not None and value > limit:
+        raise BudgetExceededError(f"{name} {value} is over its limit of {limit}")
+
+
 def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
+    _require_size("--jobs", jobs, 1)
     items = list(items)
     if jobs > 1 and len(items) > 1:
         # Imported here so that serial runs do not load multiprocessing.

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -382,3 +384,94 @@ def test_deterministic_output(capsys):
     first = run(capsys, "cd", "--f", "2", "--d", "all", "--json")
     second = run(capsys, "cd", "--f", "2", "--d", "all", "--json")
     assert first == second
+
+
+# (scope, option) pairs that none of the scope's sweeps reads
+UNREAD_VERIFY_OPTIONS = [
+    *[
+        (scope, option)
+        for scope in ("lemmas", "stabilizers", "theorem-a", "corollary-b")
+        for option in ("n-max", "samples", "seed")
+    ],
+    ("corollary-b", "jobs"),
+    ("cyclotomic", "f-max"),
+]
+
+
+@pytest.mark.parametrize("scope, option", UNREAD_VERIFY_OPTIONS)
+def test_verify_refuses_options_its_scope_does_not_read(capsys, scope, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", scope, f"--{option}", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: --{option} 1" in captured.err
+
+
+@pytest.mark.parametrize("scope", ["lemmas", "stabilizers", "theorem-a", "corollary-b", "cyclotomic"])
+def test_verify_options_are_the_parameters_of_the_scope_sweeps(capsys, monkeypatch, scope):
+    from suzuki_cd import verification
+    from suzuki_cd.cli import VERIFY_OPTIONS
+
+    ran = []
+
+    def recorder(sweep):
+        def fake(**kwargs):
+            ran.append(sweep)
+            return verification.SweepReport(sweep.__name__)
+        return fake
+
+    for name in dir(verification):
+        if name.startswith("verify_"):
+            monkeypatch.setattr(verification, name, recorder(getattr(verification, name)))
+    assert run(capsys, "verify", scope)[0] == 0
+    assert ran
+    read = {param for sweep in ran for param in inspect.signature(sweep).parameters}
+    assert set(VERIFY_OPTIONS[scope]) == read
+
+
+def test_gcd_table_range_past_its_cap_is_refused_fast():
+    start = time.perf_counter()
+    proc = run_module("gcd-table", "--f", "1..4000")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: --f 1..4000: sum of f^2 = 21341334000 is over its limit of 6500000000\n"
+    )
+    assert elapsed < 1.0, elapsed
+
+
+def test_gcd_table_cap_bounds_ranges_only():
+    from suzuki_cd.cli import _parse_f_range
+    from suzuki_cd.errors import BudgetExceededError
+
+    # the longest accepted 1..HI range; the sum of squares is computed exactly
+    assert _parse_f_range("1..2691") == list(range(1, 2692))
+    with pytest.raises(BudgetExceededError, match="over its limit"):
+        _parse_f_range("1..2692")
+    with pytest.raises(BudgetExceededError, match="over its limit"):
+        _parse_f_range(f"1..{10**18}")  # refused without building the range
+    # a single f is left to the digit limit
+    assert _parse_f_range("1000003") == [1000003]
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [
+        shlex.split(line.strip(), comments=True)[1:]
+        for line in block.splitlines()
+        if line.strip().startswith("suzuki-cd ")
+    ]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    # the README's examples parse and succeed, so a documented option a
+    # parser rejects fails here; --output files land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -1,3 +1,6 @@
+import pytest
+
+from suzuki_cd.errors import BudgetExceededError
 from suzuki_cd.verification import (
     verify_class_counts,
     verify_degree_count_bounds,
@@ -56,3 +59,41 @@ def test_summary_wording():
     report = verify_class_counts(4)
     assert report.summary().startswith("class-counts: ")
     assert report.summary().endswith("ok")
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, error, message",
+    [
+        (verify_stabilizer_witnesses, {"f_max": 11}, BudgetExceededError,
+         "--f-max 11 is over its limit of 10"),
+        (verify_quad_identity, {"n_max": 1000, "samples": 10000}, BudgetExceededError,
+         "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 600000"),
+        (verify_gcd_closed_forms, {"f_max": 100000}, BudgetExceededError,
+         "--f-max 100000 is over its limit of 2400"),
+        (verify_degree_count_bounds, {"f_max": 0}, ValueError, "--f-max must be >= 1, got 0"),
+    ],
+    ids=["stabilizers", "quad", "gcd", "degree-count-bounds"],
+)
+def test_sweeps_refuse_oversized_arguments_before_any_work(monkeypatch, sweep, kwargs, error, message):
+    from suzuki_cd import stabilizers, verification
+
+    def work(*_args, **_kwargs):
+        raise AssertionError("the sweep started work before checking its sizes")
+
+    for module, name in [(verification, "_map_ordered"), (verification, "make_params"),
+                         (verification, "orbit_oracle"), (stabilizers, "orbit_oracle")]:
+        monkeypatch.setattr(module, name, work)
+    with pytest.raises(error) as exc:
+        sweep(**kwargs)
+    assert str(exc.value) == message
+
+
+def test_sweeps_refuse_jobs_below_one(monkeypatch):
+    from suzuki_cd import verification
+
+    def work(f):
+        raise AssertionError("a worker ran")
+
+    monkeypatch.setattr(verification, "_degree_worker", work)
+    with pytest.raises(ValueError, match="--jobs must be >= 1, got 0"):
+        verify_degree_sets(4, jobs=0)
