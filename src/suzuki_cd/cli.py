@@ -10,14 +10,14 @@ Subcommands::
     suzuki-cd gcd-table --f 1..8 [--output PATH]
 
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
-usage error, 3 budget violation (oracle size cap, sweep size cap,
-gcd-table range cap or int->str digit limit), 4 I/O error.  ``cd``
-counts orbits (cd_multiset) when --multiplicities is given or f <= 4,
-and then prints ``verified_against_oracle: true``: the counted degrees
-agreed with the closed form, since a disagreement raises InvariantError
-and exits 1.  ``orbits`` counts at any f and never enumerates; for X, Y
-and Z it exits 3 from f = 7143, where the family count passes the digit
-limit.  ``verify`` offers each scope only the options its sweeps read
+usage error, 3 budget violation (f past params.F_MAX, oracle size cap,
+sweep size cap, gcd-table range cap or int->str digit limit), 4 I/O
+error.  ``cd`` counts orbits (cd_multiset) when --multiplicities is
+given or f <= 4, and then prints ``verified_against_oracle: true``: the
+counted degrees agreed with the closed form, since a disagreement raises
+InvariantError and exits 1.  ``orbits`` counts at every accepted f and
+never enumerates; for X, Y and Z it exits 3 from f = 7143, where the
+family count passes the digit limit.  ``verify`` offers each scope only the options its sweeps read
 (VERIFY_OPTIONS), and each sweep checks its own sizes.  ``gcd-table``
 caps a range's sum of f^2 at GCD_TABLE_SIZE_LIMIT.  Each subcommand
 imports only the modules it runs, so ``cd`` and ``orbits`` start without
@@ -50,13 +50,14 @@ VERIFY_OPTIONS = {
 # Euclid on (2f+1)-bit integers.  The model overstates the cost at large f,
 # so the slowest accepted range is the longest 1..HI, 1..2691, which takes
 # about 2.4 s (5000..5200 about 1.1 s; 2-vCPU Xeon, Python 3.11).  A single
-# f is not a range and is not capped here; the digit limit refuses it.
+# f is not a range and is not capped here; make_params caps it at F_MAX.
 GCD_TABLE_SIZE_LIMIT = 6_500_000_000
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:  # reported with the subcommand's usage, not the root parser's
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except InvariantError as exc:
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="include multiplicities from Clifford counting over orbit counts (any f)",
     )
     p_cd.add_argument("--output", help="write to this path instead of stdout")
-    p_cd.set_defaults(func=_cmd_cd)
+    p_cd.set_defaults(func=_cmd_cd, parser=p_cd)
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     scopes = p_verify.add_subparsers(dest="scope", required=True)
@@ -98,19 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p_scope = scopes.add_parser(scope)
         for option in options:
             p_scope.add_argument("--" + option.replace("_", "-"), type=int)
-        p_scope.set_defaults(func=_cmd_verify)
+        p_scope.set_defaults(func=_cmd_verify, parser=p_scope)
 
     p_orbits = sub.add_parser("orbits", help="stabilizer-exponent histogram of one family")
     p_orbits.add_argument("--f", type=int, required=True)
     p_orbits.add_argument("--family", required=True, choices=[fam.value for fam in Family])
     p_orbits.add_argument("--json", action="store_true")
     p_orbits.add_argument("--output", help="write to this path instead of stdout")
-    p_orbits.set_defaults(func=_cmd_orbits)
+    p_orbits.set_defaults(func=_cmd_orbits, parser=p_orbits)
 
     p_table = sub.add_parser("gcd-table", help="closed form vs Euclid as CSV")
     p_table.add_argument("--f", default="1..8", help="single f or inclusive range like 1..8")
     p_table.add_argument("--output", help="write to this path instead of stdout")
-    p_table.set_defaults(func=_cmd_gcd_table)
+    p_table.set_defaults(func=_cmd_gcd_table, parser=p_table)
 
     return parser
 
@@ -241,6 +242,7 @@ def _cmd_gcd_table(args: argparse.Namespace) -> int:
 
     from .numtheory import gcd_verification_rows
     f_values = _parse_f_range(args.f)
+    make_params(f_values[-1])  # refuses an f past F_MAX before any row is computed
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["f", "n", "torus", "sign", "closed_form", "euclid", "branch", "match"])

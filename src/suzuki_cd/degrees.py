@@ -105,9 +105,9 @@ def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:
 def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
     """Degree multiset of G by Clifford counting over orbit_counts.
 
-    The production route for multiplicities: exact at any f, with the
-    same global sum rules enforced as cd_oracle.  Raises InvariantError
-    unless its degree set equals cd_closed_form(spec).
+    The production route for multiplicities: exact at every accepted f,
+    with the same global sum rules enforced as cd_oracle.  Raises
+    InvariantError unless its degree set equals cd_closed_form(spec).
     """
     result = _clifford_multiset(spec, orbit_counts)
     closed = cd_closed_form(spec)
@@ -135,16 +135,17 @@ def _clifford_multiset(
     """Aggregate the Clifford counts of every family's exponent histogram.
 
     Raises InvariantError unless every count splits into G-orbits, the
-    invariant families give 4d characters and the squared degrees sum
-    to |G|.
+    invariant families give 4d characters, the class counts sum to
+    q^2 + 3 and the squared degrees sum to |G|.
     """
     p = spec.params
     e = p.out_order // spec.d
     entries: dict[int, int] = {}
-    invariant_chars = 0
+    invariant_chars = classes = 0
     for family in Family:
         theta_deg = degree_of(p, family)
         for m, cnt in histogram(p, family).items():
+            classes += cnt
             s = m // math.gcd(e, m)  # G-orbit size of each such label
             if cnt % s or spec.d % s:
                 raise InvariantError(
@@ -161,6 +162,8 @@ def _clifford_multiset(
         raise InvariantError(
             f"f={p.f} d={spec.d}: ONE/ST/W give {invariant_chars} characters, not 4d"
         )
+    if classes != p.q2 + 3:
+        raise InvariantError(f"f={p.f} d={spec.d}: the class counts sum to {classes}, not q^2+3")
     result = DegreeMultiset(dict(sorted(entries.items())))
     if result.sum_of_squares() != spec.order:
         raise InvariantError(f"f={p.f} d={spec.d}: squared degrees do not sum to |G|")

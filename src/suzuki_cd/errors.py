@@ -6,9 +6,10 @@ import sys
 class BudgetExceededError(Exception):
     """Raised when an input is past a size budget.
 
-    The brute-force enumeration oracles refuse oversized inputs, so
-    callers can always fall back to the closed forms, which compute at
-    any f; printing refuses integers past Python's int->str digit limit.
+    make_params refuses f past params.F_MAX.  Below it, the brute-force
+    enumeration oracles refuse oversized inputs, so callers can always
+    fall back to the closed forms, which compute at every accepted f;
+    printing refuses integers past Python's int->str digit limit.
     """
 
 

@@ -4,16 +4,23 @@ A single integer f >= 1 determines everything: the field size
 q^2 = 2^(2f+1), the square-root parameter r = 2^(f+1) (so r^2 = 2q^2),
 the orders of the three cyclic tori, the group order, and the order
 2f+1 of the cyclic outer automorphism group.  All fields are plain
-Python ints, so arithmetic stays exact at any f.
+Python ints, so arithmetic stays exact; f runs from 1 to F_MAX.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import BudgetExceededError
+
+#: Largest accepted f.  Past it make_params refuses before any arithmetic,
+#: so no command can run long on a big f.  The slowest accepted commands
+#: are the orbit counting of ``cd --multiplicities`` and the gcd rows of
+#: ``gcd-table`` at an f whose 2f+1 has 48 divisors: at f = 37537 they take
+#: about 2.2 s and 1.7 s, at f = 39847 about 2.6 s and 2.0 s (2-vCPU Xeon,
+#: Python 3.11).
+F_MAX = 38000
 
 #: Trial divisors stop below this bound: an order whose prime factors at
 #: or above it multiply to PRIME_TRIAL_BOUND^2 or more is refused, and
@@ -89,34 +96,25 @@ class SuzukiParams(Record):
 
 
 def make_params(f: int) -> SuzukiParams:
-    """Build the exact parameter set for Sz(2^(2f+1)).
+    """Build the exact parameter set for Sz(2^(2f+1)) from shifts and adds.
 
-    Rejects f < 1: the f = 0 group Sz(2) is solvable, not simple, and
-    nothing downstream applies to it.
+    Rejects f < 1 with ValueError: the f = 0 group Sz(2) is solvable, not
+    simple, and nothing downstream applies to it.  Refuses f > F_MAX with
+    BudgetExceededError.  It checks no identity: verify_class_counts and
+    the tests check that the tori are pairwise coprime, that 3 does not
+    divide |S| and that a1 a2 = q^4 + 1.
     """
     if not isinstance(f, int) or isinstance(f, bool) or f < 1:
         raise ValueError(f"f must be an integer >= 1, got {f!r}")
+    if f > F_MAX:
+        raise BudgetExceededError(f"f {f} is over its limit of {F_MAX}")
     q2 = 1 << (2 * f + 1)
     r = 1 << (f + 1)
     a0 = q2 - 1
     a1 = q2 + r + 1
     a2 = q2 - r + 1
     q4 = q2 * q2
-    p = SuzukiParams(f, q2, r, a0, a1, a2, (q4 + 1) * q4 * a0, 2 * f + 1)
-    # Structural identities; cheap, so checked on every construction.
-    identities = (
-        (p.r * p.r == 2 * p.q2, "r^2 = 2q^2"),
-        (p.a1 * p.a2 == p.q4 + 1, "a1 a2 = q^4 + 1"),
-        (p.group_order % 3 != 0, "3 does not divide |S|"),
-        (math.gcd(p.a0, p.a1) == 1, "gcd(a0, a1) = 1"),
-        (math.gcd(p.a0, p.a2) == 1, "gcd(a0, a2) = 1"),
-        (math.gcd(p.a1, p.a2) == 1, "gcd(a1, a2) = 1"),
-        (p.a0 % 2 == p.a1 % 2 == p.a2 % 2 == 1, "the torus orders are odd"),
-    )
-    for holds, identity in identities:
-        if not holds:
-            raise InvariantError(f"f={f}: {identity} fails")
-    return p
+    return SuzukiParams(f, q2, r, a0, a1, a2, (q4 + 1) * q4 * a0, 2 * f + 1)
 
 
 def divisors_of(n: int) -> list[int]:

@@ -312,25 +312,6 @@ def _stabilizer_worker(f: int) -> SweepReport:
                     exp == n,
                     f"f={f} {family.value} n={n}: witness {w} has exponent {exp}",
                 )
-                _check(
-                    report,
-                    canonicalize(p, family, w) == w,
-                    f"f={f} {family.value} n={n}: witness {w} not canonical",
-                )
-        # exceptional branches fire exactly as tabulated
-        for n in divisors:
-            if family is Family.X:
-                expect_none = n == 1
-            else:
-                low = (1, 2) if family is Family.Y else (0, 3)
-                expect_none = (n == 1 and f % 4 in low) or (
-                    n == 3 and f % 4 not in low
-                )
-            _check(
-                report,
-                (witness_for(p, family, n) is None) == expect_none,
-                f"f={f} {family.value} n={n}: exception table mismatch",
-            )
     # No torus order divides q^2 +- 2^n for proper n, except the single
     # degenerate pair a2 = 5 | q^2 + 2 = 10 at f = 1 (q^2 + 2^n = 2*a2
     # needs 2^n = 2*(2^f - 1)^2, a power of two only for f = 1).
@@ -379,11 +360,6 @@ def _degree_worker(f: int) -> SweepReport:
             oracle.degree_set() == closed,
             f"f={f} d={d}: oracle keys {sorted(oracle.degree_set())} "
             f"!= closed form {sorted(closed)}",
-        )
-        _check(
-            report,
-            oracle.sum_of_squares() == spec.order,
-            f"f={f} d={d}: sum of squares != |G|",
         )
         _check(
             report,

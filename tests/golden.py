@@ -74,7 +74,7 @@ def dump(entries: list[dict]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description="Replay or rewrite the golden corpus.")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="replay every entry")
     mode.add_argument("--update", action="store_true", help="rewrite golden.json")

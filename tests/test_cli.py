@@ -127,7 +127,7 @@ def test_verify_stabilizers_under_optimize():
     plain = run_module("verify", "stabilizers", "--f-max", "4")
     optimized = run_module("verify", "stabilizers", "--f-max", "4", optimize=True)
     assert optimized.returncode == 0, optimized.stderr
-    assert optimized.stdout == plain.stdout == "stabilizer-witnesses: 128 checks, ok\n"
+    assert optimized.stdout == plain.stdout == "stabilizer-witnesses: 84 checks, ok\n"
 
 
 @pytest.mark.skipif(
@@ -270,6 +270,12 @@ def test_production_commands_never_enumerate(capsys, monkeypatch):
         (["verify", "corollary-b", "--f-max", "3801"], "--f-max 3801 is over its limit of 3800"),
         (["verify", "stabilizers", "--f-max", "11"], "--f-max 11 is over its limit of 10"),
         (["verify", "theorem-a", "--f-max", "11"], "--f-max 11 is over its limit of 10"),
+        # refused by make_params before any arithmetic: these three ran for
+        # seconds to minutes, or died of MemoryError
+        (["cd", "--f", "100000000", "--d", "1"], "f 100000000 is over its limit of 38000"),
+        (["gcd-table", "--f", "1000003"], "f 1000003 is over its limit of 38000"),
+        (["orbits", "--f", "1000000000", "--family", "ONE"],
+         "f 1000000000 is over its limit of 38000"),
     ],
     ids=[
         "orbits-f7143",
@@ -280,6 +286,9 @@ def test_production_commands_never_enumerate(capsys, monkeypatch):
         "corollary-b-f-max",
         "stabilizers-f-max",
         "theorem-a-f-max",
+        "cd-f-max",
+        "gcd-table-f-max",
+        "orbits-f-max",
     ],
 )
 def test_budget_refusals_are_fast(argv, needle):
@@ -388,7 +397,9 @@ def test_verify_refuses_options_its_scope_does_not_read(capsys, scope, option):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"unrecognized arguments: --{option} 1" in captured.err
+    usage, *_, message = captured.err.splitlines()
+    assert usage.startswith(f"usage: suzuki-cd verify {scope} [-h]")
+    assert message == f"suzuki-cd verify {scope}: error: unrecognized arguments: --{option} 1"
 
 
 @pytest.mark.parametrize("scope", ["lemmas", "stabilizers", "theorem-a", "corollary-b", "cyclotomic"])
@@ -435,7 +446,7 @@ def test_gcd_table_cap_bounds_ranges_only():
         _parse_f_range("1..2692")
     with pytest.raises(BudgetExceededError, match="over its limit"):
         _parse_f_range(f"1..{10**18}")  # refused without building the range
-    # a single f is left to the digit limit
+    # a single f is left to make_params, which caps it at F_MAX
     assert _parse_f_range("1000003") == [1000003]
 
 

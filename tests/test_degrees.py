@@ -145,19 +145,24 @@ def test_counting_route_sum_rules(f):
 @pytest.mark.parametrize(
     "family, corrupted",
     [
-        (Family.X, {3: 4}),  # 4 labels cannot form orbits of size 3
-        (Family.X, {3: 6}),  # splits into orbits, but |G| comes out wrong
-        (Family.W, {1: 3}),  # ONE/ST/W no longer give 4d characters
+        # (histogram, the message it is refused with), at f = 1, d = 3
+        (Family.X, ({3: 4}, "do not split into G-orbits of size 3")),
+        # splits into orbits, but X now has 6 labels, not 3
+        (Family.X, ({3: 6}, "the class counts sum to 14")),
+        (Family.W, ({1: 3}, "ONE/ST/W give 15 characters, not 4d")),
+        # the lone Z label counted twice
+        (Family.Z, ({1: 2}, "the class counts sum to 12")),
     ],
 )
 def test_clifford_rejects_corrupted_histogram(family, corrupted):
     spec = ExtensionSpec(make_params(1), 3)
+    counts, message = corrupted
 
     def histogram(p, fam):
-        return corrupted if fam is family else orbit_counts(p, fam)
+        return counts if fam is family else orbit_counts(p, fam)
 
     assert _clifford_multiset(spec, orbit_counts) == cd_oracle(spec)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=message):
         _clifford_multiset(spec, histogram)
 
 

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from suzuki_cd import BudgetExceededError, divisors_of, make_params
-from suzuki_cd.params import PRIME_TRIAL_BOUND, distinct_primes
+from suzuki_cd.params import F_MAX, PRIME_TRIAL_BOUND, distinct_primes
 
 
 def test_f1_values():
@@ -25,6 +25,13 @@ def test_f2_values():
 def test_rejects_bad_f(bad):
     with pytest.raises(ValueError):
         make_params(bad)
+
+
+def test_make_params_refuses_f_past_F_MAX():
+    assert make_params(F_MAX).out_order == 2 * F_MAX + 1
+    for f in (F_MAX + 1, 10**18):  # 10**18 is refused, not a MemoryError
+        with pytest.raises(BudgetExceededError, match=f"^f {f} is over its limit of {F_MAX}$"):
+            make_params(f)
 
 
 @pytest.mark.parametrize(
