@@ -17,11 +17,12 @@ given or f <= 4, and then prints ``verified_against_oracle: true``: the
 counted degrees agreed with the closed form, since a disagreement raises
 InvariantError and exits 1.  ``orbits`` counts at every accepted f and
 never enumerates; for X, Y and Z it exits 3 from f = 7143, where the
-family count passes the digit limit.  ``verify`` offers each scope only the options its sweeps read
-(VERIFY_OPTIONS), and each sweep checks its own sizes.  ``gcd-table``
-caps a range's sum of f^2 at GCD_TABLE_SIZE_LIMIT.  Each subcommand
-imports only the modules it runs, so ``cd`` and ``orbits`` start without
-the sweeps, the gcd closed forms or the cyclotomic code.  All output is
+family count passes the digit limit.  ``verify`` offers each scope only
+the options its sweeps read (VERIFY_OPTIONS), and each sweep checks its
+own sizes.  ``gcd-table`` caps a range's sum of f^2 at
+GCD_TABLE_SIZE_LIMIT.  Each subcommand imports only the modules it runs,
+so ``cd`` and ``orbits`` start without the sweeps, the gcd closed forms
+or the cyclotomic code.  All output is
 deterministic (ascending degrees/divisors, fixed key order) and uses
 UTF-8 with LF line endings; --output writes bytes identical to what
 stdout would receive.

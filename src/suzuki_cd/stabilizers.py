@@ -34,10 +34,10 @@ nothing there has exact exponent 3.
 
 The histogram of exact exponents over a whole family comes from
 counting (orbit_counts, gcds only, every accepted f); it is the only
-route the command line and cd_multiset use.  An independent brute-force oracle
-(orbit_oracle) enumerates the index-doubling dynamics of the family
-instead; it runs only in the verification sweeps and tests, and is
-budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
+route the command line and cd_multiset use.  An independent brute-force
+oracle (orbit_oracle) enumerates the index-doubling dynamics of the
+family instead; it runs only in the verification sweeps and tests, and
+is budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
 queries have no budget.
 """
 

@@ -450,6 +450,19 @@ def test_gcd_table_cap_bounds_ranges_only():
     assert _parse_f_range("1000003") == [1000003]
 
 
+def test_gcd_table_range_past_F_MAX_is_refused_before_any_row(capsys, monkeypatch):
+    from suzuki_cd import numtheory
+
+    def rows(p):
+        raise AssertionError(f"computed the rows of f={p.f}")
+
+    monkeypatch.setattr(numtheory, "gcd_verification_rows", rows)
+    code, out, err = run(capsys, "gcd-table", "--f", "37999..38001")
+    assert code == 3
+    assert out == ""
+    assert err == "error: f 38001 is over its limit of 38000\n"
+
+
 def readme_commands():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
