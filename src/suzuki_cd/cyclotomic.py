@@ -18,8 +18,9 @@ refuses an order it cannot factor quickly, so no call can hang.
 Multiplication by Q is linear, so a == b iff a * Q == b * Q term for
 term.  :func:`equals` tests the image of a - b for zero;
 :func:`quad_sum_equivalence` compares the images of the two four-root
-sums, each computed once per (n, exponent mod n, k) and kept in a
-bounded cache, since a sweep meets the same sums many times.
+sums, each computed once per (n, exponent mod n, +-k) and kept in a
+bounded cache, since a sweep meets the same sums many times (k and -k
+give the same four exponents).
 
 The exact remainder mod Phi_n (:func:`phi_remainder`) is kept as the
 independent reference that the tests compare :func:`equals` against;
@@ -178,9 +179,13 @@ def quad_sum_equivalence(
         raise ValueError(f"n must be >= 1, got {n}")
     if (k * k + 1) % n != 0:
         raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
-    identity = all(
-        _quad_image(n, i * l % n, k % n) == _quad_image(n, j * l % n, k % n)
-        for l in (1, k - 1)
+    # k and -k give the same four exponents, so they share one cache entry;
+    # the exponents i l and j l still use the caller's k
+    root = min(k % n, -k % n)
+    l = k - 1
+    identity = (
+        _quad_image(n, i % n, root) == _quad_image(n, j % n, root)
+        and _quad_image(n, i * l % n, root) == _quad_image(n, j * l % n, root)
     )
     congruence = (
         (i - j) % n == 0
@@ -191,8 +196,10 @@ def quad_sum_equivalence(
     return identity, congruence
 
 
-# Bounded, yet larger than the n distinct exponents e that a sweep over
-# one (n, k) can ask for while n <= 256; an entry costs about 2 KB.
+# One entry per (n, +-k, exponent): k is the lesser of k and n - k, whose
+# four-root sums coincide.  Bounded, yet larger than the n distinct
+# exponents e that a sweep over one (n, +-k) can ask for while n <= 256;
+# an entry costs about 2 KB.
 @lru_cache(maxsize=256)
 def _quad_image(n: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
     """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek)."""

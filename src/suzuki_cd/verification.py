@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Callable
 from math import gcd as _math_gcd
 
 from .characters import ORACLE_F_MAX, Family, canonicalize, family_count, make_label
@@ -41,10 +42,11 @@ from .params import divisors_of, make_params
 from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, witness_for
 
 DEFAULT_SEED = 20160414
-# Largest accepted sizes (2-vCPU Xeon, Python 3.11).  The gcd and class-count
-# sweeps and the corollary-b sweep grow superlinearly in f_max: 2.4 s and 2.5 s
-# at their limits, 3.2 s at 2500 and 4000.  The quad sweep grows with n_max *
-# samples and, per check, with n: n_max 1000 with samples 600 takes 2.9 s.
+# Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; medians of 3 to 8
+# runs, which swing by a quarter).  The gcd and class-count sweeps and the
+# corollary-b sweep grow superlinearly in f_max: 2.1 s and 2.4 s at their
+# limits, 2.5 s and 2.6 s at 2500 and 4000.  The quad sweep grows with n_max *
+# samples and, per check, with n: n_max 1000 with samples 600 takes 4.9 s.
 # ORACLE_F_MAX caps the two sweeps that enumerate orbits.
 LEMMAS_F_MAX_LIMIT = 2400
 COROLLARY_B_F_MAX_LIMIT = 3800
@@ -88,11 +90,11 @@ def verify_class_counts(f_max: int = 64) -> SweepReport:
     for f in range(1, f_max + 1):
         p = make_params(f)
         total = sum(family_count(p, fam) for fam in Family)
-        _check(report, total == p.q2 + 3, f"f={f}: class count {total} != q^2+3")
+        _check(report, total == p.q2 + 3, lambda: f"f={f}: class count {total} != q^2+3")
         for x, y in ((p.a0, p.a1), (p.a0, p.a2), (p.a1, p.a2)):
-            _check(report, _math_gcd(x, y) == 1, f"f={f}: gcd({x},{y}) != 1")
-        _check(report, p.group_order % 3 != 0, f"f={f}: 3 divides |S|")
-        _check(report, p.a1 * p.a2 == p.q4 + 1, f"f={f}: a1*a2 != q^4+1")
+            _check(report, _math_gcd(x, y) == 1, lambda: f"f={f}: gcd({x},{y}) != 1")
+        _check(report, p.group_order % 3 != 0, lambda: f"f={f}: 3 divides |S|")
+        _check(report, p.a1 * p.a2 == p.q4 + 1, lambda: f"f={f}: a1*a2 != q^4+1")
     return report
 
 
@@ -149,13 +151,13 @@ def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
             _check(
                 report,
                 res.hypotheses_met and res.passed,
-                f"f={f} d={d}: |cd|={res.cardinality} < {res.required}",
+                lambda: f"f={f} d={d}: |cd|={res.cardinality} < {res.required}",
             )
     sharp = check_corollary_b(ExtensionSpec(make_params(1), 3))
     _check(
         report,
         not sharp.hypotheses_met and sharp.cardinality == 6,
-        f"f=1 d=3: expected 6 degrees, got {sharp.cardinality}",
+        lambda: f"f=1 d=3: expected 6 degrees, got {sharp.cardinality}",
     )
     return report
 
@@ -176,7 +178,7 @@ def _gcd_worker(f: int) -> SweepReport:
         _check(
             report,
             case.value == actual,
-            f"f={f} n={n} {torus_name} sign={sign}: "
+            lambda: f"f={f} n={n} {torus_name} sign={sign}: "
             f"closed {case.value} != euclid {actual}",
         )
     proper = divisors_of(p.out_order)[:-1]
@@ -185,26 +187,26 @@ def _gcd_worker(f: int) -> SweepReport:
             _check(
                 report,
                 euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1,
-                f"f={f} n={n} sign={sign}: gcd(q^4+1, 2^n{sign:+d}) != 1",
+                lambda: f"f={f} n={n} sign={sign}: gcd(q^4+1, 2^n{sign:+d}) != 1",
             )
             _check(
                 report,
                 euclid[n, "plus", sign] * euclid[n, "minus", sign]
                 == closed[n, "product", sign],
-                f"f={f} n={n} sign={sign}: torus gcds do not multiply to q4 gcd",
+                lambda: f"f={f} n={n} sign={sign}: torus gcds do not multiply to q4 gcd",
             )
         # exactly one of 2f-n+1, 2f+n+1 is divisible by 4
         _check(
             report,
             ((2 * f - n + 1) % 4 == 0) != ((2 * f + n + 1) % 4 == 0),
-            f"f={f} n={n}: 4-divisibility split violated",
+            lambda: f"f={f} n={n}: 4-divisibility split violated",
         )
         for torus in Torus:
             nontrivial = sum(1 for sign in (-1, 1) if euclid[n, torus.value, sign] > 1)
             _check(
                 report,
                 nontrivial <= 1,
-                f"f={f} n={n} {torus.value}: both signs nontrivial",
+                lambda: f"f={f} n={n} {torus.value}: both signs nontrivial",
             )
     # collisions between exponent pairs
     for m in proper:
@@ -229,7 +231,7 @@ def _gcd_worker(f: int) -> SweepReport:
                         _check(
                             report,
                             observed == predicted,
-                            f"f={f} (m,n)=({m},{n}) {torus.value} "
+                            lambda: f"f={f} (m,n)=({m},{n}) {torus.value} "
                             f"signs=({sign_m},{sign_n}): d1={d1} d2={d2} "
                             f"predicted={predicted}",
                         )
@@ -237,7 +239,7 @@ def _gcd_worker(f: int) -> SweepReport:
                             _check(
                                 report,
                                 d1 == d2 == 5,
-                                f"f={f} collision with d1={d1}, d2={d2} != 5",
+                                lambda: f"f={f} collision with d1={d1}, d2={d2} != 5",
                             )
     return report
 
@@ -253,7 +255,7 @@ def _two_power_table_checks() -> SweepReport:
                     _check(
                         report,
                         closed == actual,
-                        f"two-power gcd n={n} m={m} signs=({sign_n},{sign_m}): "
+                        lambda: f"two-power gcd n={n} m={m} signs=({sign_n},{sign_m}): "
                         f"{closed} != {actual}",
                     )
     return report
@@ -280,7 +282,7 @@ def _quad_worker(args: tuple[int, int, int]) -> SweepReport:
             _check(
                 report,
                 identity == congruence,
-                f"n={n} k={k} i={i} j={j}: identity={identity} congruence={congruence}",
+                lambda: f"n={n} k={k} i={i} j={j}: identity={identity} congruence={congruence}",
             )
     return report
 
@@ -295,7 +297,7 @@ def _stabilizer_worker(f: int) -> SweepReport:
         _check(
             report,
             counted == hist,
-            f"f={f} {family.value}: orbit_counts {counted} != orbit_oracle {hist}",
+            lambda: f"f={f} {family.value}: orbit_counts {counted} != orbit_oracle {hist}",
         )
         for n in divisors:
             w = witness_for(p, family, n)
@@ -303,14 +305,14 @@ def _stabilizer_worker(f: int) -> SweepReport:
             _check(
                 report,
                 (w is not None) == oracle_has,
-                f"f={f} {family.value} n={n}: witness={w} oracle_count={hist.get(n, 0)}",
+                lambda: f"f={f} {family.value} n={n}: witness={w} oracle_count={hist.get(n, 0)}",
             )
             if w is not None:
                 exp = exact_stabilizer_exponent(p, make_label(p, family, w))
                 _check(
                     report,
                     exp == n,
-                    f"f={f} {family.value} n={n}: witness {w} has exponent {exp}",
+                    lambda: f"f={f} {family.value} n={n}: witness {w} has exponent {exp}",
                 )
     # No torus order divides q^2 +- 2^n for proper n, except the single
     # degenerate pair a2 = 5 | q^2 + 2 = 10 at f = 1 (q^2 + 2^n = 2*a2
@@ -323,27 +325,27 @@ def _stabilizer_worker(f: int) -> SweepReport:
                 _check(
                     report,
                     divides == allowed,
-                    f"f={f} n={n}: torus order {order} vs q^2{sign:+d}*2^n: "
+                    lambda: f"f={f} n={n}: torus order {order} vs q^2{sign:+d}*2^n: "
                     f"divides={divides}",
                 )
     # the automorphism-invariant labels promised on the 5-divisible side
     if f % 4 in (0, 3):
-        _check(report, p.a1 % 5 == 0, f"f={f}: expected 5 | a1")
+        _check(report, p.a1 % 5 == 0, lambda: f"f={f}: expected 5 | a1")
         j = canonicalize(p, Family.Y, p.a1 // 5)
         _check(
             report,
             j == p.a1 // 5
             and exact_stabilizer_exponent(p, make_label(p, Family.Y, j)) == 1,
-            f"f={f}: Y index a1/5={p.a1 // 5} is not invariant",
+            lambda: f"f={f}: Y index a1/5={p.a1 // 5} is not invariant",
         )
     else:
-        _check(report, p.a2 % 5 == 0, f"f={f}: expected 5 | a2")
+        _check(report, p.a2 % 5 == 0, lambda: f"f={f}: expected 5 | a2")
         k = canonicalize(p, Family.Z, p.a2 // 5)
         _check(
             report,
             k == p.a2 // 5
             and exact_stabilizer_exponent(p, make_label(p, Family.Z, k)) == 1,
-            f"f={f}: Z index a2/5={p.a2 // 5} is not invariant",
+            lambda: f"f={f}: Z index a2/5={p.a2 // 5} is not invariant",
         )
     return report
 
@@ -358,13 +360,13 @@ def _degree_worker(f: int) -> SweepReport:
         _check(
             report,
             oracle.degree_set() == closed,
-            f"f={f} d={d}: oracle keys {sorted(oracle.degree_set())} "
+            lambda: f"f={f} d={d}: oracle keys {sorted(oracle.degree_set())} "
             f"!= closed form {sorted(closed)}",
         )
         _check(
             report,
             cd_multiset(spec).entries == oracle.entries,
-            f"f={f} d={d}: counted multiset differs from the enumerated one",
+            lambda: f"f={f} d={d}: counted multiset differs from the enumerated one",
         )
     return report
 
@@ -377,10 +379,11 @@ def _roots_of_minus_one(n: int) -> list[int]:
     return [k for k in range(n) if (k * k + 1) % n == 0]
 
 
-def _check(report: SweepReport, ok: bool, message: str) -> None:
+def _check(report: SweepReport, ok: bool, message: Callable[[], str]) -> None:
+    """Count one check; only a failed one builds its message."""
     report.checks += 1
     if not ok:
-        report.failures.append(message)
+        report.failures.append(message())
 
 
 def _require_size(name: str, value: int, least: int, limit: int | None = None) -> None:

@@ -239,6 +239,14 @@ def test_quad_images_match_phi_remainder_oracle(args):
         assert same_image == oracle == congruent, (n, k, e, f)
 
 
+def test_quad_images_of_k_and_minus_k_agree():
+    # the four exponents +-e, +-ek are those of -k, so the two share a cache entry
+    for n in QUAD_ORDERS:
+        for k in sqrt_minus_one(n):
+            for e in range(n):
+                assert _quad_image(n, e, k) == _quad_image(n, e, -k % n), (n, k, e)
+
+
 @pytest.mark.parametrize("n", [13, 65, 130, 1105, 2210])
 def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
     _quad_image.cache_clear()

@@ -34,6 +34,62 @@ def test_quad_identity_deterministic():
     assert (a.checks, a.failures) == (b.checks, b.failures)
 
 
+def test_quad_failure_message(monkeypatch):
+    from suzuki_cd import verification
+
+    quad = verification.quad_sum_equivalence
+
+    def flip_one(n, k, i, j):
+        identity, congruence = quad(n, k, i, j)
+        if (n, k, i, j) == (13, 5, 1, 2):
+            identity = not identity
+        return identity, congruence
+
+    checks = verify_quad_identity(n_max=13).checks
+    monkeypatch.setattr(verification, "quad_sum_equivalence", flip_one)
+    report = verify_quad_identity(n_max=13)
+    assert report.checks == checks == 534
+    assert report.failures == ["n=13 k=5 i=1 j=2: identity=True congruence=False"]
+
+
+def test_quad_sweep_computes_one_image_per_plus_minus_k(monkeypatch):
+    from suzuki_cd import verification
+    from suzuki_cd.cyclotomic import _quad_image
+
+    quad = verification.quad_sum_equivalence
+    keys = set()
+
+    def record(n, k, i, j):
+        for l in (1, k - 1):
+            keys.update((n, min(k, -k % n), e * l % n) for e in (i, j))
+        return quad(n, k, i, j)
+
+    monkeypatch.setattr(verification, "quad_sum_equivalence", record)
+    _quad_image.cache_clear()
+    assert verify_quad_identity(n_max=130).passed
+    assert _quad_image.cache_info().misses <= len(keys)
+
+
+def test_gcd_failure_messages(monkeypatch):
+    from suzuki_cd import verification
+
+    euclid = verification.euclid_gcd
+
+    def wrong_once(a, b):
+        # gcd(2^6 + 1, 2^1 + 1) = gcd(q^4 + 1, 2^n + 1) at f = n = 1
+        return 5 if (a, b) == (65, 3) else euclid(a, b)
+
+    checks = verify_gcd_closed_forms(f_max=2).checks
+    monkeypatch.setattr(verification, "euclid_gcd", wrong_once)
+    report = verify_gcd_closed_forms(f_max=2)
+    assert report.checks == checks == 314
+    assert report.failures == [
+        "f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1",
+        "two-power gcd n=6 m=1 signs=(1,1): 1 != 5",
+        "two-power gcd n=6 m=2 signs=(1,-1): 1 != 5",
+    ]
+
+
 def test_stabilizer_sweep():
     report = verify_stabilizer_witnesses(6)
     assert report.passed, report.failures[:3]
