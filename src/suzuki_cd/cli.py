@@ -124,10 +124,19 @@ def _cmd_cd(args: argparse.Namespace) -> int:
         ds = divisors_of(p.out_order)
     else:
         ds = [int(args.d)]
+    specs = [ExtensionSpec(p, d) for d in ds]
+    if counted:
+        # Print what needs no counting first, in output order, so that an
+        # integer past the digit limit refuses before any orbit is counted.
+        for spec in specs:
+            to_decimal(p.q2)
+            if not args.json:
+                to_decimal(spec.order)
+            for deg in sorted(cd_closed_form(spec)):
+                to_decimal(deg)
     blocks: list[str] = []
     payloads: list[dict] = []
-    for d in ds:
-        spec = ExtensionSpec(p, d)
+    for spec in specs:
         multiset = cd_multiset(spec) if counted else None
         if args.json:
             payloads.append(degrees_json_payload(spec, multiset))

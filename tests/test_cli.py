@@ -162,6 +162,48 @@ def test_gcd_table_past_int_str_digit_limit(capsys):
     assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, bits",
+    [
+        (["cd", "--f", "37537", "--d", "1", "--multiplicities"], 75076),  # q^2
+        (["cd", "--f", "37537", "--d", "1", "--multiplicities", "--json"], 75076),
+        (["cd", "--f", "1428", "--d", "all", "--multiplicities"], 14285),  # |G|
+        (["cd", "--f", "3600", "--d", "1", "--multiplicities", "--json"], 14402),  # q^4
+    ],
+    ids=["text-q2", "json-q2", "text-order", "json-degree"],
+)
+def test_cd_refuses_an_unprintable_integer_before_counting(capsys, monkeypatch, argv, bits):
+    import suzuki_cd.cli as cli
+
+    def count(spec):
+        raise AssertionError("counted orbits before refusing")
+
+    monkeypatch.setattr(cli, "cd_multiset", count)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"error: cannot print a {bits}-bit integer: it has more than "
+        f"{sys.get_int_max_str_digits()} decimal digits, Python's int->str limit"
+    )
+
+
+def test_cd_over_every_d_counts_each_family_once(capsys):
+    from suzuki_cd.characters import Family
+    from suzuki_cd.stabilizers import _counted_histogram
+
+    _counted_histogram.cache_clear()
+    code, out, _ = run(capsys, "cd", "--f", "10", "--d", "all", "--multiplicities")
+    assert code == 0
+    blocks = out.count("# cd(G)")
+    assert blocks == 4  # 21 = 3 * 7
+    info = _counted_histogram.cache_info()
+    assert (info.misses, info.hits) == (len(Family), len(Family) * (blocks - 1))
+
+
 def test_cd_just_below_int_str_digit_limit(capsys):
     code, out, _ = run(capsys, "cd", "--f", "1427", "--d", "1")
     assert code == 0
