@@ -166,11 +166,21 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
     classes (Burnside).  A class is fixed by the n-th power iff its exact
     exponent divides n, so Möbius inversion over the divisors of 2f+1
     (subtracting the exact counts of the proper divisors of n) leaves the
-    classes of exact exponent n.
+    classes of exact exponent n.  Each (f, family) is counted once and
+    kept in a bounded cache; every call returns a fresh dict.
     """
+    return dict(_counted_histogram(p.f, family))
+
+
+# One histogram per (f, family), so that cd over every d, and a sweep over
+# the (f, d) pairs, count each family once per f.  Bounded: near F_MAX an
+# entry holds up to 48 counts of about 75,000 bits each.
+@lru_cache(maxsize=16)
+def _counted_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
+    p = make_params(f)
     total = family_count(p, family)
     if family not in TORUS_FAMILIES:
-        return {1: total}
+        return ((1, total),)
     order = torus_order_of(p, family)
     mult = sorted(multipliers_of(p, family))
     subsets = [s for size in range(1, len(mult) + 1) for s in combinations(mult, size)]
@@ -201,7 +211,7 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
         raise InvariantError(
             f"f={p.f} {family.value}: exponent counts do not sum to the family count"
         )
-    return hist
+    return tuple(hist.items())
 
 
 def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:
