@@ -128,8 +128,8 @@ def _cmd_cd(args: argparse.Namespace) -> int:
     if counted:
         # Print what needs no counting first, in output order, so that an
         # integer past the digit limit refuses before any orbit is counted.
+        to_decimal(p.q2)
         for spec in specs:
-            to_decimal(p.q2)
             if not args.json:
                 to_decimal(spec.order)
             for deg in sorted(cd_closed_form(spec)):

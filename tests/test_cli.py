@@ -171,7 +171,7 @@ def test_gcd_table_past_int_str_digit_limit(capsys):
         (["cd", "--f", "37537", "--d", "1", "--multiplicities"], 75076),  # q^2
         (["cd", "--f", "37537", "--d", "1", "--multiplicities", "--json"], 75076),
         (["cd", "--f", "1428", "--d", "all", "--multiplicities"], 14285),  # |G|
-        (["cd", "--f", "3600", "--d", "1", "--multiplicities", "--json"], 14402),  # q^4
+        (["cd", "--f", "3600", "--d", "1", "--multiplicities", "--json"], 14402),  # a2 * a0
     ],
     ids=["text-q2", "json-q2", "text-order", "json-degree"],
 )
