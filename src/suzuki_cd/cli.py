@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands (``verify`` offers each scope the options of its sweeps)::
 
     suzuki-cd cd --f 1 --d 3 [--json] [--multiplicities] [--output PATH]
     suzuki-cd verify {lemmas,stabilizers,theorem-a} [--f-max N] [--jobs N]
@@ -12,20 +12,19 @@ Subcommands::
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
 usage error, 3 budget violation (f past params.F_MAX, oracle size cap,
 sweep size cap, gcd-table range cap or int->str digit limit), 4 I/O
-error.  ``cd`` counts orbits (cd_multiset) when --multiplicities is
-given or f <= 4, and then prints ``verified_against_oracle: true``: the
-counted degrees agreed with the closed form, since a disagreement raises
-InvariantError and exits 1.  ``orbits`` counts at every accepted f and
-never enumerates; for X, Y and Z it exits 3 from f = 7143, where the
-family count passes the digit limit.  ``verify`` offers each scope only
-the options its sweeps read (VERIFY_OPTIONS), and each sweep checks its
-own sizes.  ``gcd-table`` caps a range's sum of f^2 at
-GCD_TABLE_SIZE_LIMIT.  Each subcommand imports only the modules it runs,
-so ``cd`` and ``orbits`` start without the sweeps, the gcd closed forms
-or the cyclotomic code.  All output is
-deterministic (ascending degrees/divisors, fixed key order) and uses
-UTF-8 with LF line endings; --output writes bytes identical to what
-stdout would receive.
+error.  ``cd`` renders each integer once, in output order, and only
+then counts orbits (cd_multiset), so an unprintable one refuses first;
+``gcd-table`` renders its closed-form column before any Euclid call.
+``cd`` counts when --multiplicities is given or f <= 4, and then prints
+``verified_against_oracle: true``: the counted degrees agreed with the
+closed form, since a disagreement raises InvariantError and exits 1.
+``orbits`` counts at every accepted f and never enumerates; for X, Y
+and Z it exits 3 from f = 7143, where the family count passes the
+digit limit.  Each subcommand imports only the modules it runs, so
+``cd`` and ``orbits`` start without the sweeps, the gcd closed forms
+or the cyclotomic code.  All output is deterministic (ascending
+degrees/divisors, fixed key order) and uses UTF-8 with LF line
+endings; --output writes bytes identical to what stdout would receive.
 """
 
 from __future__ import annotations
@@ -34,18 +33,19 @@ import argparse
 import sys
 
 from .characters import Family, family_count
-from .degrees import DegreeMultiset, ExtensionSpec, cd_closed_form, cd_multiset
+from .degrees import ExtensionSpec, cd_closed_form, cd_multiset
 from .errors import BudgetExceededError, InvariantError, to_decimal
 from .params import divisors_of, make_params
 from .stabilizers import orbit_counts
 
-# The options each verify scope reads: the parameters of its sweeps.
-VERIFY_OPTIONS = {
-    "lemmas": ("f_max", "jobs"),
-    "stabilizers": ("f_max", "jobs"),
-    "theorem-a": ("f_max", "jobs"),
-    "corollary-b": ("f_max",),
-    "cyclotomic": ("n_max", "samples", "seed", "jobs"),
+# Each verify scope: the verification sweeps it runs, in output order, each
+# with the options it reads, which are its parameters.
+VERIFY_SWEEPS = {
+    "lemmas": (("verify_gcd_closed_forms", "f_max", "jobs"), ("verify_class_counts", "f_max")),
+    "stabilizers": (("verify_stabilizer_witnesses", "f_max", "jobs"),),
+    "theorem-a": (("verify_degree_sets", "f_max", "jobs"),),
+    "corollary-b": (("verify_degree_count_bounds", "f_max"),),
+    "cyclotomic": (("verify_quad_identity", "n_max", "samples", "seed", "jobs"),),
 }
 # Largest accepted sum of f^2 over a gcd-table range LO..HI: each row runs
 # Euclid on (2f+1)-bit integers.  The model overstates the cost at large f,
@@ -96,9 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     scopes = p_verify.add_subparsers(dest="scope", required=True)
-    for scope, options in VERIFY_OPTIONS.items():
+    for scope, sweeps in VERIFY_SWEEPS.items():
         p_scope = scopes.add_parser(scope)
-        for option in options:
+        for option in dict.fromkeys(opt for _, *options in sweeps for opt in options):
             p_scope.add_argument("--" + option.replace("_", "-"), type=int)
         p_scope.set_defaults(func=_cmd_verify, parser=p_scope)
 
@@ -119,103 +119,70 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_cd(args: argparse.Namespace) -> int:
     p = make_params(args.f)
-    counted = args.multiplicities or p.f <= 4
-    if args.d == "all":
-        ds = divisors_of(p.out_order)
-    else:
-        ds = [int(args.d)]
+    ds = divisors_of(p.out_order) if args.d == "all" else [int(args.d)]
     specs = [ExtensionSpec(p, d) for d in ds]
-    if counted:
-        # Print what needs no counting first, in output order, so that an
-        # integer past the digit limit refuses before any orbit is counted.
-        to_decimal(p.q2)
-        for spec in specs:
-            if not args.json:
-                to_decimal(spec.order)
-            for deg in sorted(cd_closed_form(spec)):
-                to_decimal(deg)
-    blocks: list[str] = []
-    payloads: list[dict] = []
+    # Render every integer that needs no counting first, in output order, so
+    # that one past the digit limit refuses before any orbit is counted.
+    q2 = to_decimal(p.q2)
+    reports = []
     for spec in specs:
-        multiset = cd_multiset(spec) if counted else None
+        header = None if args.json else (
+            f"# cd(G) for f={p.f}, d={spec.d} (q2={q2}, |G|={to_decimal(spec.order)})"
+        )
+        degrees = {deg: to_decimal(deg) for deg in sorted(cd_closed_form(spec))}
+        reports.append((spec, header, degrees))
+    counted = args.multiplicities or p.f <= 4
+    bodies: list = []  # one JSON payload or text block per report
+    for spec, header, degrees in reports:
+        # cd_multiset raises unless its degrees are the closed form's
+        mults = cd_multiset(spec).entries if counted else dict.fromkeys(degrees)
+        rows = [(text, mults[deg]) for deg, text in degrees.items()]
         if args.json:
-            payloads.append(degrees_json_payload(spec, multiset))
+            bodies.append(degrees_json_payload(spec, q2, rows))
+            continue
+        lines = [header]
+        if args.multiplicities:
+            lines.append("degree multiplicity")
+            lines.extend(f"{text} {to_decimal(mult)}" for text, mult in rows)
         else:
-            blocks.append(_cd_table(spec, multiset, args.multiplicities))
+            lines.extend(text for text, _ in rows)
+        if counted:
+            lines.append("verified_against_oracle: true")
+        bodies.append("\n".join(lines) + "\n")
     if args.json:
         import json
-        body = payloads[0] if args.d != "all" else payloads
-        text = json.dumps(body, indent=2) + "\n"
+        text = json.dumps(bodies if args.d == "all" else bodies[0], indent=2) + "\n"
     else:
-        text = "\n".join(blocks)
+        text = "\n".join(bodies)
     _emit(text, args.output)
     return 0
 
 
-def _degree_rows(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> list[tuple]:
-    """(degree, multiplicity or None), ascending: the counted multiset's
-    degrees are the closed form's, since cd_multiset raises otherwise."""
-    if multiset is None:
-        return [(deg, None) for deg in sorted(cd_closed_form(spec))]
-    return sorted(multiset.entries.items())
+def degrees_json_payload(
+    spec: ExtensionSpec, q2: str, rows: list[tuple[str, int | None]]
+) -> dict:
+    """JSON-ready degree report from a ``cd`` report's rendered rows.
 
-
-def _cd_table(
-    spec: ExtensionSpec, multiset: DegreeMultiset | None, show_mult: bool
-) -> str:
-    p = spec.params
-    lines = [
-        f"# cd(G) for f={p.f}, d={spec.d} "
-        f"(q2={to_decimal(p.q2)}, |G|={to_decimal(spec.order)})"
-    ]
-    rows = _degree_rows(spec, multiset)
-    if show_mult:
-        lines.append("degree multiplicity")
-        lines.extend(f"{to_decimal(deg)} {to_decimal(mult)}" for deg, mult in rows)
-    else:
-        lines.extend(to_decimal(deg) for deg, _ in rows)
-    if multiset is not None:
-        lines.append("verified_against_oracle: true")
-    return "\n".join(lines) + "\n"
-
-
-def degrees_json_payload(spec: ExtensionSpec, multiset: DegreeMultiset | None) -> dict:
-    """JSON-ready degree report; big integers become decimal strings.
-
-    ``multiset`` is the cd_multiset result, or None when only the closed
-    form was computed (multiplicities then serialize as null and
-    verified_against_oracle is false).
+    ``q2`` and each row's degree are decimal strings; each multiplicity
+    is a counted int, or None when only the closed form was computed
+    (it then serializes as null and verified_against_oracle is false).
     """
     return {
         "f": spec.params.f,
         "d": spec.d,
-        "q2": to_decimal(spec.params.q2),
-        "degrees": [
-            {"degree": to_decimal(deg), "multiplicity": mult}
-            for deg, mult in _degree_rows(spec, multiset)
-        ],
-        "verified_against_oracle": multiset is not None,
+        "q2": q2,
+        "degrees": [{"degree": deg, "multiplicity": mult} for deg, mult in rows],
+        "verified_against_oracle": rows[0][1] is not None,
     }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verification
-    # an option left out takes its sweep's own default
-    options = VERIFY_OPTIONS[args.scope]
-    given = {k: v for k, v in vars(args).items() if k in options and v is not None}
-    if args.scope == "lemmas":
-        reports = [
-            verification.verify_gcd_closed_forms(**given),
-            verification.verify_class_counts(**{k: v for k, v in given.items() if k != "jobs"}),
-        ]
-    elif args.scope == "stabilizers":
-        reports = [verification.verify_stabilizer_witnesses(**given)]
-    elif args.scope == "theorem-a":
-        reports = [verification.verify_degree_sets(**given)]
-    elif args.scope == "corollary-b":
-        reports = [verification.verify_degree_count_bounds(**given)]
-    else:
-        reports = [verification.verify_quad_identity(**given)]
+    reports = []
+    for name, *options in VERIFY_SWEEPS[args.scope]:
+        # an option left out takes its sweep's own default
+        given = {k: getattr(args, k) for k in options if getattr(args, k) is not None}
+        reports.append(getattr(verification, name)(**given))
     for report in reports:
         print(report.summary())
         for failure in report.failures[:5]:
@@ -250,26 +217,26 @@ def _cmd_gcd_table(args: argparse.Namespace) -> int:
     import csv
     import io
 
-    from .numtheory import gcd_verification_rows
+    from .numtheory import gcd_closed_form_rows, gcd_verification_rows
     f_values = _parse_f_range(args.f)
     make_params(f_values[-1])  # refuses an f past F_MAX before any row is computed
+    # Render the closed-form column of the whole range first, in output
+    # order, so that a gcd past the digit limit refuses before Euclid runs.
+    tables = []
+    for f in f_values:
+        p = make_params(f)
+        closed_forms = gcd_closed_form_rows(p)
+        tables.append((p, closed_forms, [to_decimal(case.value) for *_, case in closed_forms]))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["f", "n", "torus", "sign", "closed_form", "euclid", "branch", "match"])
-    for f in f_values:
-        for n, torus, sign, case, actual in gcd_verification_rows(make_params(f)):
-            writer.writerow(
-                [
-                    f,
-                    n,
-                    torus,
-                    "+" if sign > 0 else "-",
-                    to_decimal(case.value),
-                    to_decimal(actual),
-                    case.condition,
-                    "true" if case.value == actual else "false",
-                ]
-            )
+    for p, closed_forms, texts in tables:
+        rows = gcd_verification_rows(p, closed_forms)
+        for (n, torus, sign, case, actual), text in zip(rows, texts):
+            sign_text = "+" if sign > 0 else "-"
+            match = "true" if case.value == actual else "false"
+            euclid = to_decimal(actual)
+            writer.writerow([p.f, n, torus, sign_text, text, euclid, case.condition, match])
     _emit(buf.getvalue(), args.output)
     return 0
 

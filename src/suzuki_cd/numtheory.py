@@ -7,7 +7,9 @@ their gcds with numbers of the form q^2 +- 2^n (n a proper divisor of
 euclid_gcd, a plain Euclidean oracle on the actual pair of integers, is
 the ground truth.  gcd_verification_rows is the only code here that
 calls it: one grid of closed form vs Euclid per f, which ``gcd-table``
-prints and the sweep in :mod:`suzuki_cd.verification` checks.
+prints and the sweep in :mod:`suzuki_cd.verification` checks; it extends
+the closed-form rows of gcd_closed_form_rows, so a caller can render the
+closed forms before any Euclid call.
 
 Notation used in branch records: ``4 || x`` means 4 divides x but 8
 does not (4 divides x exactly).
@@ -187,15 +189,12 @@ def coincidence_classify(
     return CoincidenceCase(*_COINCIDENCE_TABLE[p.f % 4])
 
 
-def gcd_verification_rows(
-    p: SuzukiParams,
-) -> list[tuple[int, str, int, GcdCase, int]]:
-    """Closed form vs Euclid for every (n, torus, sign) at this f.
+def gcd_closed_form_rows(p: SuzukiParams) -> list[tuple[int, str, int, GcdCase]]:
+    """The closed form of every gcd query at this f.
 
-    One row ``(n, torus, sign, case, euclid)`` per gcd query, n over the
-    proper divisors of 2f+1 ascending, torus over "plus", "minus" and
-    "product" (the q^4+1 queries), sign over -1, +1: ``case`` is the
-    closed form and ``euclid`` the oracle's gcd of the same pair.
+    One row ``(n, torus, sign, case)`` per query, n over the proper
+    divisors of 2f+1 ascending, torus over "plus", "minus" and "product"
+    (the q^4+1 queries), sign over -1, +1.
     """
     rows = []
     for n in divisors_of(p.out_order)[:-1]:
@@ -203,13 +202,27 @@ def gcd_verification_rows(
             for sign in (-1, +1):
                 if torus_name == "product":
                     case = gcd_q4_plus1(p, n, sign)
-                    left = p.q4 + 1
                 else:
-                    torus = Torus(torus_name)
-                    case = gcd_torus(p, torus, n, sign)
-                    left = torus_order(p, torus)
-                actual = euclid_gcd(left, p.q2 + sign * (1 << n))
-                rows.append((n, torus_name, sign, case, actual))
+                    case = gcd_torus(p, Torus(torus_name), n, sign)
+                rows.append((n, torus_name, sign, case))
+    return rows
+
+
+def gcd_verification_rows(
+    p: SuzukiParams, closed_forms: list[tuple[int, str, int, GcdCase]] | None = None
+) -> list[tuple[int, str, int, GcdCase, int]]:
+    """Closed form vs Euclid for every (n, torus, sign) at this f.
+
+    Extends each row of ``closed_forms`` (by default gcd_closed_form_rows(p))
+    to ``(n, torus, sign, case, euclid)``: ``case`` is the closed form and
+    ``euclid`` the oracle's gcd of the same pair.
+    """
+    if closed_forms is None:
+        closed_forms = gcd_closed_form_rows(p)
+    rows = []
+    for n, torus_name, sign, case in closed_forms:
+        left = p.q4 + 1 if torus_name == "product" else torus_order(p, Torus(torus_name))
+        rows.append((n, torus_name, sign, case, euclid_gcd(left, p.q2 + sign * (1 << n))))
     return rows
 
 

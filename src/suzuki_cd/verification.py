@@ -42,16 +42,19 @@ from .params import divisors_of, make_params
 from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, witness_for
 
 DEFAULT_SEED = 20160414
-# Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; medians of 3 to 8
-# runs, which swing by a quarter).  The gcd and class-count sweeps and the
-# corollary-b sweep grow superlinearly in f_max: 2.1 s and 2.4 s at their
-# limits, 2.5 s and 2.6 s at 2500 and 4000.  The quad sweep grows with n_max *
-# samples and, per check, with n: n_max 1000 with samples 600 takes 4.9 s.
-# ORACLE_F_MAX caps the two sweeps that enumerate orbits.
+# Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
+# medians of 3 runs, each in a fresh interpreter; runs swing by a quarter).
+# The gcd and class-count sweeps and the corollary-b sweep grow
+# superlinearly in f_max: 1.8 s and 2.0 s at their limits.  The quad sweep
+# grows with n_max * samples and, per check, with n (past n = 256 one
+# (n, +-k) block asks for more images than the _quad_image cache holds), so
+# its slowest accepted pair is n_max 1000 with samples 200: 1.8 s, where
+# samples 250 took 2.5 s and 600 took 4.4 s.  ORACLE_F_MAX caps the two
+# sweeps that enumerate orbits.
 LEMMAS_F_MAX_LIMIT = 2400
 COROLLARY_B_F_MAX_LIMIT = 3800
 N_MAX_LIMIT = 1000
-SAMPLED_PAIRS_LIMIT = 600_000
+SAMPLED_PAIRS_LIMIT = 200_000
 
 
 class SweepReport:

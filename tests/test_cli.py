@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from suzuki_cd.cli import main
+from suzuki_cd.degrees import ExtensionSpec, cd_closed_form
+from suzuki_cd.params import divisors_of, make_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -305,9 +307,9 @@ def test_production_commands_never_enumerate(capsys, monkeypatch):
         (["orbits", "--f", "7143", "--family", "X"], "14286-bit integer"),
         (["verify", "cyclotomic", "--n-max", "1001"], "--n-max 1001 is over its limit of 1000"),
         (["verify", "cyclotomic", "--samples", "10001"],
-         "--n-max 200 * --samples 10001 = 2000200 is over its limit of 600000"),
+         "--n-max 200 * --samples 10001 = 2000200 is over its limit of 200000"),
         (["verify", "cyclotomic", "--n-max", "1000", "--samples", "10000"],
-         "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 600000"),
+         "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 200000"),
         # without the limits these two ran for minutes
         (["verify", "lemmas", "--f-max", "100000"], "--f-max 100000 is over its limit of 2400"),
         (["verify", "corollary-b", "--f-max", "3801"], "--f-max 3801 is over its limit of 3800"),
@@ -464,23 +466,52 @@ def test_verify_refuses_options_its_scope_does_not_read(capsys, scope, option):
 @pytest.mark.parametrize("scope", ["lemmas", "stabilizers", "theorem-a", "corollary-b", "cyclotomic"])
 def test_verify_options_are_the_parameters_of_the_scope_sweeps(capsys, monkeypatch, scope):
     from suzuki_cd import verification
-    from suzuki_cd.cli import VERIFY_OPTIONS
+    from suzuki_cd.cli import VERIFY_SWEEPS
 
+    for name, *options in VERIFY_SWEEPS[scope]:
+        assert options == list(inspect.signature(getattr(verification, name)).parameters)
     ran = []
 
-    def recorder(sweep):
+    def recorder(name):
         def fake(**kwargs):
-            ran.append(sweep)
-            return verification.SweepReport(sweep.__name__)
+            ran.append(name)
+            return verification.SweepReport(name)
         return fake
 
     for name in dir(verification):
         if name.startswith("verify_"):
-            monkeypatch.setattr(verification, name, recorder(getattr(verification, name)))
-    assert run(capsys, "verify", scope)[0] == 0
-    assert ran
-    read = {param for sweep in ran for param in inspect.signature(sweep).parameters}
-    assert set(VERIFY_OPTIONS[scope]) == read
+            monkeypatch.setattr(verification, name, recorder(name))
+    code, out, _ = run(capsys, "verify", scope)
+    assert code == 0
+    listed = [name for name, *_ in VERIFY_SWEEPS[scope]]
+    assert ran == listed
+    assert out == "".join(f"{name}: 0 checks, ok\n" for name in listed)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--multiplicities"], [], ["--json"], ["--json", "--multiplicities"]],
+    ids=["text-multiplicities", "text", "json", "json-multiplicities"],
+)
+def test_cd_converts_no_integer_twice(capsys, monkeypatch, flags):
+    import suzuki_cd.cli as cli
+
+    converted = []
+
+    def to_decimal(n):
+        converted.append(n)
+        return str(n)
+
+    monkeypatch.setattr(cli, "to_decimal", to_decimal)
+    code, _, _ = run(capsys, "cd", "--f", "10", "--d", "all", *flags)
+    assert code == 0
+    p = make_params(10)
+    specs = [ExtensionSpec(p, d) for d in divisors_of(p.out_order)]
+    rows = sum(len(cd_closed_form(spec)) for spec in specs)
+    # q2 once; |G| once per text block; each degree once, and each
+    # multiplicity of a text table once (JSON prints those as integers)
+    orders = 0 if "--json" in flags else len(specs)
+    mults = rows if flags == ["--multiplicities"] else 0
+    assert len(converted) == 1 + orders + rows + mults
 
 
 def test_gcd_table_range_past_its_cap_is_refused_fast():
@@ -520,6 +551,30 @@ def test_gcd_table_range_past_F_MAX_is_refused_before_any_row(capsys, monkeypatc
     assert code == 3
     assert out == ""
     assert err == "error: f 38001 is over its limit of 38000\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit"
+)
+def test_gcd_table_refuses_an_unprintable_closed_form_before_euclid(capsys, monkeypatch):
+    from suzuki_cd import numtheory
+
+    def euclid(a, b):
+        raise AssertionError("ran Euclid before refusing")
+
+    monkeypatch.setattr(numtheory, "euclid_gcd", euclid)
+    code, out, err = run(capsys, "gcd-table", "--f", "37537")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"error: cannot print a 21451-bit integer: it has more than "
+        f"{sys.get_int_max_str_digits()} decimal digits, Python's int->str limit\n"
+    )
+    start = time.perf_counter()
+    proc = run_module("gcd-table", "--f", "37537")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+    assert elapsed < 0.5, elapsed
 
 
 def readme_commands():

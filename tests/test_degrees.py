@@ -1,8 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from suzuki_cd.characters import Family, degree_of, family_count
-from suzuki_cd.cli import degrees_json_payload
+from suzuki_cd.cli import main
 from suzuki_cd.degrees import (
     ExtensionSpec,
     _clifford_multiset,
@@ -196,9 +198,14 @@ def test_corollary_reports():
     assert not trivial_d.hypotheses_met
 
 
-def test_json_payload_with_oracle():
-    spec = ExtensionSpec(make_params(1), 3)
-    payload = degrees_json_payload(spec, cd_multiset(spec))
+def cd_json_payload(capsys, f, d):
+    """The payload that ``cd --json`` builds with degrees_json_payload."""
+    assert main(["cd", "--f", str(f), "--d", str(d), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_json_payload_with_oracle(capsys):
+    payload = cd_json_payload(capsys, 1, 3)
     assert payload["f"] == 1 and payload["d"] == 3
     assert payload["q2"] == "8"
     assert payload["verified_against_oracle"] is True
@@ -207,9 +214,8 @@ def test_json_payload_with_oracle():
     assert degrees == sorted(degrees)
 
 
-def test_json_payload_closed_form_only():
-    spec = ExtensionSpec(make_params(31), 63)
-    payload = degrees_json_payload(spec, None)
+def test_json_payload_closed_form_only(capsys):
+    payload = cd_json_payload(capsys, 31, 63)
     assert payload["verified_against_oracle"] is False
     assert all(item["multiplicity"] is None for item in payload["degrees"])
     assert payload["q2"] == str(1 << 63)

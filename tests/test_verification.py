@@ -123,7 +123,7 @@ def test_summary_wording():
         (verify_stabilizer_witnesses, {"f_max": 11}, BudgetExceededError,
          "--f-max 11 is over its limit of 10"),
         (verify_quad_identity, {"n_max": 1000, "samples": 10000}, BudgetExceededError,
-         "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 600000"),
+         "--n-max 1000 * --samples 10000 = 10000000 is over its limit of 200000"),
         (verify_gcd_closed_forms, {"f_max": 100000}, BudgetExceededError,
          "--f-max 100000 is over its limit of 2400"),
         (verify_degree_count_bounds, {"f_max": 0}, ValueError, "--f-max must be >= 1, got 0"),
