@@ -24,9 +24,10 @@ def show_group(f: int, d: int) -> None:
     print(f"  closed form ({len(closed)} degrees): {closed}")
     if p.f <= 10:
         oracle = cd_oracle(spec)
-        agreement = "agrees" if oracle.degree_set() == set(closed) else "DISAGREES"
-        print(f"  oracle multiset {agreement}: {dict(oracle.entries)}")
-        print(f"  sum of squared degrees = {oracle.sum_of_squares()} = |G|")
+        agreement = "agrees" if oracle.keys() == set(closed) else "DISAGREES"
+        print(f"  oracle multiset {agreement}: {oracle}")
+        squares = sum(deg * deg * mult for deg, mult in oracle.items())
+        print(f"  sum of squared degrees = {squares} = |G|")
 
 
 def main() -> None:

@@ -9,7 +9,6 @@ from suzuki_cd import (
     euclid_gcd,
     gcd_torus,
     make_params,
-    pair_equality,
     quad_sum_equivalence,
     root_power_sum,
     equals,
@@ -51,7 +50,10 @@ def main() -> None:
     s = root_power_sum(5, [1, 2, 3, 4], [1, 1, 1, 1])
     minus_one = root_power_sum(5, [0], [-1])
     print(f"  sum of primitive 5th roots == -1: {equals(s, minus_one)}")
-    print(f"  pair_equality(7, 2, 5) (5 == -2 mod 7): {pair_equality(7, 2, 5)}")
+    pair_2 = root_power_sum(7, [2, -2], [1, 1])
+    pair_5 = root_power_sum(7, [5, -5], [1, 1])
+    print(f"  z^2 + z^-2 == z^5 + z^-5 for z a primitive 7th root (5 == -2 mod 7): "
+          f"{equals(pair_2, pair_5)}")
 
     print("\nThe four-root identity vs its congruence criterion (k^2 == -1):")
     for i, j in [(1, 5), (1, 2), (3, 11)]:

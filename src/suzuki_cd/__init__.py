@@ -4,7 +4,8 @@ groups between Sz(q^2) and its automorphism group.
 Closed forms throughout, each backed by an independent brute-force
 oracle (Euclid, exact cyclotomic equality, orbit enumeration, Clifford
 counting); see :mod:`suzuki_cd.verification` for the sweeps that
-compare the two routes exhaustively.
+compare the two routes exhaustively.  Degree multisets and orbit
+histograms are plain dicts (degree or stabilizer exponent -> count).
 
 The package namespace holds the library API that the demos and the
 README use; everything else, the command line's helpers included, is
@@ -21,9 +22,8 @@ _HOMES = {
     name: module
     for module, names in (
         ("characters", "Family canonical_indices make_label phi_power_on_label torus_value"),
-        ("cyclotomic", "equals pair_equality quad_sum_equivalence root_power_sum"),
-        ("degrees", "DegreeMultiset ExtensionSpec cd_closed_form cd_multiset cd_oracle"),
-        ("degrees", "check_corollary_b"),
+        ("cyclotomic", "equals quad_sum_equivalence root_power_sum"),
+        ("degrees", "ExtensionSpec cd_closed_form cd_multiset cd_oracle check_corollary_b"),
         ("errors", "BudgetExceededError InvariantError"),
         ("numtheory", "Torus coincidence_classify euclid_gcd gcd_torus torus_order"),
         ("params", "divisors_of make_params"),

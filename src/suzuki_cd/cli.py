@@ -18,6 +18,7 @@ then counts orbits (cd_multiset), so an unprintable one refuses first;
 ``cd`` counts when --multiplicities is given or f <= 4, and then prints
 ``verified_against_oracle: true``: the counted degrees agreed with the
 closed form, since a disagreement raises InvariantError and exits 1.
+Otherwise its JSON says false and gives null multiplicities.
 ``orbits`` counts at every accepted f and never enumerates; for X, Y
 and Z it exits 3 from f = 7143, where the family count passes the
 digit limit.  Each subcommand imports only the modules it runs, so
@@ -135,10 +136,16 @@ def _cmd_cd(args: argparse.Namespace) -> int:
     bodies: list = []  # one JSON payload or text block per report
     for spec, header, degrees in reports:
         # cd_multiset raises unless its degrees are the closed form's
-        mults = cd_multiset(spec).entries if counted else dict.fromkeys(degrees)
+        mults = cd_multiset(spec) if counted else dict.fromkeys(degrees)
         rows = [(text, mults[deg]) for deg, text in degrees.items()]
         if args.json:
-            bodies.append(degrees_json_payload(spec, q2, rows))
+            bodies.append({
+                "f": p.f,
+                "d": spec.d,
+                "q2": q2,
+                "degrees": [{"degree": text, "multiplicity": mult} for text, mult in rows],
+                "verified_against_oracle": counted,
+            })
             continue
         lines = [header]
         if args.multiplicities:
@@ -156,24 +163,6 @@ def _cmd_cd(args: argparse.Namespace) -> int:
         text = "\n".join(bodies)
     _emit(text, args.output)
     return 0
-
-
-def degrees_json_payload(
-    spec: ExtensionSpec, q2: str, rows: list[tuple[str, int | None]]
-) -> dict:
-    """JSON-ready degree report from a ``cd`` report's rendered rows.
-
-    ``q2`` and each row's degree are decimal strings; each multiplicity
-    is a counted int, or None when only the closed form was computed
-    (it then serializes as null and verified_against_oracle is false).
-    """
-    return {
-        "f": spec.params.f,
-        "d": spec.d,
-        "q2": q2,
-        "degrees": [{"degree": deg, "multiplicity": mult} for deg, mult in rows],
-        "verified_against_oracle": rows[0][1] is not None,
-    }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -247,6 +236,7 @@ def _parse_f_range(text: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"--f range {text!r} is empty")
+        make_params(lo)  # an f below 1 is a usage error, not a cost
         # sum of f^2 for f = lo..hi: the sum up to hi minus the sum up to lo-1
         size = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
         if size > GCD_TABLE_SIZE_LIMIT:

@@ -27,8 +27,9 @@ independent reference that the tests compare :func:`equals` against;
 it is budgeted to orders <= PHI_MAX_ORDER.  No floating point is
 involved anywhere.
 
-Only sums, negation and equality are provided; ring multiplication is
-not needed for character values and is deliberately left out.
+Only sums, negation and exact equality are provided; ring
+multiplication is not needed for character values and is deliberately
+left out, and equality has no congruence shortcut beside :func:`equals`.
 """
 
 from __future__ import annotations
@@ -147,14 +148,6 @@ def _annihilate(poly: dict[int, int], n: int) -> tuple[tuple[int, int], ...]:
             out[e] = out.get(e, 0) - c
         poly = {e: c for e, c in out.items() if c}
     return tuple(sorted(poly.items()))
-
-
-def pair_equality(n: int, i: int, j: int) -> bool:
-    """Whether zeta^i + zeta^-i = zeta^j + zeta^-j for zeta a primitive
-    n-th root of unity; equivalently i == +-j (mod n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return (i - j) % n == 0 or (i + j) % n == 0
 
 
 def quad_sum_equivalence(

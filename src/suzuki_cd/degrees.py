@@ -10,10 +10,11 @@ For theta with exact stabilizer exponent m, the stabilizer in G is
 generated over S by the lcm(e, m)-th automorphism power, so theta's
 G-orbit has size s = m / gcd(e, m) and contributes d/s irreducible
 characters of G, all of degree s * theta(1).  Aggregating over Irr(S)
-gives the degree multiset, from counted orbit histograms (cd_multiset,
-any f) or from enumerated ones (cd_oracle, f <= ORACLE_F_MAX); the
-closed form below is what its degree set must equal, and cd_multiset
-raises InvariantError when it does not.
+gives the degree multiset, a plain dict from degree to multiplicity in
+ascending degree order, from counted orbit histograms (cd_multiset, any
+f) or from enumerated ones (cd_oracle, f <= ORACLE_F_MAX); the closed
+form below is what its keys must equal, and cd_multiset raises
+InvariantError when they do not.
 
 Closed form: cd(G) is
 
@@ -67,21 +68,6 @@ class ExtensionSpec(Record):
         return self.d * self.params.group_order
 
 
-class DegreeMultiset(Record):
-    """Map ``entries`` from character degree to multiplicity."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[int, int] | None = None) -> None:
-        super().__init__({} if entries is None else entries)
-
-    def degree_set(self) -> frozenset[int]:
-        return frozenset(self.entries)
-
-    def sum_of_squares(self) -> int:
-        return sum(deg * deg * mult for deg, mult in self.entries.items())
-
-
 class CorollaryReport(Record):
     """Outcome of the degree-count lower bound check for one (f, d)."""
 
@@ -102,8 +88,8 @@ def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:
     return frozenset(degs)
 
 
-def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
-    """Degree multiset of G by Clifford counting over orbit_counts.
+def cd_multiset(spec: ExtensionSpec) -> dict[int, int]:
+    """Degree -> multiplicity of G by Clifford counting over orbit_counts.
 
     The production route for multiplicities: exact at every accepted f,
     with the same global sum rules enforced as cd_oracle.  Raises
@@ -111,16 +97,16 @@ def cd_multiset(spec: ExtensionSpec) -> DegreeMultiset:
     """
     result = _clifford_multiset(spec, orbit_counts)
     closed = cd_closed_form(spec)
-    if result.degree_set() != closed:
+    if result.keys() != closed:
         raise InvariantError(
             f"f={spec.params.f} d={spec.d}: counted degrees "
-            f"{sorted(result.degree_set())} differ from the closed form {sorted(closed)}"
+            f"{list(result)} differ from the closed form {sorted(closed)}"
         )
     return result
 
 
-def cd_oracle(spec: ExtensionSpec) -> DegreeMultiset:
-    """Degree multiset of G by Clifford counting over all of Irr(S).
+def cd_oracle(spec: ExtensionSpec) -> dict[int, int]:
+    """Degree -> multiplicity of G by Clifford counting over all of Irr(S).
 
     Uses the brute-force orbit histograms, so it inherits their
     f <= ORACLE_F_MAX budget.
@@ -131,8 +117,9 @@ def cd_oracle(spec: ExtensionSpec) -> DegreeMultiset:
 def _clifford_multiset(
     spec: ExtensionSpec,
     histogram: Callable[[SuzukiParams, Family], Mapping[int, int]],
-) -> DegreeMultiset:
-    """Aggregate the Clifford counts of every family's exponent histogram.
+) -> dict[int, int]:
+    """Aggregate the Clifford counts of every family's exponent histogram
+    into a fresh dict from degree to multiplicity, in ascending degree order.
 
     Raises InvariantError unless every count splits into G-orbits, the
     invariant families give 4d characters, the class counts sum to
@@ -164,10 +151,9 @@ def _clifford_multiset(
         )
     if classes != p.q2 + 3:
         raise InvariantError(f"f={p.f} d={spec.d}: the class counts sum to {classes}, not q^2+3")
-    result = DegreeMultiset(dict(sorted(entries.items())))
-    if result.sum_of_squares() != spec.order:
+    if sum(deg * deg * mult for deg, mult in entries.items()) != spec.order:
         raise InvariantError(f"f={p.f} d={spec.d}: squared degrees do not sum to |G|")
-    return result
+    return dict(sorted(entries.items()))
 
 
 def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:

@@ -10,9 +10,10 @@ runs in this process, so the whole corpus replays in about a second.
     PYTHONPATH=src python tests/golden.py --update   # rewrite golden.json from its argvs
 
 Only ``--check`` belongs in tests and CI; ``--update`` is for a change
-that alters output on purpose, and its diff of golden.json shows which
-command lines changed.  The checker uses no ``assert``, so it checks the
-same under ``python -O``.
+that alters output on purpose.  Before it rewrites golden.json it prints
+each field it changes in ``--check``'s format ("no entry changed" if
+none), so its own output names the command lines that changed.  The
+checker uses no ``assert``, so it checks the same under ``python -O``.
 """
 
 from __future__ import annotations
@@ -57,15 +58,18 @@ def load() -> list[dict]:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
+def changes(entry: dict, actual: dict) -> list[str]:
+    """One line per pinned field of entry that its replay, actual, differs in."""
+    return [
+        f"{' '.join(entry['argv'])}: {key} {entry.get(key)!r} -> {value!r}"
+        for key, value in actual.items()
+        if entry.get(key) != value
+    ]
+
+
 def differences(entries: list[dict]) -> list[str]:
-    """One line per entry whose replay differs from its pinned fields."""
-    found = []
-    for entry in entries:
-        actual = run(entry["argv"])
-        for key, value in actual.items():
-            if entry.get(key) != value:
-                found.append(f"{' '.join(entry['argv'])}: {key} {entry.get(key)!r} -> {value!r}")
-    return found
+    """One line per pinned field that an entry's replay differs in."""
+    return [line for entry in entries for line in changes(entry, run(entry["argv"]))]
 
 
 def dump(entries: list[dict]) -> str:
@@ -80,11 +84,13 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--update", action="store_true", help="rewrite golden.json")
     args = parser.parse_args(argv)
     entries = load()
+    replays = [run(entry["argv"]) for entry in entries]
+    found = [line for entry, actual in zip(entries, replays) for line in changes(entry, actual)]
     if args.update:
-        CORPUS.write_text(dump([run(entry["argv"]) for entry in entries]), encoding="utf-8")
+        print("\n".join(found) or "no entry changed")
+        CORPUS.write_text(dump(replays), encoding="utf-8")
         print(f"rewrote {len(entries)} entries of {CORPUS.name}")
         return 0
-    found = differences(entries)
     print("\n".join(found) or f"{len(entries)} entries match {CORPUS.name}")
     return 1 if found else 0
 

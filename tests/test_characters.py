@@ -14,7 +14,7 @@ from suzuki_cd.characters import (
     torus_order_of,
     torus_value,
 )
-from suzuki_cd.cyclotomic import equals, pair_equality, root_power_sum
+from suzuki_cd.cyclotomic import equals, root_power_sum
 from suzuki_cd.errors import BudgetExceededError
 from suzuki_cd.params import distinct_primes, divisors_of, make_params
 
@@ -167,7 +167,9 @@ def test_torus_value_equality_at_f10(family):
     if family is Family.X:
         i = label.index
         for l in (1, 2, n // 7, n - 1):
-            assert equals(value, torus_value(p, label, l)) == pair_equality(n, 77 * i, l * i)
+            # X values are 2-root sums: equal iff 77i == +-li (mod n)
+            congruent = (77 * i - l * i) % n == 0 or (77 * i + l * i) % n == 0
+            assert equals(value, torus_value(p, label, l)) == congruent
     assert time.perf_counter() - started < 5.0
 
 

@@ -431,6 +431,10 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
 
 def test_gcd_table_rejects_f_zero(capsys):
     assert run(capsys, "gcd-table", "--f", "0..2")[0] == 2
+    # a long range from below f = 1 too: the range cap never counts f <= 0
+    for bounds, low in (("-3000000..1", -3000000), ("0..100000", 0), ("-1..90000", -1)):
+        error = f"error: f must be an integer >= 1, got {low}\n"
+        assert run(capsys, "gcd-table", f"--f={bounds}") == (2, "", error)
 
 
 def test_deterministic_output(capsys):

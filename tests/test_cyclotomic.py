@@ -11,7 +11,6 @@ from suzuki_cd.cyclotomic import (
     _quad_image,
     cyclotomic_polynomial,
     equals,
-    pair_equality,
     phi_remainder,
     quad_sum_equivalence,
     root_power_sum,
@@ -151,21 +150,30 @@ def test_equals_invariant_under_phi_multiples(args):
         assert not equals(a + a, a)  # a != 0 means 2a != a
 
 
+def pair_sums_equal(n, i, j):
+    """Whether zeta^i + zeta^-i == zeta^j + zeta^-j, decided exactly by equals."""
+    return equals(root_power_sum(n, [i, -i], [1, 1]), root_power_sum(n, [j, -j], [1, 1]))
+
+
+def congruent_up_to_sign(n, i, j):
+    """i == +-j (mod n): the congruence the two 2-root sums agree under."""
+    return (i - j) % n == 0 or (i + j) % n == 0
+
+
 @pytest.mark.parametrize(
     "n,i,j,expected",
     [(7, 2, 5, True), (7, 1, 2, False), (2, 0, 1, False), (1, 3, 9, True)],
 )
 def test_pair_equality_examples(n, i, j, expected):
-    assert pair_equality(n, i, j) is expected
+    assert pair_sums_equal(n, i, j) is expected
+    assert congruent_up_to_sign(n, i, j) is expected
 
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_pair_equality_matches_exact(n):
     for i in range(n):
         for j in range(n):
-            lhs = root_power_sum(n, [i, -i], [1, 1])
-            rhs = root_power_sum(n, [j, -j], [1, 1])
-            assert pair_equality(n, i, j) == equals(lhs, rhs), (n, i, j)
+            assert pair_sums_equal(n, i, j) == congruent_up_to_sign(n, i, j), (n, i, j)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,9 +183,7 @@ def test_pair_equality_matches_exact(n):
     st.integers(min_value=-500, max_value=500),
 )
 def test_pair_equality_matches_exact_random(n, i, j):
-    lhs = root_power_sum(n, [i, -i], [1, 1])
-    rhs = root_power_sum(n, [j, -j], [1, 1])
-    assert pair_equality(n, i, j) == equals(lhs, rhs)
+    assert pair_sums_equal(n, i, j) == congruent_up_to_sign(n, i, j)
 
 
 def test_quad_sum_equivalence_examples():

@@ -18,6 +18,11 @@ from suzuki_cd.params import divisors_of, make_params
 from suzuki_cd.stabilizers import orbit_counts
 
 
+def sum_of_squares(multiset):
+    """The sum of deg^2 * multiplicity: |G| for a degree multiset of G."""
+    return sum(deg * deg * mult for deg, mult in multiset.items())
+
+
 def test_extension_spec_validation():
     p = make_params(1)
     assert ExtensionSpec(p, 3).is_aut
@@ -69,17 +74,17 @@ def test_counted_degrees_over_each_family_f1():
     p = make_params(1)
     for d, expected in ((3, {1, 14, 64, 91, 105, 195}), (1, {1, 14, 35, 64, 65, 91})):
         spec = ExtensionSpec(p, d)
-        assert cd_multiset(spec).degree_set() == expected
-        assert cd_oracle(spec).degree_set() == expected
+        assert cd_multiset(spec).keys() == expected
+        assert cd_oracle(spec).keys() == expected
 
 
 def test_counted_degrees_f4_d9():
     spec = ExtensionSpec(make_params(4), 9)
     y_base = degree_of(spec.params, Family.Y)
-    degrees = cd_multiset(spec).degree_set()
+    degrees = cd_multiset(spec).keys()
     assert y_base in degrees and 9 * y_base in degrees
     assert 3 * y_base not in degrees  # b = 3 missing
-    assert degrees == cd_oracle(spec).degree_set()
+    assert degrees == cd_oracle(spec).keys()
 
 
 def test_counted_degrees_attain_one_through_invariant_label():
@@ -88,31 +93,33 @@ def test_counted_degrees_attain_one_through_invariant_label():
     # invariant label with exponent 1
     spec = ExtensionSpec(make_params(4), 3)
     y_base = degree_of(spec.params, Family.Y)
-    degrees = cd_multiset(spec).degree_set()
+    degrees = cd_multiset(spec).keys()
     assert y_base in degrees and 3 * y_base in degrees
-    assert degrees == cd_oracle(spec).degree_set()
+    assert degrees == cd_oracle(spec).keys()
 
 
 def test_oracle_sz8():
     spec = ExtensionSpec(make_params(1), 1)
     ms = cd_oracle(spec)
-    assert ms.entries == {1: 1, 14: 2, 35: 3, 64: 1, 65: 3, 91: 1}
-    assert ms.sum_of_squares() == 29120
-    assert sum(ms.entries.values()) == 11
+    assert ms == {1: 1, 14: 2, 35: 3, 64: 1, 65: 3, 91: 1}
+    assert sum_of_squares(ms) == 29120
+    assert sum(ms.values()) == 11
+    ms[1] = 99  # each call returns a fresh dict
+    assert cd_oracle(spec)[1] == cd_multiset(spec)[1] == 1
 
 
 def test_oracle_aut_sz8():
     spec = ExtensionSpec(make_params(1), 3)
     ms = cd_oracle(spec)
-    assert ms.entries == {1: 3, 14: 6, 64: 3, 91: 3, 105: 1, 195: 1}
-    assert ms.sum_of_squares() == 3 * 29120
+    assert ms == {1: 3, 14: 6, 64: 3, 91: 3, 105: 1, 195: 1}
+    assert sum_of_squares(ms) == 3 * 29120
 
 
 def test_oracle_f2_d5():
     spec = ExtensionSpec(make_params(2), 5)
     ms = cd_oracle(spec)
-    assert ms.entries == {1: 5, 124: 10, 1024: 5, 1271: 5, 3875: 2, 5125: 3, 6355: 1}
-    assert ms.degree_set() == cd_closed_form(spec)
+    assert ms == {1: 5, 124: 10, 1024: 5, 1271: 5, 3875: 2, 5125: 3, 6355: 1}
+    assert ms.keys() == cd_closed_form(spec)
 
 
 def test_oracle_budget():
@@ -125,8 +132,12 @@ def test_oracle_matches_closed_form(f):
     p = make_params(f)
     for d in divisors_of(p.out_order):
         spec = ExtensionSpec(p, d)
-        assert cd_oracle(spec).degree_set() == cd_closed_form(spec), (f, d)
-        assert cd_multiset(spec).entries == cd_oracle(spec).entries, (f, d)
+        counted, oracle = cd_multiset(spec), cd_oracle(spec)
+        # both are plain dicts in ascending degree order
+        assert type(counted) is type(oracle) is dict, (f, d)
+        assert list(counted) == sorted(counted) and list(oracle) == sorted(oracle), (f, d)
+        assert oracle.keys() == cd_closed_form(spec), (f, d)
+        assert counted == oracle, (f, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,8 +151,9 @@ def test_counting_route_sum_rules(f):
     for d in divisors_of(p.out_order):
         spec = ExtensionSpec(p, d)
         multiset = cd_multiset(spec)
-        assert multiset.sum_of_squares() == spec.order, (f, d)
-        assert multiset.degree_set() == cd_closed_form(spec), (f, d)
+        assert type(multiset) is dict and list(multiset) == sorted(multiset), (f, d)
+        assert sum_of_squares(multiset) == spec.order, (f, d)
+        assert multiset.keys() == cd_closed_form(spec), (f, d)
 
 
 @pytest.mark.parametrize(
@@ -199,7 +211,7 @@ def test_corollary_reports():
 
 
 def cd_json_payload(capsys, f, d):
-    """The payload that ``cd --json`` builds with degrees_json_payload."""
+    """The JSON object that ``cd --json`` prints for one extension."""
     assert main(["cd", "--f", str(f), "--d", str(d), "--json"]) == 0
     return json.loads(capsys.readouterr().out)
 

@@ -1,4 +1,5 @@
-"""Each narrative demo runs against the package and prints something."""
+"""Each narrative demo runs against the package and prints something, and
+README's library example runs as written."""
 
 import os
 import subprocess
@@ -22,3 +23,11 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):]
+    block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "cd_multiset(aut)" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -5,3 +5,21 @@ import golden
 
 def test_golden_corpus():
     assert golden.differences(golden.load()) == []
+
+
+def test_update_names_each_changed_entry_before_it_rewrites(tmp_path, monkeypatch, capsys):
+    pinned = golden.load()[:2]
+    stale = dict(pinned[1], exit=7)
+    corpus = tmp_path / "golden.json"
+    corpus.write_text(golden.dump([pinned[0], stale]), encoding="utf-8")
+    monkeypatch.setattr(golden, "CORPUS", corpus)
+
+    assert golden.main(["--update"]) == 0
+    argv = " ".join(stale["argv"])
+    assert capsys.readouterr().out == (
+        f"{argv}: exit 7 -> {pinned[1]['exit']!r}\nrewrote 2 entries of golden.json\n"
+    )
+    assert golden.load() == pinned
+
+    assert golden.main(["--update"]) == 0
+    assert capsys.readouterr().out == "no entry changed\nrewrote 2 entries of golden.json\n"

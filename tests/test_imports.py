@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = [
     "BudgetExceededError",
-    "DegreeMultiset",
     "ExtensionSpec",
     "Family",
     "InvariantError",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "make_params",
     "orbit_counts",
     "orbit_oracle",
-    "pair_equality",
     "phi_power_on_label",
     "quad_sum_equivalence",
     "root_power_sum",
