@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import BudgetExceededError
+from .errors import require_within
 from .params import Record, SuzukiParams
 
 #: Exhaustive family sweeps (canonical_indices here, orbit_oracle and
@@ -137,12 +137,9 @@ def canonical_indices(p: SuzukiParams, family: Family) -> list[int]:
     """All canonical indices of a torus family, ascending.
 
     An oracle helper: it walks every residue of the torus, so it refuses
-    f > ORACLE_F_MAX with BudgetExceededError.
+    f > ORACLE_F_MAX ("canonical index enumeration: f F is over its limit of 10").
     """
-    if p.f > ORACLE_F_MAX:
-        raise BudgetExceededError(
-            f"canonical index enumeration needs f <= {ORACLE_F_MAX}, got f={p.f}"
-        )
+    require_within("canonical index enumeration: f", p.f, ORACLE_F_MAX)
     n = torus_order_of(p, family)
     mult = multipliers_of(p, family)
     out = []

@@ -35,7 +35,7 @@ import sys
 
 from .characters import Family, family_count
 from .degrees import ExtensionSpec, cd_closed_form, cd_multiset
-from .errors import BudgetExceededError, InvariantError, to_decimal
+from .errors import BudgetExceededError, InvariantError, require_within, to_decimal
 from .params import divisors_of, make_params
 from .stabilizers import orbit_counts
 
@@ -120,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_cd(args: argparse.Namespace) -> int:
     p = make_params(args.f)
-    ds = divisors_of(p.out_order) if args.d == "all" else [int(args.d)]
+    d_form = "an integer or 'all'"
+    ds = divisors_of(p.out_order) if args.d == "all" else _ints("--d", d_form, args.d, [args.d])
     specs = [ExtensionSpec(p, d) for d in ds]
     # Render every integer that needs no counting first, in output order, so
     # that one past the digit limit refuses before any orbit is counted.
@@ -231,20 +232,25 @@ def _cmd_gcd_table(args: argparse.Namespace) -> int:
 
 
 def _parse_f_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"--f range {text!r} is empty")
-        make_params(lo)  # an f below 1 is a usage error, not a cost
-        # sum of f^2 for f = lo..hi: the sum up to hi minus the sum up to lo-1
-        size = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
-        if size > GCD_TABLE_SIZE_LIMIT:
-            raise BudgetExceededError(
-                f"--f {text}: sum of f^2 = {size} is over its limit of {GCD_TABLE_SIZE_LIMIT}"
-            )
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    ends = _ints("--f", "F or LO..HI", text, text.split("..", 1))
+    if len(ends) == 1:
+        return ends
+    lo, hi = ends
+    if hi < lo:
+        raise ValueError(f"--f range {text!r} is empty")
+    make_params(lo)  # an f below 1 is a usage error, not a cost
+    # sum of f^2 for f = lo..hi: the sum up to hi minus the sum up to lo-1
+    size = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
+    require_within(f"--f {text}: sum of f^2 =", size, GCD_TABLE_SIZE_LIMIT)
+    return list(range(lo, hi + 1))
+
+
+def _ints(option: str, form: str, text: str, parts: list[str]) -> list[int]:
+    # parts are the pieces of an option's text; a bad one names the option
+    try:
+        return [int(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"{option} must be {form}, got {text!r}") from None
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BudgetExceededError, InvariantError
+from .errors import InvariantError, require_within
 from .params import Record, distinct_primes, divisors_of
 
 #: Largest order the Phi_n reference builds a dense polynomial for.
@@ -212,12 +212,12 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree, monic of degree phi(n).
 
     Built by exact division: Phi_n = (x^n - 1) / prod of Phi_d over
-    proper divisors d of n.  Refuses n > PHI_MAX_ORDER with
-    BudgetExceededError, since the cost grows faster than n^2.
+    proper divisors d of n.  The cost grows faster than n^2, so it refuses
+    n > PHI_MAX_ORDER ("Phi_n reference: order N is over its limit of 10000").
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _require_phi_budget(n)
+    require_within("Phi_n reference: order", n, PHI_MAX_ORDER)
     poly = [-1] + [0] * (n - 1) + [1]
     for d in divisors_of(n)[:-1]:
         poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
@@ -228,20 +228,14 @@ def phi_remainder(s: CyclotomicSum) -> tuple[int, ...]:
     """The remainder of s, as a polynomial of degree < n, modulo Phi_n.
 
     s is zero in Z[zeta_n] iff every entry is zero.  This is the dense
-    reference for :func:`equals`; it refuses orders past PHI_MAX_ORDER.
+    reference for :func:`equals`; past PHI_MAX_ORDER it refuses as
+    cyclotomic_polynomial does, before any work.
     """
-    _require_phi_budget(s.order)
+    require_within("Phi_n reference: order", s.order, PHI_MAX_ORDER)
     vec = [0] * s.order
     for e, c in s.terms:
         vec[e] = c
     return tuple(_poly_rem(vec, cyclotomic_polynomial(s.order)))
-
-
-def _require_phi_budget(n: int) -> None:
-    if n > PHI_MAX_ORDER:
-        raise BudgetExceededError(
-            f"the Phi_n reference is capped at order {PHI_MAX_ORDER}, got order {n}"
-        )
 
 
 def _poly_rem(vec: list[int], den: tuple[int, ...]) -> list[int]:

@@ -1,16 +1,13 @@
-"""Shared exception types, and to_decimal, which refuses an integer too long to print."""
+"""Shared exception types; require_within, through which every size cap
+refuses; and to_decimal, which refuses an integer too long to print."""
 
 import sys
 
 
 class BudgetExceededError(Exception):
-    """Raised when an input is past a size budget.
-
-    make_params refuses f past params.F_MAX.  Below it, the brute-force
-    enumeration oracles refuse oversized inputs, so callers can always
-    fall back to the closed forms, which compute at every accepted f;
-    printing refuses integers past Python's int->str digit limit.
-    """
+    """Raised when an input is past a size budget: a size cap (require_within),
+    the int->str digit limit (to_decimal) or an order that trial division
+    cannot factor (params.distinct_primes)."""
 
 
 class InvariantError(Exception):
@@ -19,6 +16,12 @@ class InvariantError(Exception):
     Unlike an ``assert``, the check that raises it survives ``python -O``;
     it signals a bug in the library, not a bad input.
     """
+
+
+def require_within(name: str, size: int, limit: int) -> None:
+    """Raise BudgetExceededError("NAME SIZE is over its limit of LIMIT") if size > limit."""
+    if size > limit:
+        raise BudgetExceededError(f"{name} {size} is over its limit of {limit}")
 
 
 def to_decimal(n: int) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, require_within
 
 #: Largest accepted f.  Past it make_params refuses before any arithmetic,
 #: so no command can run long on a big f.  The slowest accepted work is
@@ -107,8 +107,7 @@ def make_params(f: int) -> SuzukiParams:
     """
     if not isinstance(f, int) or isinstance(f, bool) or f < 1:
         raise ValueError(f"f must be an integer >= 1, got {f!r}")
-    if f > F_MAX:
-        raise BudgetExceededError(f"f {f} is over its limit of {F_MAX}")
+    require_within("f", f, F_MAX)
     q2 = 1 << (2 * f + 1)
     r = 1 << (f + 1)
     a0 = q2 - 1

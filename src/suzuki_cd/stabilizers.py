@@ -58,7 +58,7 @@ from .characters import (
     phi_power_on_label,
     torus_order_of,
 )
-from .errors import BudgetExceededError, InvariantError
+from .errors import InvariantError, require_within
 from .params import SuzukiParams, divisors_of, make_params
 
 
@@ -218,12 +218,10 @@ def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:
     """Exact-exponent histogram {n: number of canonical labels} for a family.
 
     Brute force: walks the doubling dynamics over every residue class
-    of the torus.  Refuses f > ORACLE_F_MAX.
+    of the torus.  Refuses f > ORACLE_F_MAX, as does cd_oracle, with
+    "orbit enumeration: f F is over its limit of 10".
     """
-    if p.f > ORACLE_F_MAX:
-        raise BudgetExceededError(
-            f"orbit enumeration needs f <= {ORACLE_F_MAX}, got f={p.f}"
-        )
+    require_within("orbit enumeration: f", p.f, ORACLE_F_MAX)
     return dict(_orbit_histogram(p.f, family))
 
 

@@ -30,7 +30,7 @@ from .degrees import (
     cd_oracle,
     check_corollary_b,
 )
-from .errors import BudgetExceededError
+from .errors import require_within
 from .numtheory import (
     Torus,
     coincidence_classify,
@@ -111,11 +111,7 @@ def verify_quad_identity(
     congruence criterion, for every order with a square root of -1."""
     _require_size("--n-max", n_max, 1, N_MAX_LIMIT)
     _require_size("--samples", samples, 0)
-    if n_max * samples > SAMPLED_PAIRS_LIMIT:
-        raise BudgetExceededError(
-            f"--n-max {n_max} * --samples {samples} = {n_max * samples} "
-            f"is over its limit of {SAMPLED_PAIRS_LIMIT}"
-        )
+    require_within(f"--n-max {n_max} * --samples {samples} =", n_max * samples, SAMPLED_PAIRS_LIMIT)
     items = [
         (n, samples, seed) for n in range(1, n_max + 1) if _roots_of_minus_one(n)
     ]
@@ -391,8 +387,8 @@ def _check(report: SweepReport, ok: bool, message: Callable[[], str]) -> None:
 def _require_size(name: str, value: int, least: int, limit: int | None = None) -> None:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
-    if limit is not None and value > limit:
-        raise BudgetExceededError(f"{name} {value} is over its limit of {limit}")
+    if limit is not None:
+        require_within(name, value, limit)
 
 
 def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:

@@ -248,7 +248,9 @@ def test_counted_degrees_disagreeing_with_closed_form_exit_one(capsys, monkeypat
 def test_cd_usage_errors(capsys):
     assert run(capsys, "cd", "--f", "0", "--d", "1")[0] == 2
     assert run(capsys, "cd", "--f", "1", "--d", "2")[0] == 2
-    assert run(capsys, "cd", "--f", "1", "--d", "x")[0] == 2
+    assert run(capsys, "cd", "--f", "1", "--d", "x") == (
+        2, "", "error: --d must be an integer or 'all', got 'x'\n"
+    )
 
 
 def test_argparse_usage_exit_code(capsys):
@@ -374,6 +376,11 @@ def test_gcd_table_empty_range(capsys):
     assert code == 2
     assert out == ""
     assert "--f range" in err
+    # a malformed --f names the option, the form it takes and its whole text
+    for text in ["abc", "1..2..3", "1.."]:
+        assert run(capsys, "gcd-table", "--f", text) == (
+            2, "", f"error: --f must be F or LO..HI, got {text!r}\n"
+        )
 
 
 def test_gcd_table_io_error(tmp_path, capsys):

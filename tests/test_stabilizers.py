@@ -172,7 +172,9 @@ def test_orbit_oracle_f2_f4():
 
 
 def test_orbit_oracle_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(
+        BudgetExceededError, match="^orbit enumeration: f 11 is over its limit of 10$"
+    ):
         orbit_oracle(make_params(11), Family.X)
 
 
