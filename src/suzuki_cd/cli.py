@@ -19,13 +19,14 @@ then counts orbits (cd_multiset), so an unprintable one refuses first;
 ``verified_against_oracle: true``: the counted degrees agreed with the
 closed form, since a disagreement raises InvariantError and exits 1.
 Otherwise its JSON says false and gives null multiplicities.
-``orbits`` counts at every accepted f and never enumerates; for X, Y
-and Z it exits 3 from f = 7143, where the family count passes the
-digit limit.  Each subcommand imports only the modules it runs, so
-``cd`` and ``orbits`` start without the sweeps, the gcd closed forms
-or the cyclotomic code.  All output is deterministic (ascending
-degrees/divisors, fixed key order) and uses UTF-8 with LF line
-endings; --output writes bytes identical to what stdout would receive.
+``orbits`` derives its histogram from the gcd lemmas at every accepted
+f and never enumerates; for X, Y and Z it exits 3 from f = 7143, where
+the family count passes the digit limit.  Each subcommand imports only
+the modules it runs, so ``cd`` and ``orbits`` start without the sweeps
+or the cyclotomic code, and load the gcd closed forms only to count.
+All output is deterministic (ascending degrees/divisors, fixed key
+order) and uses UTF-8 with LF line endings; --output writes bytes
+identical to what stdout would receive.
 """
 
 from __future__ import annotations

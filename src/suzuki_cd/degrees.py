@@ -11,10 +11,10 @@ generated over S by the lcm(e, m)-th automorphism power, so theta's
 G-orbit has size s = m / gcd(e, m) and contributes d/s irreducible
 characters of G, all of degree s * theta(1).  Aggregating over Irr(S)
 gives the degree multiset, a plain dict from degree to multiplicity in
-ascending degree order, from counted orbit histograms (cd_multiset, any
-f) or from enumerated ones (cd_oracle, f <= ORACLE_F_MAX); the closed
-form below is what its keys must equal, and cd_multiset raises
-InvariantError when they do not.
+ascending degree order, from orbit histograms derived from the gcd
+lemmas (cd_multiset, any f) or from enumerated ones (cd_oracle,
+f <= ORACLE_F_MAX); the closed form below is what its keys must equal,
+and cd_multiset raises InvariantError when they do not.
 
 Closed form: cd(G) is
 
@@ -32,8 +32,8 @@ with exceptions only when G = Aut(S) (d = 2f+1):
 At Aut(S) a label of exact stabilizer exponent v has a G-orbit of size
 v, so the excluded multiples are exactly the witnessless exponents of
 stabilizers.is_witnessless; cd_closed_form reads that table and shares
-no code with the counting route (orbit_counts).  All the products above
-are pairwise distinct, so cardinalities add up.
+no code with the derived histograms (orbit_counts).  All the products
+above are pairwise distinct, so cardinalities add up.
 """
 
 from __future__ import annotations

@@ -32,12 +32,12 @@ is already fixed by the automorphism itself.  They apply even at f = 1
 where n = 3 is all of 2f+1; the lone Z class of Sz(8) is invariant, so
 nothing there has exact exponent 3.
 
-The histogram of exact exponents over a whole family comes from
-counting (orbit_counts, gcds only, every accepted f); it is the only
-route the command line and cd_multiset use.  An independent brute-force
-oracle (orbit_oracle) enumerates the index-doubling dynamics of the
-family instead; it runs only in the verification sweeps and tests, and
-is budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
+The histogram of exact exponents over a whole family is derived from
+the gcd lemmas (orbit_counts, every accepted f), the only route the
+command line and cd_multiset use.  An independent brute-force oracle
+(orbit_oracle) enumerates the index-doubling dynamics of the family
+instead; it runs only in the verification sweeps and tests, and is
+budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
 queries have no budget.
 """
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations
 
 from .characters import (
     ORACLE_F_MAX,
@@ -132,7 +131,7 @@ def _invariant(p: SuzukiParams, label: CharacterLabel, n: int) -> bool:
     """Is the torus label fixed by the n-th power of the field automorphism?
 
     Its index i is fixed iff 2^n i == m i (mod N) for some multiplier m,
-    N the torus order: the criterion orbit_counts counts.
+    N the torus order: the criterion whose fixed labels orbit_counts counts.
     """
     _require_divisor(p, n)
     order = torus_order_of(p, label.family)
@@ -154,64 +153,50 @@ def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
 
 
 def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
-    """Exact-exponent histogram {n: number of canonical labels}, by counting.
+    """Exact-exponent histogram {n: number of canonical labels}, from the gcd lemmas.
 
-    Equals orbit_oracle(p, family) at every f, from gcds alone.  The
-    n-th automorphism power fixes the class of a nonzero index j of Z/N
-    iff 2^n j == m j for some multiplier m in M.  Each condition cuts out
-    the subgroup ker(2^n - m) of order gcd(N, 2^n - m), and subgroups of
-    a cyclic group meet in the subgroup of gcd order, so inclusion-
-    exclusion over the nonempty subsets of M counts their union exactly;
-    less the index 0 and divided by |M|, that is the number of fixed
-    classes (Burnside).  A class is fixed by the n-th power iff its exact
-    exponent divides n, so Möbius inversion over the divisors of 2f+1
-    (subtracting the exact counts of the proper divisors of n) leaves the
-    classes of exact exponent n.  Each (f, family) is counted once and
-    kept in a bounded cache; every call returns a fresh dict.
+    Equals orbit_oracle(p, family) at every f.  F(k), the number of labels
+    the k-th automorphism power fixes (k | 2f+1), is the family count at
+    k = 2f+1, and for proper k:
+
+    - X: 2^(k-1) - 1, as +-1 fix the 2^k - 2 nonzero indices of
+      ker(2^k - 1), since gcd(q^2-1, 2^k-1) = 2^k-1 and gcd(q^2-1, 2^k+1) = 1;
+    - Y, Z: (g- + g+ - 2)/4, g+- = gcd_torus(p, torus, k, +-1) the orders of
+      the kernels of q^2 -+ 2^k, which meet only in 0 (N is odd); +-1 fix no
+      nonzero index, since gcd(q^4+1, 2^k-+1) = 1.
+
+    Labels fixed by the k-th power are those whose exact exponent divides k,
+    so the count at n is F(n) less the counts at the proper divisors of n.
     """
-    return dict(_counted_histogram(p.f, family))
+    from .numtheory import Torus, gcd_torus  # here, so that a cd that does not count skips it
 
-
-# One histogram per (f, family), so that cd over every d, and a sweep over
-# the (f, d) pairs, count each family once per f.  Bounded: near F_MAX an
-# entry holds up to 48 counts of about 75,000 bits each.
-@lru_cache(maxsize=16)
-def _counted_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
-    p = make_params(f)
     total = family_count(p, family)
     if family not in TORUS_FAMILIES:
-        return ((1, total),)
-    order = torus_order_of(p, family)
-    mult = sorted(multipliers_of(p, family))
-    subsets = [s for size in range(1, len(mult) + 1) for s in combinations(mult, size)]
+        return {1: total}
+    torus = Torus.PLUS if family is Family.Y else Torus.MINUS
     exact: dict[int, int] = {}
     for n in divisors_of(p.out_order):
-        two_n = pow(2, n, order)
-        union = sum(
-            (-1) ** (len(s) + 1) * math.gcd(order, *(two_n - m for m in s))
-            for s in subsets
-        )
-        if (union - 1) % len(mult):
-            raise InvariantError(
-                f"f={p.f} {family.value} n={n}: fixed nonzero indices "
-                f"not a multiple of |M|={len(mult)}"
-            )
-        count = (union - 1) // len(mult) - sum(
-            c for k, c in exact.items() if n % k == 0
-        )
+        if n == p.out_order:
+            fixed = total
+        elif family is Family.X:
+            fixed = (1 << (n - 1)) - 1
+        else:
+            nonzero = gcd_torus(p, torus, n, -1).value + gcd_torus(p, torus, n, +1).value - 2
+            if nonzero % 4:  # the four multipliers permute the fixed indices freely
+                raise InvariantError(
+                    f"f={p.f} {family.value} n={n}: {nonzero} fixed indices, not 4 per label"
+                )
+            fixed = nonzero // 4
+        count = fixed - sum(c for k, c in exact.items() if n % k == 0)
         if count < 0 or count % n:  # labels of exact exponent n fill n-orbits
-            raise InvariantError(
-                f"f={p.f} {family.value} n={n}: label count cannot form orbits of size {n}"
-            )
+            raise InvariantError(f"f={p.f} {family.value} n={n}: {count} labels, not whole orbits")
         exact[n] = count
     hist = {n: c for n, c in exact.items() if c}
-    if any(p.out_order % n for n in hist):
-        raise InvariantError(f"f={p.f} {family.value}: an exponent does not divide 2f+1")
     if sum(hist.values()) != total:
         raise InvariantError(
             f"f={p.f} {family.value}: exponent counts do not sum to the family count"
         )
-    return tuple(hist.items())
+    return hist
 
 
 def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:

@@ -119,8 +119,8 @@ def verify_quad_identity(
 
 
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
-    """The witness constructor and orbit counting agree with exhaustive
-    orbit enumeration, including every exceptional (witnessless) branch."""
+    """The witness constructor and the derived orbit histograms agree with
+    exhaustive orbit enumeration, including every exceptional (witnessless) branch."""
     _require_size("--f-max", f_max, 1, ORACLE_F_MAX)
     return _merge("stabilizer-witnesses", _map_ordered(_stabilizer_worker, range(1, f_max + 1), jobs))
 

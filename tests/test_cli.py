@@ -193,19 +193,6 @@ def test_cd_refuses_an_unprintable_integer_before_counting(capsys, monkeypatch, 
     )
 
 
-def test_cd_over_every_d_counts_each_family_once(capsys):
-    from suzuki_cd.characters import Family
-    from suzuki_cd.stabilizers import _counted_histogram
-
-    _counted_histogram.cache_clear()
-    code, out, _ = run(capsys, "cd", "--f", "10", "--d", "all", "--multiplicities")
-    assert code == 0
-    blocks = out.count("# cd(G)")
-    assert blocks == 4  # 21 = 3 * 7
-    info = _counted_histogram.cache_info()
-    assert (info.misses, info.hits) == (len(Family), len(Family) * (blocks - 1))
-
-
 def test_cd_just_below_int_str_digit_limit(capsys):
     code, out, _ = run(capsys, "cd", "--f", "1427", "--d", "1")
     assert code == 0

@@ -44,7 +44,8 @@ PUBLIC_NAMES = [
     "witness_for",
 ]
 
-# modules the cd and orbits commands do not run
+# modules the cd and orbits commands do not run, apart from numtheory,
+# whose gcd lemmas orbit_counts reads when a command counts
 NOT_FOR_CD = [
     "csv",
     "dataclasses",
@@ -79,14 +80,15 @@ def test_package_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, counts",
     [
-        ["cd", "--f", "10", "--d", "all", "--multiplicities"],
-        ["orbits", "--f", "10", "--family", "Y"],
+        (["cd", "--f", "10", "--d", "all", "--multiplicities"], True),
+        (["orbits", "--f", "10", "--family", "Y"], True),
+        (["cd", "--f", "1000", "--d", "all"], False),
     ],
-    ids=["cd", "orbits"],
+    ids=["cd", "orbits", "cd-uncounted"],
 )
-def test_cd_and_orbits_load_only_what_they_run(argv):
+def test_cd_and_orbits_load_only_what_they_run(argv, counts):
     out = probe(
         "import sys; before = set(sys.modules); from suzuki_cd.cli import main; "
         f"rc = main({argv!r}); print(rc, sorted(set(sys.modules) - before), file=sys.stderr)"
@@ -95,7 +97,8 @@ def test_cd_and_orbits_load_only_what_they_run(argv):
     assert rc == "0"
     loaded = ast.literal_eval(added)
     assert "suzuki_cd.stabilizers" in loaded
-    assert [m for m in NOT_FOR_CD if m in loaded] == []
+    gcd_lemmas = ["suzuki_cd.numtheory"] if counts else []
+    assert [m for m in NOT_FOR_CD if m in loaded] == gcd_lemmas
 
 
 def test_star_import_binds_each_name_to_its_home_object():

@@ -1,18 +1,26 @@
+import math
+import time
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from suzuki_cd import stabilizers
+from suzuki_cd import numtheory, stabilizers
 from suzuki_cd.characters import (
+    TORUS_FAMILIES,
     CharacterLabel,
     Family,
     canonical_indices,
+    family_count,
     make_label,
+    multipliers_of,
     phi_power_on_label,
     torus_order_of,
     torus_value,
 )
 from suzuki_cd.cyclotomic import equals
 from suzuki_cd.errors import BudgetExceededError, InvariantError
+from suzuki_cd.numtheory import GcdCase
 from suzuki_cd.params import divisors_of, make_params
 from suzuki_cd.stabilizers import (
     _invariant,
@@ -192,6 +200,69 @@ def test_orbit_counts_past_enumeration_budget():
     assert y_hist == {1: 1, 23: (p.q2 + p.r) // 4 - 1}  # f == 3 (mod 4): a1/5 is invariant
 
 
+def inclusion_exclusion_histogram(p, family):
+    """The exact-exponent histogram by counting, the reference for orbit_counts.
+
+    The n-th automorphism power fixes the class of a nonzero index j of
+    Z/N iff 2^n j == m j for some multiplier m in M.  Each condition cuts
+    out the subgroup ker(2^n - m) of order gcd(N, 2^n - m), and subgroups
+    of a cyclic group meet in the subgroup of gcd order, so inclusion-
+    exclusion over the nonempty subsets of M counts their union; less the
+    index 0 and divided by |M|, that is the number of fixed classes
+    (Burnside).  Shares no code with the gcd lemmas orbit_counts reads.
+    """
+    if family not in TORUS_FAMILIES:
+        return {1: family_count(p, family)}
+    order = torus_order_of(p, family)
+    mult = sorted(multipliers_of(p, family))
+    subsets = [s for size in range(1, len(mult) + 1) for s in combinations(mult, size)]
+    exact = {}
+    for n in divisors_of(p.out_order):
+        two_n = pow(2, n, order)
+        union = sum(
+            (-1) ** (len(s) + 1) * math.gcd(order, *(two_n - m for m in s)) for s in subsets
+        )
+        assert (union - 1) % len(mult) == 0, (p.f, family, n)
+        exact[n] = (union - 1) // len(mult) - sum(c for k, c in exact.items() if n % k == 0)
+    return {n: c for n, c in exact.items() if c}
+
+
+def test_orbit_counts_match_inclusion_exclusion():
+    for f in [*range(1, 501), 30000]:
+        p = make_params(f)
+        for family in Family:
+            assert orbit_counts(p, family) == inclusion_exclusion_histogram(p, family), (f, family)
+
+
+def test_orbit_counts_near_f_max_agree_with_the_exception_table():
+    p = make_params(37537)  # 2f+1 = 75075 has 48 divisors
+    started = time.perf_counter()
+    hists = {family: orbit_counts(p, family) for family in TORUS_FAMILIES}
+    elapsed = time.perf_counter() - started
+    for family, counts in hists.items():
+        assert sum(counts.values()) == family_count(p, family), family
+        for n in divisors_of(p.out_order):
+            assert is_witnessless(p, family, n) == (n not in counts), (family, n)
+    assert elapsed < 0.5, elapsed  # inclusion-exclusion over these 75,000-bit gcds takes 2.3 s
+
+
+@pytest.mark.parametrize(
+    "gcds, message",
+    [
+        ({1: (2, 2), 3: (1, 1)}, "n=1: 2 fixed indices, not 4 per label"),
+        ({1: (1, 1), 3: (1, 9)}, "n=3: 2 labels, not whole orbits"),
+    ],
+    ids=["fixed-indices", "orbits"],
+)
+def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, message):
+    def gcd_torus(p, torus, n, sign):
+        return GcdCase(gcds[n][sign > 0], "none")
+
+    monkeypatch.setattr(numtheory, "gcd_torus", gcd_torus)
+    with pytest.raises(InvariantError, match=f"^f=4 Y {message}$"):
+        orbit_counts(make_params(4), Family.Y)
+
+
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
 def test_invariance_predicates_match_orbit_dynamics(f):
     p = make_params(f)
@@ -246,7 +317,7 @@ def test_witness_for_rejects_non_torus_families():
 @given(st.integers(min_value=1, max_value=500))
 def test_witnessless_table_matches_counting(f):
     # the exception table that witness_for and the closed form read,
-    # against the counting route, which shares no code with it
+    # against orbit_counts, which reads the gcd lemmas instead
     p = make_params(f)
     for family in (Family.X, Family.Y, Family.Z):
         counts = orbit_counts(p, family)
