@@ -12,9 +12,10 @@ Subcommands (``verify`` offers each scope the options of its sweeps)::
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
 usage error, 3 budget violation (f past params.F_MAX, oracle size cap,
 sweep size cap, gcd-table range cap or int->str digit limit), 4 I/O
-error.  ``cd`` renders each integer once, in output order, and only
-then counts orbits (cd_multiset), so an unprintable one refuses first;
-``gcd-table`` renders its closed-form column before any Euclid call.
+error.  ``cd`` renders each integer once, in output order, and counts
+each d's orbits (cd_multiset) only after rendering that d's integers, so
+an unprintable one refuses before that d counts; ``gcd-table`` renders
+its closed-form column before any Euclid call.
 ``cd`` counts when --multiplicities is given or f <= 4, and then prints
 ``verified_against_oracle: true``: the counted degrees agreed with the
 closed form, since a disagreement raises InvariantError and exits 1.
@@ -123,27 +124,24 @@ def _cmd_cd(args: argparse.Namespace) -> int:
     p = make_params(args.f)
     d_form = "an integer or 'all'"
     ds = divisors_of(p.out_order) if args.d == "all" else _ints("--d", d_form, args.d, [args.d])
-    specs = [ExtensionSpec(p, d) for d in ds]
-    # Render every integer that needs no counting first, in output order, so
-    # that one past the digit limit refuses before any orbit is counted.
     q2 = to_decimal(p.q2)
-    reports = []
-    for spec in specs:
+    counted = args.multiplicities or p.f <= 4
+    bodies: list = []  # one JSON payload or text block per d
+    for d in ds:
+        spec = ExtensionSpec(p, d)
+        # Render each d's integers before it counts, in output order, so that
+        # one past the digit limit refuses before that d's orbits are counted.
         header = None if args.json else (
-            f"# cd(G) for f={p.f}, d={spec.d} (q2={q2}, |G|={to_decimal(spec.order)})"
+            f"# cd(G) for f={p.f}, d={d} (q2={q2}, |G|={to_decimal(spec.order)})"
         )
         degrees = {deg: to_decimal(deg) for deg in sorted(cd_closed_form(spec))}
-        reports.append((spec, header, degrees))
-    counted = args.multiplicities or p.f <= 4
-    bodies: list = []  # one JSON payload or text block per report
-    for spec, header, degrees in reports:
         # cd_multiset raises unless its degrees are the closed form's
         mults = cd_multiset(spec) if counted else dict.fromkeys(degrees)
         rows = [(text, mults[deg]) for deg, text in degrees.items()]
         if args.json:
             bodies.append({
                 "f": p.f,
-                "d": spec.d,
+                "d": d,
                 "q2": q2,
                 "degrees": [{"degree": text, "multiplicity": mult} for text, mult in rows],
                 "verified_against_oracle": counted,

@@ -22,25 +22,17 @@ sums, each computed once per (n, exponent mod n, +-k) and kept in a
 bounded cache, since a sweep meets the same sums many times (k and -k
 give the same four exponents).
 
-The exact remainder mod Phi_n (:func:`phi_remainder`) is kept as the
-independent reference that the tests compare :func:`equals` against;
-it is budgeted to orders <= PHI_MAX_ORDER.  No floating point is
-involved anywhere.
-
-Only sums, negation and exact equality are provided; ring
-multiplication is not needed for character values and is deliberately
-left out, and equality has no congruence shortcut beside :func:`equals`.
+No floating point is involved anywhere.  Only sums, negation and exact
+equality are provided; ring multiplication is not needed for character
+values and is deliberately left out, and equality has no congruence
+shortcut beside :func:`equals`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvariantError, require_within
-from .params import Record, distinct_primes, divisors_of
-
-#: Largest order the Phi_n reference builds a dense polynomial for.
-PHI_MAX_ORDER = 10_000
+from .params import Record, distinct_primes
 
 
 class CyclotomicSum(Record):
@@ -203,67 +195,3 @@ def _quad_image(n: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
         quad[t] = quad.get(t, 0) + 1
     return _annihilate(quad, n)
 
-
-# --- The Phi_n reference: dense, budgeted, used only to check equals. ---
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic of degree phi(n).
-
-    Built by exact division: Phi_n = (x^n - 1) / prod of Phi_d over
-    proper divisors d of n.  The cost grows faster than n^2, so it refuses
-    n > PHI_MAX_ORDER ("Phi_n reference: order N is over its limit of 10000").
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    require_within("Phi_n reference: order", n, PHI_MAX_ORDER)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors_of(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-def phi_remainder(s: CyclotomicSum) -> tuple[int, ...]:
-    """The remainder of s, as a polynomial of degree < n, modulo Phi_n.
-
-    s is zero in Z[zeta_n] iff every entry is zero.  This is the dense
-    reference for :func:`equals`; past PHI_MAX_ORDER it refuses as
-    cyclotomic_polynomial does, before any work.
-    """
-    require_within("Phi_n reference: order", s.order, PHI_MAX_ORDER)
-    vec = [0] * s.order
-    for e, c in s.terms:
-        vec[e] = c
-    return tuple(_poly_rem(vec, cyclotomic_polynomial(s.order)))
-
-
-def _poly_rem(vec: list[int], den: tuple[int, ...]) -> list[int]:
-    """Remainder of vec modulo the monic polynomial den."""
-    r = list(vec)
-    dn = len(den) - 1
-    lower = [(kk - dn, d) for kk, d in enumerate(den[:dn]) if d]
-    for i in range(len(r) - 1, dn - 1, -1):
-        c = r[i]
-        if c:
-            r[i] = 0
-            for offset, d in lower:
-                r[i + offset] -= c * d
-    return r[:dn]
-
-
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Quotient num / den for monic den; the remainder must be zero."""
-    work = list(num)
-    dn = len(den) - 1
-    nonzero = [(kk, d) for kk, d in enumerate(den) if d]
-    out = [0] * (len(work) - dn)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + dn]
-        if c:
-            out[i] = c
-            for kk, d in nonzero:
-                work[i + kk] -= c * d
-    if any(work):
-        raise InvariantError("polynomial division was not exact")
-    return out

@@ -156,8 +156,9 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
     """Exact-exponent histogram {n: number of canonical labels}, from the gcd lemmas.
 
     Equals orbit_oracle(p, family) at every f.  F(k), the number of labels
-    the k-th automorphism power fixes (k | 2f+1), is the family count at
-    k = 2f+1, and for proper k:
+    the k-th automorphism power fixes (k | 2f+1), is (N - 1)/|M| at
+    k = 2f+1 (every nonzero index of the torus order N, in classes of
+    the |M| multipliers), and for proper k:
 
     - X: 2^(k-1) - 1, as +-1 fix the 2^k - 2 nonzero indices of
       ker(2^k - 1), since gcd(q^2-1, 2^k-1) = 2^k-1 and gcd(q^2-1, 2^k+1) = 1;
@@ -167,6 +168,8 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
 
     Labels fixed by the k-th power are those whose exact exponent divides k,
     so the count at n is F(n) less the counts at the proper divisors of n.
+    The counts must sum to family_count, an independent expression in q^2
+    and r.
     """
     from .numtheory import Torus, gcd_torus  # here, so that a cd that does not count skips it
 
@@ -177,7 +180,7 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
     exact: dict[int, int] = {}
     for n in divisors_of(p.out_order):
         if n == p.out_order:
-            fixed = total
+            fixed = (torus_order_of(p, family) - 1) // len(multipliers_of(p, family))
         elif family is Family.X:
             fixed = (1 << (n - 1)) - 1
         else:

@@ -194,12 +194,6 @@ def _gcd_worker(f: int) -> SweepReport:
                 == closed[n, "product", sign],
                 lambda: f"f={f} n={n} sign={sign}: torus gcds do not multiply to q4 gcd",
             )
-        # exactly one of 2f-n+1, 2f+n+1 is divisible by 4
-        _check(
-            report,
-            ((2 * f - n + 1) % 4 == 0) != ((2 * f + n + 1) % 4 == 0),
-            lambda: f"f={f} n={n}: 4-divisibility split violated",
-        )
         for torus in Torus:
             nontrivial = sum(1 for sign in (-1, 1) if euclid[n, torus.value, sign] > 1)
             _check(

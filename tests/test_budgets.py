@@ -7,7 +7,6 @@ import pytest
 from suzuki_cd import BudgetExceededError, ExtensionSpec, Family, make_params
 from suzuki_cd.characters import canonical_indices
 from suzuki_cd.cli import _parse_f_range
-from suzuki_cd.cyclotomic import cyclotomic_polynomial, phi_remainder, root_power_sum
 from suzuki_cd.degrees import cd_oracle
 from suzuki_cd.errors import require_within
 from suzuki_cd.stabilizers import orbit_oracle
@@ -38,14 +37,6 @@ CAPS = {
     "cd_oracle": (
         lambda: cd_oracle(ExtensionSpec(make_params(11), 23)),
         "orbit enumeration: f 11 is over its limit of 10",
-    ),
-    "cyclotomic_polynomial": (
-        lambda: cyclotomic_polynomial(10001),
-        "Phi_n reference: order 10001 is over its limit of 10000",
-    ),
-    "phi_remainder": (
-        lambda: phi_remainder(root_power_sum(10001, [1], [1])),
-        "Phi_n reference: order 10001 is over its limit of 10000",
     ),
     "verify_gcd_closed_forms": (
         lambda: verify_gcd_closed_forms(2401), "--f-max 2401 is over its limit of 2400"

@@ -263,6 +263,22 @@ def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, mes
         orbit_counts(make_params(4), Family.Y)
 
 
+def test_orbit_counts_refuse_a_family_count_the_torus_order_does_not_give(monkeypatch):
+    # F(2f+1) comes from the torus order, so a wrong family count cannot
+    # absorb the difference: f = 4 Y is {1: 1, 9: 135}, not {1: 1, 9: 144}
+    p = make_params(4)
+    assert orbit_counts(p, Family.Y) == {1: 1, 9: 135}
+
+    def family_count(p, family):
+        return (p.q2 + p.r) // 4 + p.out_order
+
+    monkeypatch.setattr(stabilizers, "family_count", family_count)
+    with pytest.raises(
+        InvariantError, match="^f=4 Y: exponent counts do not sum to the family count$"
+    ):
+        orbit_counts(p, Family.Y)
+
+
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5])
 def test_invariance_predicates_match_orbit_dynamics(f):
     p = make_params(f)

@@ -82,7 +82,7 @@ def test_gcd_failure_messages(monkeypatch):
     checks = verify_gcd_closed_forms(f_max=2).checks
     monkeypatch.setattr(verification, "euclid_gcd", wrong_once)
     report = verify_gcd_closed_forms(f_max=2)
-    assert report.checks == checks == 314
+    assert report.checks == checks == 312
     assert report.failures == [
         "f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1",
         "two-power gcd n=6 m=1 signs=(1,1): 1 != 5",
