@@ -37,7 +37,10 @@ the gcd lemmas (orbit_counts, every accepted f), the only route the
 command line and cd_multiset use.  An independent brute-force oracle
 (orbit_oracle) enumerates the index-doubling dynamics of the family
 instead; it runs only in the verification sweeps and tests, and is
-budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  Per-label
+budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  It jumps to
+each unvisited start with bytearray.find, walks the start's doubling
+orbit until it comes back into the start's class, then marks the rest
+of the class along it, keeping one flag per pair {y, N - y}.  Per-label
 queries have no budget.
 """
 
@@ -220,27 +223,45 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
         return ((1, family_count(p, family)),)
     order = torus_order_of(p, family)
     mult = sorted(multipliers_of(p, family))
-    visited = bytearray(order)
+    if [order - m for m in reversed(mult)] != mult:
+        raise InvariantError(
+            f"f={f} {family.value}: the multipliers are not closed under negation"
+        )
+    # Each class is closed under negation and N is odd, so one flag per pair
+    # {y, N - y}, kept at its lower member y <= N // 2, stands for both; on
+    # those members doubling is 2y, folded to N - 2y when past N // 2.
+    half = order // 2
+    low_mult = mult[: len(mult) // 2]  # the m <= N // 2, m = 1 first
+    visited = bytearray(half + 1)
+    visited[0] = 1
     counts: dict[int, int] = {}
-    for start in range(1, order):
-        if visited[start]:
-            continue
-        start_class = frozenset(start * m % order for m in mult)
-        j = start
-        length = 0
-        while True:
-            for m in mult:
-                visited[j * m % order] = 1
-            j = 2 * j % order
+    start = visited.find(0)
+    while start != -1:
+        # the pairs of the start's class, heads[0] the start's own
+        heads = [start * m % order for m in low_mult]
+        heads = [h if h <= half else order - h for h in heads]
+        j, length = start, 0
+        while True:  # the start's doubling orbit, until it comes back into the class
+            visited[j] = 1
             length += 1
-            if j in start_class:
+            j *= 2
+            if j > half:
+                j = order - j
+            if j in heads:
                 break
+        for j in heads[1:]:  # then that orbit times each other multiplier
+            for _ in range(length):
+                visited[j] = 1
+                j *= 2
+                if j > half:
+                    j = order - j
         if p.out_order % length:
             raise InvariantError(
                 f"f={f} {family.value}: a doubling orbit of length {length} "
                 "does not divide 2f+1"
             )
         counts[length] = counts.get(length, 0) + length
+        start = visited.find(0, start + 1)
     if sum(counts.values()) != family_count(p, family):
         raise InvariantError(
             f"f={f} {family.value}: enumerated labels do not sum to the family count"

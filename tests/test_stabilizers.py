@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -191,6 +192,68 @@ def test_orbit_counts_match_oracle(f):
     p = make_params(f)
     for family in Family:
         assert orbit_counts(p, family) == orbit_oracle(p, family), (f, family)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_orbit_oracle_matches_per_label_exponents(f):
+    # label by label through phi_power_on_label, sharing none of the
+    # oracle's bookkeeping (start scan, pair flags, marking)
+    p = make_params(f)
+    for family in TORUS_FAMILIES:
+        naive = Counter(
+            exact_stabilizer_exponent(p, make_label(p, family, i))
+            for i in canonical_indices(p, family)
+        )
+        assert orbit_oracle(p, family) == dict(naive), (f, family)
+
+
+@pytest.fixture
+def fresh_orbit_cache():
+    """Keeps a faked histogram out of the oracle's unbounded cache."""
+    stabilizers._orbit_histogram.cache_clear()
+    yield
+    stabilizers._orbit_histogram.cache_clear()
+
+
+def test_orbit_oracle_refuses_a_wrong_family_count(monkeypatch, fresh_orbit_cache):
+    p = make_params(4)
+    assert orbit_oracle(p, Family.Y) == {1: 1, 9: 135}
+    stabilizers._orbit_histogram.cache_clear()
+
+    def family_count(p, family):
+        return (p.q2 + p.r) // 4 + p.out_order
+
+    monkeypatch.setattr(stabilizers, "family_count", family_count)
+    with pytest.raises(
+        InvariantError, match="^f=4 Y: enumerated labels do not sum to the family count$"
+    ):
+        orbit_oracle(p, Family.Y)
+
+
+def test_orbit_oracle_refuses_multipliers_not_closed_under_negation(
+    monkeypatch, fresh_orbit_cache
+):
+    def multipliers_of(p, family):
+        return frozenset(m for m in multipliers_of_real(p, family) if m != p.a0 - 1)
+
+    multipliers_of_real = stabilizers.multipliers_of
+    monkeypatch.setattr(stabilizers, "multipliers_of", multipliers_of)
+    with pytest.raises(
+        InvariantError, match="^f=2 X: the multipliers are not closed under negation$"
+    ):
+        orbit_oracle(make_params(2), Family.X)
+
+
+def test_orbit_oracle_refuses_an_orbit_length_not_dividing_2f_plus_1(
+    monkeypatch, fresh_orbit_cache
+):
+    # f = 2's X torus (order 15) swapped for Z/7, where doubling has order 3
+    monkeypatch.setattr(stabilizers, "torus_order_of", lambda p, family: 7)
+    monkeypatch.setattr(stabilizers, "multipliers_of", lambda p, family: frozenset((1, 6)))
+    with pytest.raises(
+        InvariantError, match="^f=2 X: a doubling orbit of length 3 does not divide 2f\\+1$"
+    ):
+        orbit_oracle(make_params(2), Family.X)
 
 
 def test_orbit_counts_past_enumeration_budget():
