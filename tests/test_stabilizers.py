@@ -233,10 +233,11 @@ def test_orbit_oracle_refuses_a_wrong_family_count(monkeypatch, fresh_orbit_cach
 def test_orbit_oracle_refuses_multipliers_not_closed_under_negation(
     monkeypatch, fresh_orbit_cache
 ):
-    def multipliers_of(p, family):
-        return frozenset(m for m in multipliers_of_real(p, family) if m != p.a0 - 1)
+    real_multipliers_of = stabilizers.multipliers_of
 
-    multipliers_of_real = stabilizers.multipliers_of
+    def multipliers_of(p, family):  # X's multipliers {1, N - 1} lose N - 1
+        return frozenset(m for m in real_multipliers_of(p, family) if m != p.a0 - 1)
+
     monkeypatch.setattr(stabilizers, "multipliers_of", multipliers_of)
     with pytest.raises(
         InvariantError, match="^f=2 X: the multipliers are not closed under negation$"
