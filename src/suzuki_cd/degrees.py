@@ -43,7 +43,7 @@ from collections.abc import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
 from .errors import InvariantError
-from .params import Record, SuzukiParams, distinct_primes, divisors_of
+from .params import Record, SuzukiParams, divisors_of
 from .stabilizers import is_witnessless, orbit_counts, orbit_oracle
 
 
@@ -166,7 +166,7 @@ def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:
     cardinality = len(cd_closed_form(spec))
     if p.f <= 1 or spec.d <= 1:
         return CorollaryReport(p.f, spec.d, False, cardinality, None, None)
-    required = 7 if distinct_primes(spec.d) == (spec.d,) else 9
+    required = 7 if len(divisors_of(spec.d)) == 2 else 9  # d prime: divisors 1 and d
     return CorollaryReport(
         p.f, spec.d, True, cardinality, required, cardinality >= required
     )

@@ -209,16 +209,14 @@ def gcd_closed_form_rows(p: SuzukiParams) -> list[tuple[int, str, int, GcdCase]]
 
 
 def gcd_verification_rows(
-    p: SuzukiParams, closed_forms: list[tuple[int, str, int, GcdCase]] | None = None
+    p: SuzukiParams, closed_forms: list[tuple[int, str, int, GcdCase]]
 ) -> list[tuple[int, str, int, GcdCase, int]]:
     """Closed form vs Euclid for every (n, torus, sign) at this f.
 
-    Extends each row of ``closed_forms`` (by default gcd_closed_form_rows(p))
-    to ``(n, torus, sign, case, euclid)``: ``case`` is the closed form and
+    Extends each row of ``closed_forms``, gcd_closed_form_rows(p), to
+    ``(n, torus, sign, case, euclid)``: ``case`` is the closed form and
     ``euclid`` the oracle's gcd of the same pair.
     """
-    if closed_forms is None:
-        closed_forms = gcd_closed_form_rows(p)
     rows = []
     for n, torus_name, sign, case in closed_forms:
         left = p.q4 + 1 if torus_name == "product" else torus_order(p, Torus(torus_name))

@@ -25,12 +25,13 @@ Y        f == 1, 2 (4)     f == 0, 3 (4)
 Z        f == 0, 3 (4)     f == 1, 2 (4)
 =======  ================  ================
 
-Every other n dividing 2f+1 has a witness.  The n = 3 exceptions
-happen because the gcds at exponents 3 and 1 coincide (see
-coincidence_classify): anything fixed by the cube of the automorphism
-is already fixed by the automorphism itself.  They apply even at f = 1
-where n = 3 is all of 2f+1; the lone Z class of Sz(8) is invariant, so
-nothing there has exact exponent 3.
+Every other n dividing 2f+1 has a witness, from one gcd construction
+that covers n = 2f+1 too: there the multiplier q^2 gives gcd N, so the
+witness is 1.  The n = 3 exceptions happen because the gcds at
+exponents 3 and 1 coincide (see coincidence_classify): anything fixed
+by the cube of the automorphism is already fixed by the automorphism
+itself.  They apply even at f = 1 where n = 3 is all of 2f+1; the lone
+Z class of Sz(8) is invariant, so nothing there has exact exponent 3.
 
 The histogram of exact exponents over a whole family is derived from
 the gcd lemmas (orbit_counts, every accepted f), the only route the
@@ -68,18 +69,13 @@ def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
     """A canonical index of the family whose exact stabilizer exponent is
     n, or None when no label of the family has exact exponent n.
 
-    For proper n outside the exception table exactly one multiplier m
-    makes gcd(N, 2^n - m) nontrivial (N the torus order); the witness is
-    N divided by that gcd.  For X this is (q^2-1)/(2^n-1).
+    For n outside the exception table exactly one multiplier m makes
+    gcd(N, 2^n - m) nontrivial (N the torus order); the witness is N
+    divided by that gcd.  For X this is (q^2-1)/(2^n-1); at n = 2f+1,
+    where 2^n = q^2 is a multiplier mod N, the gcd is N and the witness 1.
     """
-    # The exception table outranks the n = 2f+1 shortcut: at f = 1 the
-    # divisor n = 3 is 2f+1 itself, yet the single Z class is already
-    # invariant under the automorphism (a2 = 5 divides q^2 + 2 = 10),
-    # so nothing has exact exponent 3 there.
     if is_witnessless(p, family, n):
         return None
-    if n == p.out_order:
-        return 1
     order = torus_order_of(p, family)
     two_n = pow(2, n, order)
     gcds = [math.gcd(order, two_n - m) for m in multipliers_of(p, family)]

@@ -21,7 +21,7 @@ import sys
 from collections.abc import Callable
 from math import gcd as _math_gcd
 
-from .characters import ORACLE_F_MAX, Family, canonicalize, family_count, make_label
+from .characters import ORACLE_F_MAX, Family, family_count, make_label, torus_order_of
 from .cyclotomic import quad_sum_equivalence
 from .degrees import (
     ExtensionSpec,
@@ -35,11 +35,18 @@ from .numtheory import (
     Torus,
     coincidence_classify,
     euclid_gcd,
+    gcd_closed_form_rows,
     gcd_two_powers,
     gcd_verification_rows,
 )
 from .params import divisors_of, make_params
-from .stabilizers import exact_stabilizer_exponent, orbit_counts, orbit_oracle, witness_for
+from .stabilizers import (
+    exact_stabilizer_exponent,
+    is_witnessless,
+    orbit_counts,
+    orbit_oracle,
+    witness_for,
+)
 
 DEFAULT_SEED = 20160414
 # Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
@@ -120,8 +127,9 @@ def verify_quad_identity(
 
 
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
-    """The witness constructor and the derived orbit histograms agree with
-    exhaustive orbit enumeration, including every exceptional (witnessless) branch."""
+    """Witnesses and derived orbit histograms agree with exhaustive orbit
+    enumeration at every exponent, witnessless ones too; the invariant label
+    is N/5, the n = 1 witness of the Y or Z that is_witnessless gives one."""
     _require_size("--f-max", f_max, 1, ORACLE_F_MAX)
     return _merge("stabilizer-witnesses", _map_ordered(_stabilizer_worker, range(1, f_max + 1), jobs))
 
@@ -172,7 +180,7 @@ def _gcd_worker(f: int) -> SweepReport:
     # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid
     closed: dict[tuple[int, str, int], int] = {}
     euclid: dict[tuple[int, str, int], int] = {}
-    for n, torus_name, sign, case, actual in gcd_verification_rows(p):
+    for n, torus_name, sign, case, actual in gcd_verification_rows(p, gcd_closed_form_rows(p)):
         closed[n, torus_name, sign] = case.value
         euclid[n, torus_name, sign] = actual
         _check(
@@ -285,6 +293,7 @@ def _stabilizer_worker(f: int) -> SweepReport:
     report = SweepReport("")
     p = make_params(f)
     divisors = divisors_of(p.out_order)
+    witnesses = {}
     for family in (Family.X, Family.Y, Family.Z):
         hist = orbit_oracle(p, family)
         counted = orbit_counts(p, family)
@@ -294,7 +303,7 @@ def _stabilizer_worker(f: int) -> SweepReport:
             lambda: f"f={f} {family.value}: orbit_counts {counted} != orbit_oracle {hist}",
         )
         for n in divisors:
-            w = witness_for(p, family, n)
+            w = witnesses[family, n] = witness_for(p, family, n)
             oracle_has = hist.get(n, 0) > 0
             _check(
                 report,
@@ -322,25 +331,12 @@ def _stabilizer_worker(f: int) -> SweepReport:
                     lambda: f"f={f} n={n}: torus order {order} vs q^2{sign:+d}*2^n: "
                     f"divides={divides}",
                 )
-    # the automorphism-invariant labels promised on the 5-divisible side
-    if f % 4 in (0, 3):
-        _check(report, p.a1 % 5 == 0, lambda: f"f={f}: expected 5 | a1")
-        j = canonicalize(p, Family.Y, p.a1 // 5)
-        _check(
-            report,
-            j == p.a1 // 5
-            and exact_stabilizer_exponent(p, make_label(p, Family.Y, j)) == 1,
-            lambda: f"f={f}: Y index a1/5={p.a1 // 5} is not invariant",
-        )
-    else:
-        _check(report, p.a2 % 5 == 0, lambda: f"f={f}: expected 5 | a2")
-        k = canonicalize(p, Family.Z, p.a2 // 5)
-        _check(
-            report,
-            k == p.a2 // 5
-            and exact_stabilizer_exponent(p, make_label(p, Family.Z, k)) == 1,
-            lambda: f"f={f}: Z index a2/5={p.a2 // 5} is not invariant",
-        )
+    # the invariant label: the Y or Z that the exception table gives one has
+    # 5 | N, and its n = 1 witness (exponent checked above) is N/5
+    family = Family.Z if is_witnessless(p, Family.Y, 1) else Family.Y
+    order, w = torus_order_of(p, family), witnesses[family, 1]
+    _check(report, order % 5 == 0, lambda: f"f={f}: expected 5 | {family.value} order {order}")
+    _check(report, w == order // 5, lambda: f"f={f} {family.value}: n=1 witness {w} != {order}/5")
     return report
 
 

@@ -541,7 +541,7 @@ def test_gcd_table_cap_bounds_ranges_only():
 def test_gcd_table_range_past_F_MAX_is_refused_before_any_row(capsys, monkeypatch):
     from suzuki_cd import numtheory
 
-    def rows(p):
+    def rows(p, closed_forms):
         raise AssertionError(f"computed the rows of f={p.f}")
 
     monkeypatch.setattr(numtheory, "gcd_verification_rows", rows)

@@ -8,6 +8,7 @@ from suzuki_cd.numtheory import (
     Torus,
     coincidence_classify,
     euclid_gcd,
+    gcd_closed_form_rows,
     gcd_q4_plus1,
     gcd_torus,
     gcd_two_powers,
@@ -236,7 +237,7 @@ def test_coincidence_preconditions():
 def test_gcd_verification_rows_all_match():
     for f in (1, 4, 7, 12):
         p = make_params(f)
-        rows = gcd_verification_rows(p)
+        rows = gcd_verification_rows(p, gcd_closed_form_rows(p))
         proper = divisors_of(p.out_order)[:-1]
         assert [row[:3] for row in rows] == [
             (n, torus, sign)

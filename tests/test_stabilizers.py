@@ -44,6 +44,13 @@ def checked_witness(p, family, n):
     return w
 
 
+def assert_full_power_witness(p, family):
+    """witness_for at n = 2f+1 is 1, unless the exception table says none."""
+    n = p.out_order
+    expected = None if is_witnessless(p, family, n) else 1
+    assert witness_for(p, family, n) == expected, (p.f, family)
+
+
 def test_x_invariant_examples():
     p4 = make_params(4)
     assert invariant(p4, Family.X, 73, 3)  # 511 | 7 * 73
@@ -307,6 +314,7 @@ def test_orbit_counts_near_f_max_agree_with_the_exception_table():
         assert sum(counts.values()) == family_count(p, family), family
         for n in divisors_of(p.out_order):
             assert is_witnessless(p, family, n) == (n not in counts), (family, n)
+        assert_full_power_witness(p, family)
     assert elapsed < 0.5, elapsed  # inclusion-exclusion over these 75,000-bit gcds takes 2.3 s
 
 
@@ -403,6 +411,7 @@ def test_witnessless_table_matches_counting(f):
         counts = orbit_counts(p, family)
         for n in divisors_of(p.out_order):
             assert is_witnessless(p, family, n) == (counts.get(n, 0) == 0), (f, family, n)
+        assert_full_power_witness(p, family)
 
 
 def test_is_witnessless_rejects_bad_input():

@@ -1,5 +1,6 @@
 import pytest
 
+from suzuki_cd.characters import Family
 from suzuki_cd.errors import BudgetExceededError
 from suzuki_cd.verification import (
     verify_class_counts,
@@ -93,6 +94,39 @@ def test_gcd_failure_messages(monkeypatch):
 def test_stabilizer_sweep():
     report = verify_stabilizer_witnesses(6)
     assert report.passed, report.failures[:3]
+
+
+def fake_at_f4(real, fake):
+    """real, except that at f = 4 it answers fake(real, p, family, n)."""
+    return lambda p, family, n: fake(real, p, family, n) if p.f == 4 else real(p, family, n)
+
+
+@pytest.mark.parametrize(
+    "name, fake, failures",
+    [
+        # a wrong n = 1 witness on the 5-divisible family (Y at f = 4, a1 = 545)
+        (
+            "witness_for",
+            lambda real, p, family, n: 1 if (family, n) == (Family.Y, 1) else real(p, family, n),
+            ["f=4 Y n=1: witness 1 has exponent 9", "f=4 Y: n=1 witness 1 != 545/5"],
+        ),
+        # a flipped exception table sends the check to Z, whose a2 = 481 has no 5
+        (
+            "is_witnessless",
+            lambda real, p, family, n: not real(p, family, n),
+            ["f=4: expected 5 | Z order 481", "f=4 Z: n=1 witness None != 481/5"],
+        ),
+    ],
+    ids=["witness", "table"],
+)
+def test_stabilizer_sweep_reports_a_wrong_invariant_label(monkeypatch, name, fake, failures):
+    from suzuki_cd import verification
+
+    checks = verify_stabilizer_witnesses(4).checks
+    monkeypatch.setattr(verification, name, fake_at_f4(getattr(verification, name), fake))
+    report = verify_stabilizer_witnesses(4)
+    assert report.checks == checks == 84
+    assert report.failures == failures
 
 
 def test_degree_set_sweep():
