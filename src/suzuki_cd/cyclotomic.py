@@ -18,9 +18,11 @@ refuses an order it cannot factor quickly, so no call can hang.
 Multiplication by Q is linear, so a == b iff a * Q == b * Q term for
 term.  :func:`equals` tests the image of a - b for zero;
 :func:`quad_sum_equivalence` compares the images of the two four-root
-sums, each computed once per (n, exponent mod n, +-k) and kept in a
-bounded cache, since a sweep meets the same sums many times (k and -k
-give the same four exponents).
+sums.  Q itself, the image of 1, is computed once per order, and the
+image of zeta^t1 + ... + zeta^t4 is the sum of Q shifted by each t: one
+pass over 4 * 2^omega(n) terms, with no factoring.  Each image is kept
+in a bounded cache per (n, exponent mod n, +-k), since a sweep meets
+the same sums many times (k and -k give the same four exponents).
 
 No floating point is involved anywhere.  Only sums, negation and exact
 equality are provided; ring multiplication is not needed for character
@@ -181,17 +183,28 @@ def quad_sum_equivalence(
     return identity, congruence
 
 
+@lru_cache(maxsize=8)
+def _annihilator(n: int) -> tuple[tuple[int, int], ...]:
+    """The terms of prod_{p | n} (x^(n/p) - 1) modulo x^n - 1."""
+    return _annihilate({0: 1}, n)
+
+
 # One entry per (n, +-k, exponent): k is the lesser of k and n - k, whose
-# four-root sums coincide.  Bounded, yet larger than the n distinct
-# exponents e that a sweep over one (n, +-k) can ask for while n <= 256;
-# an entry costs about 2 KB.
-@lru_cache(maxsize=256)
-def _quad_image(n: int, e: int, k: int) -> tuple[tuple[int, int], ...]:
-    """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek)."""
-    # terms summed directly: a sweep calls this too often to build a CyclotomicSum
-    quad: dict[int, int] = {}
+# four-root sums coincide.  Bounded, yet at least the n distinct exponents
+# e that a sweep over one (n, +-k) can ask for at every n <= 1024; an entry
+# of up to 32 terms costs 0.3 to 2 KB, so a full cache stays under 2 MB.
+@lru_cache(maxsize=1024)
+def _quad_image(n: int, e: int, k: int) -> dict[int, int]:
+    """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek),
+    as its nonzero terms {exponent: coefficient}; callers only compare it."""
+    # by linearity, the sum of the annihilator shifted by each of the four exponents
+    q = _annihilator(n)
+    out: dict[int, int] = {}
     for t in (e, -e, e * k, -e * k):
         t %= n
-        quad[t] = quad.get(t, 0) + 1
-    return _annihilate(quad, n)
-
+        for s, c in q:
+            s += t
+            if s >= n:
+                s -= n
+            out[s] = out.get(s, 0) + c
+    return {s: c for s, c in out.items() if c}

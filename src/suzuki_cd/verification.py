@@ -53,10 +53,9 @@ DEFAULT_SEED = 20160414
 # medians of 3 runs, each in a fresh interpreter; runs swing by a quarter).
 # The gcd and class-count sweeps and the corollary-b sweep grow
 # superlinearly in f_max: 1.8 s and 2.0 s at their limits.  The quad sweep
-# grows with n_max * samples and, per check, with n (past n = 256 one
-# (n, +-k) block asks for more images than the _quad_image cache holds), so
-# its slowest accepted pair is n_max 1000 with samples 200: 1.8 s, where
-# samples 250 took 2.5 s and 600 took 4.4 s.  ORACLE_F_MAX caps the two
+# grows with n_max * samples and, per check, with n, so its slowest
+# accepted pair is n_max 1000 with samples 200: 1.0 s (median of 5), where
+# samples 250 took 1.1 s and 600 took 1.5 s.  ORACLE_F_MAX caps the two
 # sweeps that enumerate orbits: stabilizers 1.1 s and theorem-a 1.0 s at
 # f_max 10, about three quarters of it orbit_oracle at f = 9 and 10.
 LEMMAS_F_MAX_LIMIT = 2400
@@ -121,7 +120,9 @@ def verify_quad_identity(
     _require_size("--samples", samples, 0)
     require_within(f"--n-max {n_max} * --samples {samples} =", n_max * samples, SAMPLED_PAIRS_LIMIT)
     items = [
-        (n, samples, seed) for n in range(1, n_max + 1) if _roots_of_minus_one(n)
+        (n, roots, samples, seed)
+        for n in range(1, n_max + 1)
+        if (roots := _roots_of_minus_one(n))
     ]
     return _merge("quad-identity", _map_ordered(_quad_worker, items, jobs))
 
@@ -263,10 +264,9 @@ def _two_power_table_checks() -> SweepReport:
     return report
 
 
-def _quad_worker(args: tuple[int, int, int]) -> SweepReport:
-    n, samples, seed = args
+def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
+    n, roots, samples, seed = args
     report = SweepReport("")
-    roots = _roots_of_minus_one(n)
     rng = random.Random(seed * 1000003 + n)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
     for k in roots:

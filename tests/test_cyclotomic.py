@@ -6,8 +6,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from phi_reference import cyclotomic_polynomial, phi_remainder
+from suzuki_cd import cyclotomic, verification
 from suzuki_cd.cyclotomic import (
     CyclotomicSum,
+    _annihilate,
     _quad_image,
     equals,
     quad_sum_equivalence,
@@ -269,6 +271,38 @@ def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
     info = _quad_image.cache_info()
     assert info.hits > 0
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 65, 130, 290, 1105])
+def test_quad_image_is_the_annihilated_four_root_sum(n):
+    # the annihilator shifted by each exponent, against the per-prime pass
+    # over the four-term sum itself
+    for k in sqrt_minus_one(n):
+        for e in range(n):
+            quad = {}
+            for t in (e, -e, e * k, -e * k):
+                quad[t % n] = quad.get(t % n, 0) + 1
+            assert _quad_image(n, e, k) == dict(_annihilate(quad, n)), (n, k, e)
+
+
+def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
+    # 997 is a prime 1 mod 4, so its roots of -1 are one +-k block; the
+    # cache holds the block whole, so the sweep computes each image once
+    n = 997
+    roots = sqrt_minus_one(n)
+    cached, keys = _quad_image, []
+
+    def recording(*key):
+        keys.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(cyclotomic, "_quad_image", recording)
+    cached.cache_clear()
+    report = verification._quad_worker((n, roots, 200, verification.DEFAULT_SEED))
+    assert report.passed and report.checks > 0
+    info = cached.cache_info()
+    assert info.maxsize >= verification.N_MAX_LIMIT
+    assert info.misses == len(set(keys)) < len(keys)
 
 
 def test_sum_negation_arithmetic():

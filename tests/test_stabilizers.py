@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 from collections import Counter
@@ -296,6 +297,27 @@ def inclusion_exclusion_histogram(p, family):
         assert (union - 1) % len(mult) == 0, (p.f, family, n)
         exact[n] = (union - 1) // len(mult) - sum(c for k, c in exact.items() if n % k == 0)
     return {n: c for n, c in exact.items() if c}
+
+
+@pytest.mark.parametrize("f", [9, 10])
+def test_orbit_oracle_matches_inclusion_exclusion_where_only_it_enumerates(f, monkeypatch):
+    # Past the per-label test's f <= 4, and past what the sweeps' other
+    # routes enumerate, orbit_oracle is the only enumeration.  Every closed
+    # form fails if reached, and the cache is emptied so the enumeration
+    # reruns: an oracle that read the derived route would compare it with
+    # itself in `verify stabilizers` and `verify theorem-a`.
+    def closed_form(*args):
+        raise AssertionError("orbit_oracle reached a closed form")
+
+    for name in ("orbit_counts", "witness_for", "is_witnessless"):
+        monkeypatch.setattr(stabilizers, name, closed_form)
+    for name, fn in list(vars(numtheory).items()):
+        if inspect.isfunction(fn) and fn.__module__ == numtheory.__name__:
+            monkeypatch.setattr(numtheory, name, closed_form)
+    stabilizers._orbit_histogram.cache_clear()
+    p = make_params(f)
+    for family in TORUS_FAMILIES:
+        assert orbit_oracle(p, family) == inclusion_exclusion_histogram(p, family), (f, family)
 
 
 def test_orbit_counts_match_inclusion_exclusion():

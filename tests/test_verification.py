@@ -145,6 +145,14 @@ def test_parallel_jobs_agree_with_serial():
     assert (serial.checks, serial.failures) == (parallel.checks, parallel.failures)
 
 
+def test_quad_sweep_items_with_their_roots_run_in_the_pool():
+    # each item carries its roots of -1, so it must still pickle for --jobs 2
+    serial = verify_quad_identity(60, 20, jobs=1)
+    parallel = verify_quad_identity(60, 20, jobs=2)
+    assert serial.checks > 0
+    assert (serial.checks, serial.failures) == (parallel.checks, parallel.failures)
+
+
 def test_summary_wording():
     report = verify_class_counts(4)
     assert report.summary().startswith("class-counts: ")
