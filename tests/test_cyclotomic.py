@@ -279,9 +279,7 @@ def test_quad_image_is_the_annihilated_four_root_sum(n):
     # over the four-term sum itself
     for k in sqrt_minus_one(n):
         for e in range(n):
-            quad = {}
-            for t in (e, -e, e * k, -e * k):
-                quad[t % n] = quad.get(t % n, 0) + 1
+            quad = dict(fresh_quad(n, e, k).terms)
             assert _quad_image(n, e, k) == dict(_annihilate(quad, n)), (n, k, e)
 
 

@@ -143,10 +143,7 @@ def test_parallel_jobs_agree_with_serial():
     serial = verify_degree_sets(4, jobs=1)
     parallel = verify_degree_sets(4, jobs=2)
     assert (serial.checks, serial.failures) == (parallel.checks, parallel.failures)
-
-
-def test_quad_sweep_items_with_their_roots_run_in_the_pool():
-    # each item carries its roots of -1, so it must still pickle for --jobs 2
+    # the quad sweep's items carry their roots of -1, and must still pickle
     serial = verify_quad_identity(60, 20, jobs=1)
     parallel = verify_quad_identity(60, 20, jobs=2)
     assert serial.checks > 0
