@@ -25,17 +25,19 @@ Y        f == 1, 2 (4)     f == 0, 3 (4)
 Z        f == 0, 3 (4)     f == 1, 2 (4)
 =======  ================  ================
 
-Every other n dividing 2f+1 has a witness, from one gcd construction
-that covers n = 2f+1 too: there the multiplier q^2 gives gcd N, so the
-witness is 1.  The n = 3 exceptions happen because the gcds at
-exponents 3 and 1 coincide (see coincidence_classify): anything fixed
-by the cube of the automorphism is already fixed by the automorphism
-itself.  They apply even at f = 1 where n = 3 is all of 2f+1; the lone
-Z class of Sz(8) is invariant, so nothing there has exact exponent 3.
+Every other n dividing 2f+1 has a witness.  The n = 3 exceptions
+happen because the gcds at exponents 3 and 1 coincide (see
+coincidence_classify): anything fixed by the cube of the automorphism is
+already fixed by the automorphism itself.  They apply even at f = 1
+where n = 3 is all of 2f+1; the lone Z class of Sz(8) is invariant, so
+nothing there has exact exponent 3.
 
-The histogram of exact exponents over a whole family is derived from
-the gcd lemmas (orbit_counts, every accepted f), the only route the
-command line and cd_multiset use.  An independent brute-force oracle
+witness_for and orbit_counts read one route to the gcd lemmas,
+_kernel_orders: for each n the orders of the two kernels that can fix
+a nonzero index.  The witness generates the nontrivial one, and the
+histogram of exact exponents over a whole family (orbit_counts, every
+accepted f) counts their union; it is the only route the command line
+and cd_multiset use.  An independent brute-force oracle
 (orbit_oracle) enumerates the index-doubling dynamics of the family
 instead; it runs only in the verification sweeps and tests, and is
 budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  It jumps to
@@ -47,7 +49,6 @@ queries have no budget.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 from .characters import (
@@ -69,23 +70,19 @@ def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
     """A canonical index of the family whose exact stabilizer exponent is
     n, or None when no label of the family has exact exponent n.
 
-    For n outside the exception table exactly one multiplier m makes
-    gcd(N, 2^n - m) nontrivial (N the torus order); the witness is N
-    divided by that gcd.  For X this is (q^2-1)/(2^n-1); at n = 2f+1,
-    where 2^n = q^2 is a multiplier mod N, the gcd is N and the witness 1.
+    The witness is N/g, g the one nontrivial kernel order of
+    _kernel_orders (N the torus order).  It is canonical: its class is
+    {(N/g)(m mod g)} over the multipliers m, units mod g, so m = 1 gives
+    the least member.
     """
     if is_witnessless(p, family, n):
         return None
-    order = torus_order_of(p, family)
-    two_n = pow(2, n, order)
-    gcds = [math.gcd(order, two_n - m) for m in multipliers_of(p, family)]
-    nontrivial = [g for g in gcds if g > 1]
+    nontrivial = [g for g in _kernel_orders(p, family, n) if g > 1]
     if len(nontrivial) != 1:
         raise InvariantError(
-            f"f={p.f} {family.value} n={n}: {len(nontrivial)} multipliers give "
-            f"a nontrivial gcd, expected exactly 1"
+            f"f={p.f} {family.value} n={n}: {len(nontrivial)} nontrivial kernels, expected 1"
         )
-    return canonicalize(p, family, order // nontrivial[0])
+    return torus_order_of(p, family) // nontrivial[0]
 
 
 def is_witnessless(p: SuzukiParams, family: Family, n: int) -> bool:
@@ -151,45 +148,56 @@ def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
             return length
 
 
+def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:
+    """(g-, g+): the orders of the only kernels ker(2^n - m), m a multiplier,
+    that can hold a nonzero index of the torus family, from the gcd lemmas.
+
+    - n = 2f+1: 2^n = q^2 is itself a multiplier mod the torus order N,
+      so the pair is (N, 1);
+    - X: m = +-1, g-+ = gcd(q^2-1, 2^n -+ 1) = gcd_two_powers(2f+1, n, -1, -+1),
+      which is 2^n - 1 and 1;
+    - Y, Z: m = +-q^2, g-+ = gcd(N, q^2 -+ 2^n) = gcd_torus(p, torus, n, -+1);
+      m = +-1 fix no nonzero index, since gcd(q^4+1, 2^n -+ 1) = 1.
+
+    The two kernels meet only in 0 (N is odd), so the n-th automorphism
+    power fixes g- + g+ - 2 nonzero indices, which the |M| multipliers
+    permute freely: F(n) = (g- + g+ - 2)/|M| labels.  Where a label of
+    exact exponent n exists, exactly one of g-, g+ is nontrivial.
+    """
+    # here, so that a cd that does not count skips it
+    from .numtheory import Torus, gcd_torus, gcd_two_powers
+
+    if n == p.out_order:
+        return torus_order_of(p, family), 1
+    if family is Family.X:
+        return gcd_two_powers(p.out_order, n, -1, -1), gcd_two_powers(p.out_order, n, -1, +1)
+    torus = Torus.PLUS if family is Family.Y else Torus.MINUS
+    return gcd_torus(p, torus, n, -1).value, gcd_torus(p, torus, n, +1).value
+
+
 def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
     """Exact-exponent histogram {n: number of canonical labels}, from the gcd lemmas.
 
     Equals orbit_oracle(p, family) at every f.  F(k), the number of labels
-    the k-th automorphism power fixes (k | 2f+1), is (N - 1)/|M| at
-    k = 2f+1 (every nonzero index of the torus order N, in classes of
-    the |M| multipliers), and for proper k:
-
-    - X: 2^(k-1) - 1, as +-1 fix the 2^k - 2 nonzero indices of
-      ker(2^k - 1), since gcd(q^2-1, 2^k-1) = 2^k-1 and gcd(q^2-1, 2^k+1) = 1;
-    - Y, Z: (g- + g+ - 2)/4, g+- = gcd_torus(p, torus, k, +-1) the orders of
-      the kernels of q^2 -+ 2^k, which meet only in 0 (N is odd); +-1 fix no
-      nonzero index, since gcd(q^4+1, 2^k-+1) = 1.
-
+    the k-th automorphism power fixes (k | 2f+1), comes from _kernel_orders.
     Labels fixed by the k-th power are those whose exact exponent divides k,
     so the count at n is F(n) less the counts at the proper divisors of n.
     The counts must sum to family_count, an independent expression in q^2
     and r.
     """
-    from .numtheory import Torus, gcd_torus  # here, so that a cd that does not count skips it
-
     total = family_count(p, family)
     if family not in TORUS_FAMILIES:
         return {1: total}
-    torus = Torus.PLUS if family is Family.Y else Torus.MINUS
+    per_label = len(multipliers_of(p, family))
     exact: dict[int, int] = {}
     for n in divisors_of(p.out_order):
-        if n == p.out_order:
-            fixed = (torus_order_of(p, family) - 1) // len(multipliers_of(p, family))
-        elif family is Family.X:
-            fixed = (1 << (n - 1)) - 1
-        else:
-            nonzero = gcd_torus(p, torus, n, -1).value + gcd_torus(p, torus, n, +1).value - 2
-            if nonzero % 4:  # the four multipliers permute the fixed indices freely
-                raise InvariantError(
-                    f"f={p.f} {family.value} n={n}: {nonzero} fixed indices, not 4 per label"
-                )
-            fixed = nonzero // 4
-        count = fixed - sum(c for k, c in exact.items() if n % k == 0)
+        nonzero = sum(_kernel_orders(p, family, n)) - 2
+        if nonzero % per_label:  # the multipliers permute the fixed indices freely
+            raise InvariantError(
+                f"f={p.f} {family.value} n={n}: {nonzero} fixed indices, "
+                f"not {per_label} per label"
+            )
+        count = nonzero // per_label - sum(c for k, c in exact.items() if n % k == 0)
         if count < 0 or count % n:  # labels of exact exponent n fill n-orbits
             raise InvariantError(f"f={p.f} {family.value} n={n}: {count} labels, not whole orbits")
         exact[n] = count

@@ -10,15 +10,33 @@
 - ``f % 4`` (a name ``f`` or an attribute ``.f`` modulo 4) is taken only
   by numtheory.coincidence_classify and stabilizers.is_witnessless, the
   one home of theorem A's f mod 4 exceptions.
+- The oracles share no code with the closed forms they check: no oracle
+  of ORACLE_LIMITS reaches, through the call graph, a function its
+  limits name.
 """
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
 F_MOD_4_HOMES = {"numtheory.coincidence_classify", "stabilizers.is_witnessless"}
+
+# oracle -> patterns of the closed forms it checks, which it must not reach
+CLOSED_FORMS = (
+    "numtheory.*",
+    "stabilizers.orbit_counts",
+    "stabilizers.witness_for",
+    "stabilizers.is_witnessless",
+)
+ORACLE_LIMITS = {
+    "stabilizers.orbit_oracle": CLOSED_FORMS,
+    "stabilizers.exact_stabilizer_exponent": CLOSED_FORMS,
+    "degrees.cd_oracle": (*CLOSED_FORMS, "degrees.cd_closed_form"),
+    "numtheory.euclid_gcd": ("numtheory.gcd_*",),
+}
 
 
 def imported(node: ast.AST) -> list[str]:
@@ -57,6 +75,69 @@ def homes(tree: ast.Module, module: str, hit):
                 yield node.lineno, home
 
 
+def bindings(nodes, module: str) -> dict[str, str]:
+    """Name -> "module.name" for each def, class and ``from .x import y`` among nodes."""
+    bound = {}
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound[node.name] = f"{module}.{node.name}"
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = ".".join(filter(None, (node.module, alias.name)))
+    return bound
+
+
+def call_graph(src: Path) -> dict[str, set[str]]:
+    """"module.name" of each top-level def or class -> the "module.name"s it names.
+
+    A name resolves through its module's defs and ``from .x import y``,
+    also an import inside the def, and on through x when x only imports y;
+    ``x.attr`` of a module bound by ``from . import x`` resolves to "x.attr".
+    """
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.rglob("*.py")}
+    scopes = {module: bindings(tree.body, module) for module, tree in trees.items()}
+
+    def resolve(target: str) -> str:
+        module, _, name = target.partition(".")
+        home = scopes.get(module, {}).get(name, target)
+        return target if home == target else resolve(home)
+
+    graph = {}
+    for module, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inner = [node for node in ast.walk(top) if isinstance(node, ast.ImportFrom)]
+            names = scopes[module] | bindings(inner, module)
+            reached = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in names:
+                    reached.add(resolve(names[node.id]))
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if names.get(node.value.id) in trees:
+                        reached.add(resolve(f"{names[node.value.id]}.{node.attr}"))
+            graph[f"{module}.{top.name}"] = reached
+    return graph
+
+
+def oracle_breaks(src: Path) -> list[str]:
+    graph = call_graph(src)
+    breaks = []
+    for oracle, limits in ORACLE_LIMITS.items():
+        seen, todo = set(), [oracle]
+        while todo:
+            for name in graph.get(todo.pop(), ()):
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+        breaks += [
+            f"{oracle} reaches {name}"
+            for name in sorted(seen)
+            if any(fnmatch(name, limit) for limit in limits)
+        ]
+    return breaks
+
+
 def rule_breaks(src: Path) -> list[str]:
     hits = []
     for path in sorted(src.rglob("*.py")):
@@ -76,11 +157,12 @@ def rule_breaks(src: Path) -> list[str]:
         for line, home in homes(tree, path.stem, takes_f_mod_4):
             if home not in F_MOD_4_HOMES:
                 hits.append(f"{where}:{line}: f % 4 taken in {home}")
-    return hits
+    return hits + oracle_breaks(src)
 
 
 def test_library_source_keeps_its_rules():
     assert rule_breaks(SRC) == []
+    assert ORACLE_LIMITS.keys() <= call_graph(SRC).keys()
 
 
 def test_f_mod_4_outside_its_homes_is_a_rule_break(tmp_path):
@@ -93,4 +175,28 @@ def test_f_mod_4_outside_its_homes_is_a_rule_break(tmp_path):
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "verification.py:2: f % 4 taken in verification._stabilizer_worker",
+    ]
+
+
+def test_an_oracle_that_reaches_a_closed_form_is_a_rule_break(tmp_path):
+    # orbit_oracle hands f > 8 to orbit_counts, which imports a gcd lemma
+    # inside its body; cd_oracle reaches both through a module attribute
+    (tmp_path / "numtheory.py").write_text(
+        "def gcd_torus(p):\n    return 1\n\n\ndef euclid_gcd(a, b):\n    return a\n"
+    )
+    (tmp_path / "characters.py").write_text("def family_count(p):\n    return 1\n")
+    (tmp_path / "stabilizers.py").write_text(
+        "from .characters import family_count\n\n\n"
+        "def orbit_counts(p):\n    from .numtheory import gcd_torus\n\n    return gcd_torus(p)\n\n\n"
+        "def orbit_oracle(p):\n    return orbit_counts(p) if p.f > 8 else family_count(p)\n"
+    )
+    (tmp_path / "degrees.py").write_text(
+        "from . import stabilizers\n\n\n"
+        "def cd_oracle(spec):\n    return stabilizers.orbit_oracle(spec.params)\n"
+    )
+    assert rule_breaks(tmp_path) == [
+        "stabilizers.orbit_oracle reaches numtheory.gcd_torus",
+        "stabilizers.orbit_oracle reaches stabilizers.orbit_counts",
+        "degrees.cd_oracle reaches numtheory.gcd_torus",
+        "degrees.cd_oracle reaches stabilizers.orbit_counts",
     ]

@@ -13,6 +13,7 @@ from suzuki_cd.characters import (
     CharacterLabel,
     Family,
     canonical_indices,
+    canonicalize,
     family_count,
     make_label,
     multipliers_of,
@@ -355,6 +356,52 @@ def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, mes
     monkeypatch.setattr(numtheory, "gcd_torus", gcd_torus)
     with pytest.raises(InvariantError, match=f"^f=4 Y {message}$"):
         orbit_counts(make_params(4), Family.Y)
+
+
+def test_orbit_counts_refuse_an_x_kernel_order_that_splits_a_label(monkeypatch):
+    # 2^n in place of gcd(q^2-1, 2^n-1) = 2^n-1: at n = 1 the kernels hold
+    # 2 + 1 - 2 = 1 nonzero index, not whole pairs {i, -i}
+    def gcd_two_powers(n, m, sign_n, sign_m):
+        return 1 << m if sign_m < 0 else 1
+
+    monkeypatch.setattr(numtheory, "gcd_two_powers", gcd_two_powers)
+    with pytest.raises(InvariantError, match="^f=4 X n=1: 1 fixed indices, not 2 per label$"):
+        orbit_counts(make_params(4), Family.X)
+
+
+def test_witness_for_refuses_two_nontrivial_kernels(monkeypatch):
+    p = make_params(4)
+    assert not is_witnessless(p, Family.Y, 1)
+    monkeypatch.setattr(numtheory, "gcd_torus", lambda p, torus, n, sign: GcdCase(5, "none"))
+    with pytest.raises(InvariantError, match="^f=4 Y n=1: 2 nontrivial kernels, expected 1$"):
+        witness_for(p, Family.Y, 1)
+
+
+def direct_witness(p, family, n):
+    """The witness from one gcd per multiplier, a reference that reads no gcd lemma.
+
+    The canonical representative of N // gcd(N, 2^n - m), for the one
+    multiplier m whose gcd with the torus order N is nontrivial.
+    """
+    if is_witnessless(p, family, n):
+        return None
+    order = torus_order_of(p, family)
+    two_n = pow(2, n, order)
+    gcds = [math.gcd(order, two_n - m) for m in multipliers_of(p, family)]
+    nontrivial = [g for g in gcds if g > 1]
+    assert len(nontrivial) == 1, (p.f, family, n, gcds)
+    return canonicalize(p, family, order // nontrivial[0])
+
+
+def test_witness_for_matches_the_direct_gcd_route():
+    # past enumeration's f <= 10; 2f+1 = 2015 = 5 * 13 * 31 has 8 divisors
+    for f in [*range(1, 301), 1007]:
+        p = make_params(f)
+        for family in TORUS_FAMILIES:
+            for n in divisors_of(p.out_order):
+                w = witness_for(p, family, n)
+                assert w == direct_witness(p, family, n), (f, family, n)
+                assert w is None or canonicalize(p, family, w) == w, (f, family, n)
 
 
 def test_orbit_counts_refuse_a_family_count_the_torus_order_does_not_give(monkeypatch):
