@@ -10,19 +10,18 @@ primes p of n of (x^(n/p) - 1).  Over Q, Z[x]/(x^n - 1) embeds in the
 product of the fields Q(zeta_d) over the divisors d of n.  Q vanishes at
 zeta_d for every proper divisor d (some p has d | n/p), while at a
 primitive n-th root each factor is zeta_p - 1 != 0.  So P(zeta) = 0 iff
-P * Q == 0 in Z[x]/(x^n - 1): one sparse shift-and-subtract pass per
-prime of n, at most t * 2^omega(n) terms for a t-term sum.  Only the
-primes of n are needed, and :func:`~suzuki_cd.params.distinct_primes`
-refuses an order it cannot factor quickly, so no call can hang.
+P * Q == 0 in Z[x]/(x^n - 1).  Only the primes of n are needed, and
+:func:`~suzuki_cd.params.distinct_primes` refuses an order it cannot
+factor quickly, so no call can hang.
 
 Multiplication by Q is linear, so a == b iff a * Q == b * Q term for
-term.  :func:`equals` tests the image of a - b for zero;
-:func:`quad_sum_equivalence` compares the images of the two four-root
-sums.  Q itself, the image of 1, is computed once per order, and the
-image of zeta^t1 + ... + zeta^t4 is the sum of Q shifted by each t: one
-pass over 4 * 2^omega(n) terms, with no factoring.  Each image is kept
-in a bounded cache per (n, exponent mod n, +-k), since a sweep meets
-the same sums many times (k and -k give the same four exponents).
+term.  Q itself is built once per order, and the image of a t-term sum
+is the sum of Q shifted by each of its exponents and scaled by its
+coefficient: one pass over t * 2^omega(n) terms, with no factoring.
+:func:`equals` compares the images of a and b;
+:func:`quad_sum_equivalence` compares those of the two four-root sums,
+each kept in a bounded cache per (n, exponent mod n, +-k), since a sweep
+meets the same sums many times (k and -k give the same four exponents).
 
 No floating point is involved anywhere.  Only sums, negation and exact
 equality are provided; ring multiplication is not needed for character
@@ -107,41 +106,15 @@ def root_power_sum(
 def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
     """True iff a and b are the same element of Z[zeta_n].
 
-    Multiplies a - b by the prime-binomial annihilator
-    prod_{p | n} (x^(n/p) - 1) modulo x^n - 1 and tests for zero (see
-    the module docstring).  Raises BudgetExceededError if the order
-    cannot be factored below the trial-division bound.
+    Compares the images of a and b under multiplication by the
+    prime-binomial annihilator prod_{p | n} (x^(n/p) - 1) modulo
+    x^n - 1 (see the module docstring); identical terms are equal
+    without factoring n.  Raises BudgetExceededError if the order cannot
+    be factored below the trial-division bound.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    poly = dict(a.terms)
-    for e, c in b.terms:
-        poly[e] = poly.get(e, 0) - c
-    poly = {e: c for e, c in poly.items() if c}
-    return not _annihilate(poly, a.order)
-
-
-def _annihilate(poly: dict[int, int], n: int) -> tuple[tuple[int, int], ...]:
-    """The sorted nonzero terms of poly * prod_{p | n} (x^(n/p) - 1)
-    modulo x^n - 1, for poly with nonzero coefficients only.
-
-    The map is linear and its kernel is exactly the sums that vanish at
-    a primitive n-th root, so two sums are equal iff their images are.
-    A zero poly maps to () without factoring n.
-    """
-    if not poly:
-        return ()
-    for p in distinct_primes(n):
-        shift = n // p
-        out: dict[int, int] = {}
-        for e, c in poly.items():
-            up = e + shift
-            if up >= n:
-                up -= n
-            out[up] = out.get(up, 0) + c
-            out[e] = out.get(e, 0) - c
-        poly = {e: c for e, c in out.items() if c}
-    return tuple(sorted(poly.items()))
+    return a.terms == b.terms or _image(a.terms, a.order) == _image(b.terms, a.order)
 
 
 def quad_sum_equivalence(
@@ -185,8 +158,28 @@ def quad_sum_equivalence(
 
 @lru_cache(maxsize=8)
 def _annihilator(n: int) -> tuple[tuple[int, int], ...]:
-    """The terms of prod_{p | n} (x^(n/p) - 1) modulo x^n - 1."""
-    return _annihilate({0: 1}, n)
+    """The sorted terms of prod_{p | n} (x^(n/p) - 1) modulo x^n - 1."""
+    # no two terms meet: a sum of distinct n/p is nonzero mod p^a (p^a || n)
+    # exactly for the p it contains, so the 2^omega(n) exponents differ mod n
+    q = [(0, 1)]
+    for p in distinct_primes(n):
+        q = [((e + n // p) % n, c) for e, c in q] + [(e, -c) for e, c in q]
+    return tuple(sorted(q))
+
+
+def _image(terms: tuple[tuple[int, int], ...], n: int) -> dict[int, int]:
+    """The nonzero terms {exponent: coefficient} of the sum of c * zeta^t
+    over the (t, c) in terms, t in [0, n), times the annihilator: the sum
+    of c times the annihilator shifted by t.  Callers only compare it."""
+    q = _annihilator(n)
+    out: dict[int, int] = {}
+    for t, c in terms:
+        for s, d in q:
+            s += t
+            if s >= n:
+                s -= n
+            out[s] = out.get(s, 0) + c * d
+    return {s: c for s, c in out.items() if c}
 
 
 # One entry per (n, +-k, exponent): k is the lesser of k and n - k, whose
@@ -195,16 +188,5 @@ def _annihilator(n: int) -> tuple[tuple[int, int], ...]:
 # of up to 32 terms costs 0.3 to 2 KB, so a full cache stays under 2 MB.
 @lru_cache(maxsize=1024)
 def _quad_image(n: int, e: int, k: int) -> dict[int, int]:
-    """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek),
-    as its nonzero terms {exponent: coefficient}; callers only compare it."""
-    # by linearity, the sum of the annihilator shifted by each of the four exponents
-    q = _annihilator(n)
-    out: dict[int, int] = {}
-    for t in (e, -e, e * k, -e * k):
-        t %= n
-        for s, c in q:
-            s += t
-            if s >= n:
-                s -= n
-            out[s] = out.get(s, 0) + c
-    return {s: c for s, c in out.items() if c}
+    """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek)."""
+    return _image(tuple((t % n, 1) for t in (e, -e, e * k, -e * k)), n)

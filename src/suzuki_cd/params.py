@@ -9,7 +9,6 @@ Python ints, so arithmetic stays exact; f runs from 1 to F_MAX.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import attrgetter
 
 from .errors import BudgetExceededError, require_within
@@ -132,7 +131,6 @@ def divisors_of(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=1024)
 def distinct_primes(n: int) -> tuple[int, ...]:
     """The distinct primes dividing n >= 1, ascending, by trial division.
 

@@ -1,15 +1,51 @@
-"""The dense reference for cyclotomic equality: Phi_n and the remainder mod Phi_n.
+"""Dense references for cyclotomic equality, sharing no code with the library.
 
 A sum s of n-th roots of unity is zero in Z[zeta_n] iff its remainder
-modulo Phi_n is zero.  The library decides equality by the sparse
-annihilator instead (suzuki_cd.cyclotomic.equals); the tests compare it
-against this route, which shares none of its code.  There is no size
-cap: the tests choose their orders, the largest 8321.
+modulo Phi_n is zero; :func:`phi_remainder` decides equality that way.
+The library instead compares images under multiplication by the
+annihilator prod_{p | n} (x^(n/p) - 1) modulo x^n - 1, built sparsely
+(suzuki_cd.cyclotomic); :func:`annihilated` computes the same image by
+dense cyclic convolution, with the primes of n read off divisors_of.
+The tests compare the library against both.  There is no size cap: the
+tests choose their orders, the largest 8321.
 """
 
 from functools import lru_cache
 
 from suzuki_cd.params import divisors_of
+
+
+def cyclic_product(u, v):
+    """The product of two coefficient vectors of length n modulo x^n - 1."""
+    n = len(u)
+    out = [0] * n
+    right = [(j, b) for j, b in enumerate(v) if b]
+    for i, a in enumerate(u):
+        if a:
+            for j, b in right:
+                out[(i + j) % n] += a * b
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def annihilator_vector(n):
+    """Coefficients of prod over the primes p of n of (x^(n/p) - 1) modulo
+    x^n - 1, as a vector of length n."""
+    out = (1,) + (0,) * (n - 1)
+    for p in divisors_of(n)[1:]:
+        if divisors_of(p) == [1, p]:
+            binomial = [0] * n
+            binomial[0], binomial[n // p] = -1, 1
+            out = cyclic_product(out, binomial)
+    return out
+
+
+def annihilated(s):
+    """The coefficient vector of the CyclotomicSum s times the annihilator."""
+    vec = [0] * s.order
+    for e, c in s.terms:
+        vec[e] = c
+    return cyclic_product(vec, annihilator_vector(s.order))
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from phi_reference import cyclotomic_polynomial, phi_remainder
+from phi_reference import annihilated, annihilator_vector, cyclotomic_polynomial, phi_remainder
 from suzuki_cd import cyclotomic, verification
 from suzuki_cd.cyclotomic import (
     CyclotomicSum,
-    _annihilate,
+    _annihilator,
+    _image,
     _quad_image,
     equals,
     quad_sum_equivalence,
@@ -32,6 +33,11 @@ def dense_sum(n, coeffs):
 def oracle_equals(a, b):
     """Equality by the dense remainder of a - b modulo Phi_n."""
     return not any(phi_remainder(a - b))
+
+
+def sparse(vec):
+    """The nonzero entries of a coefficient vector, ascending exponent."""
+    return tuple((e, c) for e, c in enumerate(vec) if c)
 
 
 def test_known_polynomials():
@@ -275,12 +281,12 @@ def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 65, 130, 290, 1105])
 def test_quad_image_is_the_annihilated_four_root_sum(n):
-    # the annihilator shifted by each exponent, against the per-prime pass
-    # over the four-term sum itself
-    for k in sqrt_minus_one(n):
+    # against the dense cyclic convolution of the four-term sum with the
+    # annihilator; k and -k share their images, so each pair is tested once
+    for k in (k for k in sqrt_minus_one(n) if k <= n - k):
         for e in range(n):
-            quad = dict(fresh_quad(n, e, k).terms)
-            assert _quad_image(n, e, k) == dict(_annihilate(quad, n)), (n, k, e)
+            expected = dict(sparse(annihilated(fresh_quad(n, e, k))))
+            assert _quad_image(n, e, k) == expected, (n, k, e)
 
 
 def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
@@ -318,6 +324,23 @@ def test_sum_negation_arithmetic():
 # 1155 = 3.5.7.11 and 2310 = 2.3.5.7.11 (four or five distinct primes);
 # the slower reference at 8321 = 53.157 runs only in the fixed test.
 LARGE_ORDERS = (210, 1155, 2187, 2310, 4096)
+ANNIHILATOR_ORDERS = tuple(range(1, 301)) + LARGE_ORDERS
+
+
+def test_annihilator_matches_the_dense_product():
+    for n in ANNIHILATOR_ORDERS:
+        assert _annihilator(n) == sparse(annihilator_vector(n)), n
+
+
+def test_image_matches_the_dense_product():
+    # seeded sums of up to six roots with coefficients other than +-1, and
+    # the empty sum, at every order of the annihilator test
+    for n in ANNIHILATOR_ORDERS:
+        rng = random.Random(n)
+        for size in (0, 1, 3, 6):
+            exponents = sorted(rng.sample(range(n), min(size, n)))
+            s = CyclotomicSum(n, tuple((e, rng.choice((-3, -2, -1, 1, 2, 3))) for e in exponents))
+            assert _image(s.terms, n) == dict(sparse(annihilated(s))), (n, s.terms)
 
 
 @settings(max_examples=120, deadline=None)

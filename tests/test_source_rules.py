@@ -10,6 +10,8 @@
 - ``f % 4`` (a name ``f`` or an attribute ``.f`` modulo 4) is taken only
   by numtheory.coincidence_classify and stabilizers.is_witnessless, the
   one home of theorem A's f mod 4 exceptions.
+- ``distinct_primes`` is called only by cyclotomic._annihilator, the one
+  per-prime pass, which builds the annihilator every equality test uses.
 - The oracles share no code with the closed forms they check: no oracle
   of ORACLE_LIMITS reaches, through the call graph, a function its
   limits name.
@@ -23,6 +25,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
 F_MOD_4_HOMES = {"numtheory.coincidence_classify", "stabilizers.is_witnessless"}
+DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
 
 # oracle -> patterns of the closed forms it checks, which it must not reach
 CLOSED_FORMS = (
@@ -64,6 +67,10 @@ def takes_f_mod_4(node: ast.AST) -> bool:
         and name_of(node.left) == "f"
         and getattr(node.right, "value", None) == 4
     )
+
+
+def calls_distinct_primes(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and name_of(node.func) == "distinct_primes"
 
 
 def homes(tree: ast.Module, module: str, hit):
@@ -157,6 +164,9 @@ def rule_breaks(src: Path) -> list[str]:
         for line, home in homes(tree, path.stem, takes_f_mod_4):
             if home not in F_MOD_4_HOMES:
                 hits.append(f"{where}:{line}: f % 4 taken in {home}")
+        for line, home in homes(tree, path.stem, calls_distinct_primes):
+            if home not in DISTINCT_PRIMES_HOMES:
+                hits.append(f"{where}:{line}: distinct_primes called in {home}")
     return hits + oracle_breaks(src)
 
 
@@ -176,6 +186,15 @@ def test_f_mod_4_outside_its_homes_is_a_rule_break(tmp_path):
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "verification.py:2: f % 4 taken in verification._stabilizer_worker",
     ]
+
+
+def test_distinct_primes_outside_its_home_is_a_rule_break(tmp_path):
+    (tmp_path / "cyclotomic.py").write_text(
+        "from . import params\nfrom .params import distinct_primes\n\n\n"
+        "def _annihilator(n):\n    return distinct_primes(n)\n\n\n"
+        "def equals(a, b):\n    return params.distinct_primes(a.order)\n"
+    )
+    assert rule_breaks(tmp_path) == ["cyclotomic.py:10: distinct_primes called in cyclotomic.equals"]
 
 
 def test_an_oracle_that_reaches_a_closed_form_is_a_rule_break(tmp_path):
