@@ -1,4 +1,7 @@
-"""Dense references for cyclotomic equality, sharing no code with the library.
+"""Dense references for cyclotomic equality.
+
+They share no code with the annihilator route of the library; the only
+library function they use is params.divisors_of.
 
 A sum s of n-th roots of unity is zero in Z[zeta_n] iff its remainder
 modulo Phi_n is zero; :func:`phi_remainder` decides equality that way.

@@ -282,11 +282,15 @@ def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 65, 130, 290, 1105])
 def test_quad_image_is_the_annihilated_four_root_sum(n):
     # against the dense cyclic convolution of the four-term sum with the
-    # annihilator; k and -k share their images, so each pair is tested once
-    for k in (k for k in sqrt_minus_one(n) if k <= n - k):
+    # annihilator, for every root k; k and -k give the same four-term sum,
+    # so the reference is built once per pair
+    references = {}
+    for k in sqrt_minus_one(n):
         for e in range(n):
-            expected = dict(sparse(annihilated(fresh_quad(n, e, k))))
-            assert _quad_image(n, e, k) == expected, (n, k, e)
+            key = (min(k, n - k), e)
+            if key not in references:
+                references[key] = dict(sparse(annihilated(fresh_quad(n, e, k))))
+            assert _quad_image(n, e, k) == references[key], (n, k, e)
 
 
 def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
