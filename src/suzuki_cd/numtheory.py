@@ -69,34 +69,21 @@ def torus_order(p: SuzukiParams, torus: Torus) -> int:
     return p.a1 if torus is Torus.PLUS else p.a2
 
 
-def gcd_two_powers(n: int, m: int, sign_n: int, sign_m: int) -> int:
-    """gcd(2^n + sign_n, 2^m + sign_m) for m | n, in closed form.
+def gcd_two_powers(n: int, m: int, sign: int) -> int:
+    """gcd(2^n - 1, 2^m + sign) for m | n, in closed form.
 
-    With base 2 the four sign combinations give:
-
-    ==========  =======================================
-    signs       value
-    ==========  =======================================
-    (-1, -1)    2^m - 1
-    (-1, +1)    2^m + 1 if n/m is even, else 1
-    (+1, -1)    1
-    (+1, +1)    2^m + 1 if n/m is odd, else 1
-    ==========  =======================================
+    It is 2^m - 1 for sign -1, since 2^m - 1 divides 2^n - 1.  For
+    sign +1 it is 2^m + 1 if n/m is even, else 1: modulo the odd 2^m + 1,
+    2^n is (-1)^(n/m), so 2^n - 1 is 0 or -2.
     """
-    _require_sign(sign_n)
-    _require_sign(sign_m)
+    _require_sign(sign)
     if n < 1 or m < 1:
         raise ValueError(f"need positive exponents, got n={n}, m={m}")
     if n % m != 0:
         raise ValueError(f"m must divide n, got n={n}, m={m}")
-    ratio_odd = (n // m) % 2 == 1
-    if sign_n < 0 and sign_m < 0:
+    if sign < 0:
         return (1 << m) - 1
-    if sign_n < 0 and sign_m > 0:
-        return 1 if ratio_odd else (1 << m) + 1
-    if sign_n > 0 and sign_m < 0:
-        return 1
-    return (1 << m) + 1 if ratio_odd else 1
+    return (1 << m) + 1 if (n // m) % 2 == 0 else 1
 
 
 def gcd_q4_plus1(p: SuzukiParams, n: int, sign: int) -> GcdCase:

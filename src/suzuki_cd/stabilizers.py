@@ -154,7 +154,7 @@ def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:
 
     - n = 2f+1: 2^n = q^2 is itself a multiplier mod the torus order N,
       so the pair is (N, 1);
-    - X: m = +-1, g-+ = gcd(q^2-1, 2^n -+ 1) = gcd_two_powers(2f+1, n, -1, -+1),
+    - X: m = +-1, g-+ = gcd(q^2-1, 2^n -+ 1) = gcd_two_powers(2f+1, n, -+1),
       which is 2^n - 1 and 1;
     - Y, Z: m = +-q^2, g-+ = gcd(N, q^2 -+ 2^n) = gcd_torus(p, torus, n, -+1);
       m = +-1 fix no nonzero index, since gcd(q^4+1, 2^n -+ 1) = 1.
@@ -170,7 +170,7 @@ def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:
     if n == p.out_order:
         return torus_order_of(p, family), 1
     if family is Family.X:
-        return gcd_two_powers(p.out_order, n, -1, -1), gcd_two_powers(p.out_order, n, -1, +1)
+        return gcd_two_powers(p.out_order, n, -1), gcd_two_powers(p.out_order, n, +1)
     torus = Torus.PLUS if family is Family.Y else Torus.MINUS
     return gcd_torus(p, torus, n, -1).value, gcd_torus(p, torus, n, +1).value
 

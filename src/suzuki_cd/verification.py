@@ -86,10 +86,13 @@ class SweepReport:
 
 def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
     """Every closed-form gcd equals Euclid, and collisions between
-    exponents happen exactly where the classifier says they do."""
+    exponents happen exactly where the classifier says they do.
+
+    Every check is per f, so all grow with f_max: the torus and q^4+1
+    rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1) at the arguments
+    stabilizers._kernel_orders passes to gcd_two_powers."""
     _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
-    reports = _map_ordered(_gcd_worker, range(1, f_max + 1), jobs)
-    return _merge("gcd-closed-forms", reports + [_two_power_table_checks()])
+    return _merge("gcd-closed-forms", _map_ordered(_gcd_worker, range(1, f_max + 1), jobs))
 
 
 def verify_class_counts(f_max: int = 64) -> SweepReport:
@@ -179,10 +182,8 @@ def _gcd_worker(f: int) -> SweepReport:
     report = SweepReport("")
     p = make_params(f)
     # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid
-    closed: dict[tuple[int, str, int], int] = {}
     euclid: dict[tuple[int, str, int], int] = {}
     for n, torus_name, sign, case, actual in gcd_verification_rows(p, gcd_closed_form_rows(p)):
-        closed[n, torus_name, sign] = case.value
         euclid[n, torus_name, sign] = actual
         _check(
             report,
@@ -198,11 +199,14 @@ def _gcd_worker(f: int) -> SweepReport:
                 euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1,
                 lambda: f"f={f} n={n} sign={sign}: gcd(q^4+1, 2^n{sign:+d}) != 1",
             )
+            # the X kernel orders of stabilizers._kernel_orders
+            closed = gcd_two_powers(p.out_order, n, sign)
+            actual = euclid_gcd(p.a0, (1 << n) + sign)
             _check(
                 report,
-                euclid[n, "plus", sign] * euclid[n, "minus", sign]
-                == closed[n, "product", sign],
-                lambda: f"f={f} n={n} sign={sign}: torus gcds do not multiply to q4 gcd",
+                closed == actual,
+                lambda: f"f={f} n={n} sign={sign}: gcd(q^2-1, 2^n{sign:+d}) "
+                f"closed {closed} != euclid {actual}",
             )
         for torus in Torus:
             nontrivial = sum(1 for sign in (-1, 1) if euclid[n, torus.value, sign] > 1)
@@ -244,23 +248,6 @@ def _gcd_worker(f: int) -> SweepReport:
                                 d1 == d2 == 5,
                                 lambda: f"f={f} collision with d1={d1}, d2={d2} != 5",
                             )
-    return report
-
-
-def _two_power_table_checks() -> SweepReport:
-    report = SweepReport("")
-    for m in range(1, 13):
-        for n in range(m, 25, m):
-            for sign_n in (-1, 1):
-                for sign_m in (-1, 1):
-                    closed = gcd_two_powers(n, m, sign_n, sign_m)
-                    actual = euclid_gcd((1 << n) + sign_n, (1 << m) + sign_m)
-                    _check(
-                        report,
-                        closed == actual,
-                        lambda: f"two-power gcd n={n} m={m} signs=({sign_n},{sign_m}): "
-                        f"{closed} != {actual}",
-                    )
     return report
 
 

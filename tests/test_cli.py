@@ -380,7 +380,7 @@ def test_gcd_table_io_error(tmp_path, capsys):
 def test_verify_lemmas_check_counts_pinned(capsys):
     code, out, _ = run(capsys, "verify", "lemmas")
     assert code == 0
-    assert out == "gcd-closed-forms: 2445 checks, ok\nclass-counts: 384 checks, ok\n"
+    assert out == "gcd-closed-forms: 2157 checks, ok\nclass-counts: 384 checks, ok\n"
 
 
 def test_verify_exit_zero(capsys):

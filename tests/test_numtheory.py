@@ -39,39 +39,32 @@ def test_euclid_matches_math_gcd(a, b):
 
 
 @pytest.mark.parametrize(
-    "n,m,sn,sm,expected",
+    "n,m,sign,expected",
     [
-        (6, 3, -1, -1, 7),
-        (6, 3, -1, +1, 9),
-        (6, 2, +1, +1, 5),
-        (9, 3, +1, -1, 1),
-        (6, 2, -1, +1, 1),
-        (9, 3, +1, +1, 9),
-        (4, 2, +1, +1, 1),
+        (6, 3, -1, 7),
+        (6, 3, +1, 9),
+        (6, 2, +1, 1),
     ],
 )
-def test_gcd_two_powers_examples(n, m, sn, sm, expected):
-    assert gcd_two_powers(n, m, sn, sm) == expected
-    assert expected == math.gcd(2**n + sn, 2**m + sm)
+def test_gcd_two_powers_examples(n, m, sign, expected):
+    assert gcd_two_powers(n, m, sign) == expected
+    assert expected == math.gcd(2**n - 1, 2**m + sign)
 
 
 def test_gcd_two_powers_exhaustive_small():
     for m in range(1, 11):
         for n in range(m, 31, m):
-            for sn in (-1, 1):
-                for sm in (-1, 1):
-                    assert gcd_two_powers(n, m, sn, sm) == math.gcd(
-                        2**n + sn, 2**m + sm
-                    )
+            for sign in (-1, 1):
+                assert gcd_two_powers(n, m, sign) == math.gcd(2**n - 1, 2**m + sign)
 
 
 def test_gcd_two_powers_rejects():
     with pytest.raises(ValueError):
-        gcd_two_powers(6, 4, -1, -1)  # 4 does not divide 6
+        gcd_two_powers(6, 4, -1)  # 4 does not divide 6
     with pytest.raises(ValueError):
-        gcd_two_powers(6, 3, 0, -1)
+        gcd_two_powers(6, 3, 0)
     with pytest.raises(ValueError):
-        gcd_two_powers(0, 1, 1, 1)
+        gcd_two_powers(0, 1, 1)
 
 
 def test_gcd_q4_plus1_examples():

@@ -15,17 +15,24 @@
 - The oracles share no code with the closed forms they check: no oracle
   of ORACLE_LIMITS reaches, through the call graph, a function its
   limits name.
+- A call through ``getattr(obj, name)(...)``, which the call graph
+  cannot follow, is made only by cli._cmd_verify, and each name it can
+  take, a sweep of cli.VERIFY_SWEEPS, is a top-level def of
+  verification that ORACLE_LIMITS does not list.
 """
 
 import ast
 from fnmatch import fnmatch
 from pathlib import Path
 
+from suzuki_cd.cli import VERIFY_SWEEPS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
 F_MOD_4_HOMES = {"numtheory.coincidence_classify", "stabilizers.is_witnessless"}
 DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
+GETATTR_CALL_HOMES = {"cli._cmd_verify"}
 
 # oracle -> patterns of the closed forms it checks, which it must not reach
 CLOSED_FORMS = (
@@ -71,6 +78,14 @@ def takes_f_mod_4(node: ast.AST) -> bool:
 
 def calls_distinct_primes(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and name_of(node.func) == "distinct_primes"
+
+
+def calls_through_getattr(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Call)
+        and name_of(node.func.func) == "getattr"
+    )
 
 
 def homes(tree: ast.Module, module: str, hit):
@@ -167,12 +182,22 @@ def rule_breaks(src: Path) -> list[str]:
         for line, home in homes(tree, path.stem, calls_distinct_primes):
             if home not in DISTINCT_PRIMES_HOMES:
                 hits.append(f"{where}:{line}: distinct_primes called in {home}")
+        for line, home in homes(tree, path.stem, calls_through_getattr):
+            if home not in GETATTR_CALL_HOMES:
+                hits.append(f"{where}:{line}: call through getattr in {home}")
     return hits + oracle_breaks(src)
 
 
 def test_library_source_keeps_its_rules():
     assert rule_breaks(SRC) == []
     assert ORACLE_LIMITS.keys() <= call_graph(SRC).keys()
+
+
+def test_verify_dispatches_only_to_sweeps():
+    tree = ast.parse((SRC / "suzuki_cd" / "verification.py").read_text(encoding="utf-8"))
+    defs = {f"verification.{node.name}" for node in tree.body if isinstance(node, ast.FunctionDef)}
+    sweeps = {f"verification.{name}" for sweeps in VERIFY_SWEEPS.values() for name, *_ in sweeps}
+    assert sweeps <= defs - ORACLE_LIMITS.keys()
 
 
 def test_f_mod_4_outside_its_homes_is_a_rule_break(tmp_path):
@@ -218,4 +243,18 @@ def test_an_oracle_that_reaches_a_closed_form_is_a_rule_break(tmp_path):
         "stabilizers.orbit_oracle reaches stabilizers.orbit_counts",
         "degrees.cd_oracle reaches numtheory.gcd_torus",
         "degrees.cd_oracle reaches stabilizers.orbit_counts",
+    ]
+
+
+def test_a_call_through_getattr_outside_its_home_is_a_rule_break(tmp_path):
+    # the oracle rule cannot see orbit_oracle reach a gcd lemma by name
+    (tmp_path / "cli.py").write_text(
+        "def _cmd_verify(args):\n    return getattr(verification, args.name)(args)\n"
+    )
+    (tmp_path / "stabilizers.py").write_text(
+        "from . import numtheory\n\n\n"
+        "def orbit_oracle(p, name):\n    return getattr(numtheory, name)(p)\n"
+    )
+    assert rule_breaks(tmp_path) == [
+        "stabilizers.py:5: call through getattr in stabilizers.orbit_oracle"
     ]

@@ -361,8 +361,8 @@ def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, mes
 def test_orbit_counts_refuse_an_x_kernel_order_that_splits_a_label(monkeypatch):
     # 2^n in place of gcd(q^2-1, 2^n-1) = 2^n-1: at n = 1 the kernels hold
     # 2 + 1 - 2 = 1 nonzero index, not whole pairs {i, -i}
-    def gcd_two_powers(n, m, sign_n, sign_m):
-        return 1 << m if sign_m < 0 else 1
+    def gcd_two_powers(n, m, sign):
+        return 1 << m if sign < 0 else 1
 
     monkeypatch.setattr(numtheory, "gcd_two_powers", gcd_two_powers)
     with pytest.raises(InvariantError, match="^f=4 X n=1: 1 fixed indices, not 2 per label$"):

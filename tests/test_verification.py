@@ -83,11 +83,24 @@ def test_gcd_failure_messages(monkeypatch):
     checks = verify_gcd_closed_forms(f_max=2).checks
     monkeypatch.setattr(verification, "euclid_gcd", wrong_once)
     report = verify_gcd_closed_forms(f_max=2)
-    assert report.checks == checks == 312
-    assert report.failures == [
-        "f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1",
-        "two-power gcd n=6 m=1 signs=(1,1): 1 != 5",
-        "two-power gcd n=6 m=2 signs=(1,-1): 1 != 5",
+    assert report.checks == checks == 24
+    assert report.failures == ["f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1"]
+
+
+def test_gcd_sweep_checks_the_x_kernel_orders_at_every_f(monkeypatch):
+    # 2f+1 = 39 = 3 * 13 at f = 19 is the first proper divisor over 12
+    from suzuki_cd import verification
+
+    real = verification.gcd_two_powers
+
+    def wrong_at_13(n, m, sign):
+        return real(n, m, sign) + (2 if m == 13 else 0)
+
+    monkeypatch.setattr(verification, "gcd_two_powers", wrong_at_13)
+    assert verify_gcd_closed_forms(18).passed
+    assert verify_gcd_closed_forms(19).failures == [
+        "f=19 n=13 sign=-1: gcd(q^2-1, 2^n-1) closed 8193 != euclid 8191",
+        "f=19 n=13 sign=1: gcd(q^2-1, 2^n+1) closed 3 != euclid 1",
     ]
 
 
