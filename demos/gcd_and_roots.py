@@ -56,8 +56,8 @@ def main() -> None:
           f"{equals(pair_2, pair_5)}")
 
     print("\nThe four-root identity vs its congruence criterion (k^2 == -1):")
-    for i, j in [(1, 5), (1, 2), (3, 11)]:
-        identity, congruence = quad_sum_equivalence(13, 5, i, j)
+    pairs = [(1, 5), (1, 2), (3, 11)]
+    for (i, j), (identity, congruence) in zip(pairs, quad_sum_equivalence(13, 5, pairs)):
         print(f"  n=13 k=5 i={i} j={j}: identity={identity} congruence={congruence}")
 
 

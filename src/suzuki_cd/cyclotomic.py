@@ -19,9 +19,9 @@ term.  Q itself is built once per order, and the image of a t-term sum
 is the sum of Q shifted by each of its exponents and scaled by its
 coefficient: one pass over t * 2^omega(n) terms, with no factoring.
 :func:`equals` compares the images of a and b;
-:func:`quad_sum_equivalence` compares those of the two four-root sums,
-each kept in a bounded cache per (n, exponent mod n, +-k), since a sweep
-meets the same sums many times (k and -k give the same four exponents).
+:func:`quad_sum_equivalence` compares those of the two four-root sums
+for a batch of index pairs at one root k, computing each image once per
+orbit {+-e, +-ek} and keeping it only for that call.
 
 No floating point is involved anywhere.  Only sums, negation and exact
 equality are provided; ring multiplication is not needed for character
@@ -118,42 +118,49 @@ def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
 
 
 def quad_sum_equivalence(
-    n: int, k: int, i: int, j: int
-) -> tuple[bool, bool]:
+    n: int, k: int, pairs: list[tuple[int, int]]
+) -> list[tuple[bool, bool]]:
     """Compare the exact and congruence forms of the four-root identity.
 
-    Requires k^2 == -1 (mod n).  Returns (identity_holds,
-    congruence_holds) where
+    Requires k^2 == -1 (mod n), checked once per call.  Returns one
+    (identity_holds, congruence_holds) per (i, j) in pairs, in order, where
 
     - identity_holds: zeta^(il) + zeta^(-il) + zeta^(ilk) + zeta^(-ilk)
       equals the same expression with j in place of i, for both l = 1
       and l = k - 1, tested exactly by comparing annihilator images;
     - congruence_holds: i == +-j (mod n) or i == +-jk (mod n).
 
-    The two booleans always agree; the verification sweep checks this
-    exhaustively over boundary pairs and at random.  Raises
-    BudgetExceededError if n cannot be factored below the trial-division
-    bound.
+    Every e of one orbit {+-e, +-ek} mod n has term for term the same
+    four-root sum, so each image is computed once per orbit, stored under
+    all four members, and kept only for this call.  The two booleans always
+    agree; the verification sweep checks this exhaustively over boundary
+    pairs and at random.  Raises BudgetExceededError if n cannot be
+    factored below the trial-division bound.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if (k * k + 1) % n != 0:
         raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
-    # k and -k give the same four exponents, so they share one cache entry;
-    # the exponents i l and j l still use the caller's k
-    root = min(k % n, -k % n)
+    images: dict[int, dict[int, int]] = {}
+
+    def image(e: int) -> dict[int, int]:
+        e %= n
+        if e not in images:
+            orbit = (e, -e % n, e * k % n, -e * k % n)
+            images.update(dict.fromkeys(orbit, _image(tuple((t, 1) for t in orbit), n)))
+        return images[e]
+
     l = k - 1
-    identity = (
-        _quad_image(n, i % n, root) == _quad_image(n, j % n, root)
-        and _quad_image(n, i * l % n, root) == _quad_image(n, j * l % n, root)
-    )
-    congruence = (
-        (i - j) % n == 0
-        or (i + j) % n == 0
-        or (i - j * k) % n == 0
-        or (i + j * k) % n == 0
-    )
-    return identity, congruence
+    return [
+        (
+            image(i) == image(j) and image(i * l) == image(j * l),
+            (i - j) % n == 0
+            or (i + j) % n == 0
+            or (i - j * k) % n == 0
+            or (i + j * k) % n == 0,
+        )
+        for i, j in pairs
+    ]
 
 
 @lru_cache(maxsize=8)
@@ -181,12 +188,3 @@ def _image(terms: tuple[tuple[int, int], ...], n: int) -> dict[int, int]:
             out[s] = out.get(s, 0) + c * d
     return {s: c for s, c in out.items() if c}
 
-
-# One entry per (n, +-k, exponent): k is the lesser of k and n - k, whose
-# four-root sums coincide.  Bounded, yet at least the n distinct exponents
-# e that a sweep over one (n, +-k) can ask for at every n <= 1024; an entry
-# of up to 32 terms costs 0.3 to 2 KB, so a full cache stays under 2 MB.
-@lru_cache(maxsize=1024)
-def _quad_image(n: int, e: int, k: int) -> dict[int, int]:
-    """The annihilator image of zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek)."""
-    return _image(tuple((t % n, 1) for t in (e, -e, e * k, -e * k)), n)

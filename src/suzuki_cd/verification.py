@@ -9,13 +9,14 @@ sweep checks its sizes before any work: too small raises ValueError,
 too large BudgetExceededError, naming the ``suzuki-cd verify`` option.
 
 The per-f work items are independent, so sweeps accept a ``jobs``
-argument and fan out over a process pool; results are merged in
-deterministic order regardless of worker count.  The pool's modules are
-imported only when ``jobs > 1``.
+argument and fan out over a process pool of at most min(jobs, items,
+CPUs) workers; results are merged in deterministic order regardless of
+worker count.  The pool's modules are imported only when that is > 1.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from collections.abc import Callable
@@ -54,8 +55,8 @@ DEFAULT_SEED = 20160414
 # The gcd and class-count sweeps and the corollary-b sweep grow
 # superlinearly in f_max: 1.8 s and 2.0 s at their limits.  The quad sweep
 # grows with n_max * samples and, per check, with n, so its slowest
-# accepted pair is n_max 1000 with samples 200: 1.0 s (median of 5), where
-# samples 250 took 1.1 s and 600 took 1.5 s.  ORACLE_F_MAX caps the two
+# accepted pair is n_max 1000 with samples 200: 0.63 s (median of 5),
+# where n_max 500 with samples 400 took 0.28 s.  ORACLE_F_MAX caps the two
 # sweeps that enumerate orbits: stabilizers 1.1 s and theorem-a 1.0 s at
 # f_max 10, about three quarters of it orbit_oracle at f = 9 and 10.
 LEMMAS_F_MAX_LIMIT = 2400
@@ -257,17 +258,9 @@ def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
     rng = random.Random(seed * 1000003 + n)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
     for k in roots:
-        boundary = sorted(
-            {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
-        )
-        seen = set()
-        for i in boundary:
-            for j in boundary:
-                seen.add((i, j))
-        for pair in pairs:
-            seen.add(pair)
-        for i, j in sorted(seen):
-            identity, congruence = quad_sum_equivalence(n, k, i, j)
+        boundary = {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
+        block = sorted({(i, j) for i in boundary for j in boundary}.union(pairs))
+        for (i, j), (identity, congruence) in zip(block, quad_sum_equivalence(n, k, block)):
             _check(
                 report,
                 identity == congruence,
@@ -372,13 +365,15 @@ def _require_size(name: str, value: int, least: int, limit: int | None = None) -
 def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
     _require_size("--jobs", jobs, 1)
     items = list(items)
-    if jobs > 1 and len(items) > 1:
+    # the pool starts all its workers at once, so ask for no more than can run
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here so that serial runs do not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, items))
         except (OSError, BrokenProcessPool) as exc:  # pragma: no cover
             print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)

@@ -11,7 +11,6 @@ from suzuki_cd.cyclotomic import (
     CyclotomicSum,
     _annihilator,
     _image,
-    _quad_image,
     equals,
     quad_sum_equivalence,
     root_power_sum,
@@ -194,22 +193,27 @@ def test_pair_equality_matches_exact_random(n, i, j):
 
 def test_quad_sum_equivalence_examples():
     # k = 5 is a square root of -1 mod 13; jk = 25 == -1 == -i
-    assert quad_sum_equivalence(13, 5, 1, 5) == (True, True)
-    assert quad_sum_equivalence(13, 5, 1, 2) == (False, False)
-    assert quad_sum_equivalence(13, 5, 1, 1) == (True, True)
+    assert quad_sum_equivalence(13, 5, [(1, 5), (1, 2), (1, 1)]) == [
+        (True, True),
+        (False, False),
+        (True, True),
+    ]
+    assert quad_sum_equivalence(13, 5, []) == []
 
 
 def test_quad_sum_equivalence_small_orders():
-    assert quad_sum_equivalence(1, 0, 4, 9) == (True, True)
-    assert quad_sum_equivalence(2, 1, 1, 1) == (True, True)
-    assert quad_sum_equivalence(2, 1, 0, 1) == (False, False)
+    assert quad_sum_equivalence(1, 0, [(4, 9)]) == [(True, True)]
+    assert quad_sum_equivalence(2, 1, [(1, 1), (0, 1)]) == [(True, True), (False, False)]
 
 
 def test_quad_sum_equivalence_validation():
-    with pytest.raises(ValueError):
-        quad_sum_equivalence(13, 4, 1, 1)  # 4^2 != -1 (mod 13)
-    with pytest.raises(ValueError):
-        quad_sum_equivalence(0, 1, 1, 1)
+    # n and k are checked once per call, before any pair, so an empty batch
+    # is refused too
+    for pairs in ([(1, 1)], []):
+        with pytest.raises(ValueError, match="need k"):
+            quad_sum_equivalence(13, 4, pairs)  # 4^2 != -1 (mod 13)
+        with pytest.raises(ValueError, match="n must be"):
+            quad_sum_equivalence(0, 1, pairs)
 
 
 def sqrt_minus_one(n):
@@ -219,6 +223,11 @@ def sqrt_minus_one(n):
 def fresh_quad(n, e, k):
     """zeta^e + zeta^-e + zeta^(ek) + zeta^-(ek), built afresh."""
     return root_power_sum(n, [e, -e, e * k, -e * k], [1, 1, 1, 1])
+
+
+def orbit_key(n, e, k):
+    """The least of e, -e, ek and -ek mod n."""
+    return min(t % n for t in (e, -e, e * k, -e * k))
 
 
 # Every order up to 300 with a square root of -1; half the examples
@@ -241,76 +250,104 @@ QUAD_ORDERS = tuple(n for n in range(1, 301) if sqrt_minus_one(n))
 )
 def test_quad_images_match_phi_remainder_oracle(args):
     n, k, e, sign, power, other = args
-    # e times a multiplier +-k^power has the same four-root sum (verdict
-    # equal); a random exponent mostly has another one (verdict unequal)
+    # e times a multiplier +-k^power has the same four-root sums (verdict
+    # equal); a random exponent mostly has others (verdict unequal)
     partner = sign * e * pow(k, power, n) % n
-    for f in (partner, other):
-        same_image = _quad_image(n, e, k) == _quad_image(n, f, k)
-        oracle = not any(phi_remainder(fresh_quad(n, e, k) - fresh_quad(n, f, k)))
+    for f, answer in zip((partner, other), quad_sum_equivalence(n, k, [(e, partner), (e, other)])):
+        oracle = all(
+            not any(phi_remainder(fresh_quad(n, e * l, k) - fresh_quad(n, f * l, k)))
+            for l in (1, k - 1)
+        )
         congruent = f in {e * m % n for m in (1, -1, k, -k)}
-        assert same_image == oracle == congruent, (n, k, e, f)
+        assert answer == (oracle, congruent) == (congruent, congruent), (n, k, e, f)
 
 
 def test_quad_images_of_k_and_minus_k_agree():
-    # the four exponents +-e, +-ek are those of -k, so the two share a cache entry
+    # the four-root sum of e is term for term that of -e, ek and -ek, and
+    # that of e at -k: one image serves the orbit, keyed by its least member,
+    # whichever of +-k the caller passes
     for n in QUAD_ORDERS:
         for k in sqrt_minus_one(n):
             for e in range(n):
-                assert _quad_image(n, e, k) == _quad_image(n, e, -k % n), (n, k, e)
+                terms = fresh_quad(n, e, k).terms
+                for m in (-1, k, -k):
+                    assert fresh_quad(n, e * m, k).terms == terms, (n, k, e, m)
+                assert fresh_quad(n, orbit_key(n, e, k), -k).terms == terms, (n, k, e)
+            pairs = [(e, 7 * e + 1) for e in range(n)]
+            assert quad_sum_equivalence(n, k, pairs) == quad_sum_equivalence(n, -k % n, pairs)
 
 
 @pytest.mark.parametrize("n", [13, 65, 130, 1105, 2210])
 def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
-    _quad_image.cache_clear()
+    # one batch per root, each pair in it twice: the second time every image
+    # comes from the call's own dict; a singleton call starts with none
     rng = random.Random(n)
     for k in sqrt_minus_one(n):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
         pairs += [(i, i * k % n) for i, _ in pairs[:10]]
-        for _ in range(2):  # the second round answers from the cache
-            for i, j in pairs:
-                identity, congruence = quad_sum_equivalence(n, k, i, j)
-                fresh = all(
-                    equals(fresh_quad(n, i * l, k), fresh_quad(n, j * l, k))
-                    for l in (1, k - 1)
-                )
-                assert identity == fresh == congruence, (n, k, i, j)
-    info = _quad_image.cache_info()
-    assert info.hits > 0
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+        batch = quad_sum_equivalence(n, k, pairs + pairs)
+        assert batch[: len(pairs)] == batch[len(pairs) :]
+        for (i, j), answer in zip(pairs, batch):
+            fresh = all(
+                equals(fresh_quad(n, i * l, k), fresh_quad(n, j * l, k))
+                for l in (1, k - 1)
+            )
+            assert [answer] == quad_sum_equivalence(n, k, [(i, j)]) == [(fresh, fresh)], (n, k, i, j)
+
+
+def recording_images(monkeypatch):
+    """Patch cyclotomic._image to log (terms, image) of each call; return the log."""
+    log = []
+
+    def recording(terms, n):
+        image = _image(terms, n)
+        log.append((terms, image))
+        return image
+
+    monkeypatch.setattr(cyclotomic, "_image", recording)
+    return log
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 65, 130, 290, 1105])
-def test_quad_image_is_the_annihilated_four_root_sum(n):
-    # against the dense cyclic convolution of the four-term sum with the
-    # annihilator, for every root k; k and -k give the same four-term sum,
-    # so the reference is built once per pair
-    references = {}
+def test_quad_image_is_the_annihilated_four_root_sum(monkeypatch, n):
+    # every image a call computes, against the dense cyclic convolution of
+    # the four-term sum with the annihilator: a batch of (e, e) asks for
+    # every exponent, and each orbit's sum is that of its least member
+    log = recording_images(monkeypatch)
     for k in sqrt_minus_one(n):
-        for e in range(n):
-            key = (min(k, n - k), e)
-            if key not in references:
-                references[key] = dict(sparse(annihilated(fresh_quad(n, e, k))))
-            assert _quad_image(n, e, k) == references[key], (n, k, e)
+        log.clear()
+        quad_sum_equivalence(n, k, [(e, e) for e in range(n)])
+        keys = [min(t for t, _ in terms) for terms, _ in log]
+        assert sorted(keys) == sorted({orbit_key(n, e, k) for e in range(n)}), (n, k)
+        for key, (terms, image) in zip(keys, log):
+            reference = fresh_quad(n, key, k)
+            assert root_power_sum(n, [t for t, _ in terms], [c for _, c in terms]) == reference
+            assert image == dict(sparse(annihilated(reference))), (n, k, key)
 
 
 def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
-    # 997 is a prime 1 mod 4, so its roots of -1 are one +-k block; the
-    # cache holds the block whole, so the sweep computes each image once
+    # 997 is a prime 1 mod 4, so it has two roots of -1 and the worker makes
+    # two calls; each computes one image per orbit it meets, keyed by the
+    # orbit's least member, and answers every other lookup from its dict
     n = 997
     roots = sqrt_minus_one(n)
-    cached, keys = _quad_image, []
+    log = recording_images(monkeypatch)
+    quad, calls = verification.quad_sum_equivalence, []
 
-    def recording(*key):
-        keys.append(key)
-        return cached(*key)
+    def recording(n, k, pairs):
+        start = len(log)
+        answers = quad(n, k, pairs)
+        keys = [min(t for t, _ in terms) for terms, _ in log[start:]]
+        calls.append((k, keys, len(pairs)))
+        return answers
 
-    monkeypatch.setattr(cyclotomic, "_quad_image", recording)
-    cached.cache_clear()
+    monkeypatch.setattr(verification, "quad_sum_equivalence", recording)
     report = verification._quad_worker((n, roots, 200, verification.DEFAULT_SEED))
     assert report.passed and report.checks > 0
-    info = cached.cache_info()
-    assert info.maxsize >= verification.N_MAX_LIMIT
-    assert info.misses == len(set(keys)) < len(keys)
+    assert [k for k, _, _ in calls] == roots
+    for k, keys, size in calls:
+        assert len(set(keys)) == len(keys) < 2 * size
+        assert all(key == orbit_key(n, key, k) for key in keys)
 
 
 def test_sum_negation_arithmetic():

@@ -12,6 +12,9 @@
   one home of theorem A's f mod 4 exceptions.
 - ``distinct_primes`` is called only by cyclotomic._annihilator, the one
   per-prime pass, which builds the annihilator every equality test uses.
+- ``lru_cache`` is named only by cyclotomic._annihilator and
+  stabilizers._orbit_histogram, so a new module-level cache is a
+  deliberate edit of this list.
 - The oracles share no code with the closed forms they check: no oracle
   of ORACLE_LIMITS reaches, through the call graph, a function its
   limits name.
@@ -32,6 +35,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
 F_MOD_4_HOMES = {"numtheory.coincidence_classify", "stabilizers.is_witnessless"}
 DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
+LRU_CACHE_HOMES = {"cyclotomic._annihilator", "stabilizers._orbit_histogram"}
 GETATTR_CALL_HOMES = {"cli._cmd_verify"}
 
 # oracle -> patterns of the closed forms it checks, which it must not reach
@@ -78,6 +82,10 @@ def takes_f_mod_4(node: ast.AST) -> bool:
 
 def calls_distinct_primes(node: ast.AST) -> bool:
     return isinstance(node, ast.Call) and name_of(node.func) == "distinct_primes"
+
+
+def names_lru_cache(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Name, ast.Attribute)) and name_of(node) == "lru_cache"
 
 
 def calls_through_getattr(node: ast.AST) -> bool:
@@ -182,6 +190,9 @@ def rule_breaks(src: Path) -> list[str]:
         for line, home in homes(tree, path.stem, calls_distinct_primes):
             if home not in DISTINCT_PRIMES_HOMES:
                 hits.append(f"{where}:{line}: distinct_primes called in {home}")
+        for line, home in homes(tree, path.stem, names_lru_cache):
+            if home not in LRU_CACHE_HOMES:
+                hits.append(f"{where}:{line}: lru_cache in {home}")
         for line, home in homes(tree, path.stem, calls_through_getattr):
             if home not in GETATTR_CALL_HOMES:
                 hits.append(f"{where}:{line}: call through getattr in {home}")
@@ -220,6 +231,20 @@ def test_distinct_primes_outside_its_home_is_a_rule_break(tmp_path):
         "def equals(a, b):\n    return params.distinct_primes(a.order)\n"
     )
     assert rule_breaks(tmp_path) == ["cyclotomic.py:10: distinct_primes called in cyclotomic.equals"]
+
+
+def test_lru_cache_outside_its_homes_is_a_rule_break(tmp_path):
+    # a four-root image cache beside the annihilator's, one decorator each way
+    (tmp_path / "cyclotomic.py").write_text(
+        "import functools\nfrom functools import lru_cache\n\n\n"
+        "@lru_cache(maxsize=8)\ndef _annihilator(n):\n    return n\n\n\n"
+        "@lru_cache(maxsize=1024)\ndef _quad_image(n, e, k):\n    return e\n\n\n"
+        "@functools.lru_cache\ndef _image(terms, n):\n    return terms\n"
+    )
+    assert rule_breaks(tmp_path) == [
+        "cyclotomic.py:10: lru_cache in cyclotomic._quad_image",
+        "cyclotomic.py:15: lru_cache in cyclotomic._image",
+    ]
 
 
 def test_an_oracle_that_reaches_a_closed_form_is_a_rule_break(tmp_path):

@@ -40,11 +40,11 @@ def test_quad_failure_message(monkeypatch):
 
     quad = verification.quad_sum_equivalence
 
-    def flip_one(n, k, i, j):
-        identity, congruence = quad(n, k, i, j)
-        if (n, k, i, j) == (13, 5, 1, 2):
-            identity = not identity
-        return identity, congruence
+    def flip_one(n, k, pairs):
+        return [
+            (identity != ((n, k, i, j) == (13, 5, 1, 2)), congruence)
+            for (i, j), (identity, congruence) in zip(pairs, quad(n, k, pairs))
+        ]
 
     checks = verify_quad_identity(n_max=13).checks
     monkeypatch.setattr(verification, "quad_sum_equivalence", flip_one)
@@ -53,22 +53,33 @@ def test_quad_failure_message(monkeypatch):
     assert report.failures == ["n=13 k=5 i=1 j=2: identity=True congruence=False"]
 
 
-def test_quad_sweep_computes_one_image_per_plus_minus_k(monkeypatch):
-    from suzuki_cd import verification
-    from suzuki_cd.cyclotomic import _quad_image
+def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
+    # each (n, k) block goes to quad_sum_equivalence whole, its pairs sorted
+    # and distinct, and the call computes at most one image per orbit of the
+    # exponents i, j, il and jl it is given
+    from suzuki_cd import cyclotomic, verification
 
-    quad = verification.quad_sum_equivalence
-    keys = set()
+    quad, image = verification.quad_sum_equivalence, cyclotomic._image
+    blocks, computed = [], []
 
-    def record(n, k, i, j):
-        for l in (1, k - 1):
-            keys.update((n, min(k, -k % n), e * l % n) for e in (i, j))
-        return quad(n, k, i, j)
+    def record(n, k, pairs):
+        assert pairs == sorted(set(pairs))
+        exponents = {e * l for pair in pairs for e in pair for l in (1, k - 1)}
+        orbits = {min(t % n for t in (e, -e, e * k, -e * k)) for e in exponents}
+        blocks.append((n, k, len(orbits)))
+        computed.append(0)
+        return quad(n, k, pairs)
+
+    def count(terms, n):
+        computed[-1] += 1
+        return image(terms, n)
 
     monkeypatch.setattr(verification, "quad_sum_equivalence", record)
-    _quad_image.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_image", count)
     assert verify_quad_identity(n_max=130).passed
-    assert _quad_image.cache_info().misses <= len(keys)
+    roots = [(n, k) for n in range(1, 131) for k in range(n) if (k * k + 1) % n == 0]
+    assert [(n, k) for n, k, _ in blocks] == roots
+    assert all(0 < done <= orbits for (_, _, orbits), done in zip(blocks, computed))
 
 
 def test_gcd_failure_messages(monkeypatch):
@@ -152,7 +163,11 @@ def test_degree_count_bound_sweep():
     assert report.passed, report.failures[:3]
 
 
-def test_parallel_jobs_agree_with_serial():
+def test_parallel_jobs_agree_with_serial(monkeypatch):
+    import os
+
+    # two CPUs even on a one-CPU host, so jobs=2 starts a real pool of two
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = verify_degree_sets(4, jobs=1)
     parallel = verify_degree_sets(4, jobs=2)
     assert (serial.checks, serial.failures) == (parallel.checks, parallel.failures)
@@ -161,6 +176,44 @@ def test_parallel_jobs_agree_with_serial():
     parallel = verify_quad_identity(60, 20, jobs=2)
     assert serial.checks > 0
     assert (serial.checks, serial.failures) == (parallel.checks, parallel.failures)
+
+
+def test_jobs_starts_no_more_workers_than_items_or_cpus(monkeypatch):
+    # a fake pool records the worker count it is asked for and maps in this
+    # process, so no test starts real workers at a large jobs
+    import concurrent.futures
+    import os
+
+    from suzuki_cd import verification
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert verification._map_ordered(str, range(4), 10**6) == ["0", "1", "2", "3"]
+    assert verification._map_ordered(str, [7], 10**6) == ["7"]
+    assert verification._map_ordered(str, range(4), 1) == ["0", "1", "2", "3"]
+    assert asked == [2]
+    serial = verify_degree_sets(2)
+    report = verify_degree_sets(2, jobs=10**6)
+    assert asked == [2, 2]
+    assert (report.checks, report.failures) == (serial.checks, serial.failures)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
+    verification._map_ordered(str, range(4), 10**6)
+    assert asked == [2, 2]
 
 
 def test_summary_wording():
