@@ -22,9 +22,13 @@ closed form, since a disagreement raises InvariantError and exits 1.
 Otherwise its JSON says false and gives null multiplicities.
 ``orbits`` derives its histogram from the gcd lemmas at every accepted
 f and never enumerates; for X, Y and Z it exits 3 from f = 7143, where
-the family count passes the digit limit.  Each subcommand imports only
-the modules it runs, so ``cd`` and ``orbits`` start without the sweeps
-or the cyclotomic code, and load the gcd closed forms only to count.
+the family count passes the digit limit.  This module imports only
+characters (the --family choices), errors and params; each subcommand
+imports the modules it runs.  So ``cd`` and ``orbits`` start without the
+sweeps or the cyclotomic code and load the gcd closed forms only to
+count, while ``gcd-table`` and ``verify lemmas`` load neither the
+degrees nor the stabilizers, and ``verify cyclotomic`` not even the gcd
+closed forms.
 All output is deterministic (ascending degrees/divisors, fixed key
 order) and uses UTF-8 with LF line endings; --output writes bytes
 identical to what stdout would receive.
@@ -36,10 +40,8 @@ import argparse
 import sys
 
 from .characters import Family, family_count
-from .degrees import ExtensionSpec, cd_closed_form, cd_multiset
 from .errors import BudgetExceededError, InvariantError, require_within, to_decimal
 from .params import divisors_of, make_params
-from .stabilizers import orbit_counts
 
 # Each verify scope: the verification sweeps it runs, in output order, each
 # with the options it reads, which are its parameters.
@@ -121,6 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_cd(args: argparse.Namespace) -> int:
+    # here, so that gcd-table and verify lemmas or cyclotomic never load it
+    from .degrees import ExtensionSpec, cd_closed_form, cd_multiset
+
     p = make_params(args.f)
     d_form = "an integer or 'all'"
     ds = divisors_of(p.out_order) if args.d == "all" else _ints("--d", d_form, args.d, [args.d])
@@ -180,6 +185,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
+    from .stabilizers import orbit_counts  # here, for the same reason as _cmd_cd's
+
     p = make_params(args.f)
     family = Family(args.family)
     # every count is at most the family count, so this refuses first

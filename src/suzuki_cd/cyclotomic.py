@@ -130,9 +130,12 @@ def quad_sum_equivalence(
       and l = k - 1, tested exactly by comparing annihilator images;
     - congruence_holds: i == +-j (mod n) or i == +-jk (mod n).
 
-    Every e of one orbit {+-e, +-ek} mod n has term for term the same
-    four-root sum, so each image is computed once per orbit, stored under
-    all four members, and kept only for this call.  The two booleans always
+    Each pair is reduced mod n once, and the call's image memo is keyed
+    by the reduced residue.  Every e of one orbit {+-e, +-ek} mod n has
+    term for term the same four-root sum, so each image is computed once
+    per orbit the pairs meet, stored under all four residues, and kept
+    only for this call.  The congruence compares reduced residues: i is
+    one of j, n - j, jk and n - jk (jk reduced).  The two booleans always
     agree; the verification sweep checks this exhaustively over boundary
     pairs and at random.  Raises BudgetExceededError if n cannot be
     factored below the trial-division bound.
@@ -143,24 +146,23 @@ def quad_sum_equivalence(
         raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
     images: dict[int, dict[int, int]] = {}
 
-    def image(e: int) -> dict[int, int]:
-        e %= n
+    def image(e: int) -> dict[int, int]:  # e reduced mod n
         if e not in images:
             orbit = (e, -e % n, e * k % n, -e * k % n)
             images.update(dict.fromkeys(orbit, _image(tuple((t, 1) for t in orbit), n)))
         return images[e]
 
     l = k - 1
-    return [
-        (
-            image(i) == image(j) and image(i * l) == image(j * l),
-            (i - j) % n == 0
-            or (i + j) % n == 0
-            or (i - j * k) % n == 0
-            or (i + j * k) % n == 0,
-        )
-        for i, j in pairs
-    ]
+    result = []
+    for i, j in pairs:
+        i %= n
+        j %= n
+        jk = j * k % n
+        result.append((
+            image(i) == image(j) and image(i * l % n) == image(j * l % n),
+            i in (j, n - j, jk, n - jk),
+        ))
+    return result
 
 
 @lru_cache(maxsize=8)

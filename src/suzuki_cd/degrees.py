@@ -123,14 +123,19 @@ def _clifford_multiset(
 
     Raises InvariantError unless every count splits into G-orbits, the
     invariant families give 4d characters, the class counts sum to
-    q^2 + 3 and the squared degrees sum to |G|.
+    q^2 + 3, no two (family, orbit size) pairs merge into one degree and
+    the squared degrees sum to |G|.  That sum is taken per family, as
+    theta(1)^2 times the sum of s^2 * characters over its orbit sizes s,
+    so no degree of the result is squared.
     """
     p = spec.params
     e = p.out_order // spec.d
     entries: dict[int, int] = {}
-    invariant_chars = classes = 0
+    pairs: set[tuple[Family, int]] = set()  # distinct (family, orbit size s)
+    invariant_chars = classes = square_sum = 0
     for family in Family:
         theta_deg = degree_of(p, family)
+        family_sum = 0  # s^2 * characters over the family's orbit sizes s
         for m, cnt in histogram(p, family).items():
             classes += cnt
             s = m // math.gcd(e, m)  # G-orbit size of each such label
@@ -142,8 +147,11 @@ def _clifford_multiset(
             contributed = (cnt // s) * (spec.d // s)
             deg = theta_deg * s
             entries[deg] = entries.get(deg, 0) + contributed
+            pairs.add((family, s))
+            family_sum += s * s * contributed
             if family not in TORUS_FAMILIES:
                 invariant_chars += contributed
+        square_sum += theta_deg * theta_deg * family_sum
     # ONE and ST extend to d characters each, the two W's to 2d total
     if invariant_chars != 4 * spec.d:
         raise InvariantError(
@@ -151,7 +159,12 @@ def _clifford_multiset(
         )
     if classes != p.q2 + 3:
         raise InvariantError(f"f={p.f} d={spec.d}: the class counts sum to {classes}, not q^2+3")
-    if sum(deg * deg * mult for deg, mult in entries.items()) != spec.order:
+    if len(pairs) != len(entries):
+        raise InvariantError(
+            f"f={p.f} d={spec.d}: {len(pairs)} (family, orbit size) pairs "
+            f"give only {len(entries)} degrees"
+        )
+    if square_sum != spec.order:
         raise InvariantError(f"f={p.f} d={spec.d}: squared degrees do not sum to |G|")
     return dict(sorted(entries.items()))
 

@@ -12,6 +12,13 @@ The per-f work items are independent, so sweeps accept a ``jobs``
 argument and fan out over a process pool of at most min(jobs, items,
 CPUs) workers; results are merged in deterministic order regardless of
 worker count.  The pool's modules are imported only when that is > 1.
+
+This module imports only cyclotomic, characters, params and errors.
+Each sweep or worker imports the numtheory, stabilizers and degrees names
+it calls, so a sweep loads only the layers it checks: ``verify
+cyclotomic`` none of the three, ``verify lemmas`` only numtheory.  A
+command starts in a fresh interpreter that may write no bytecode cache,
+and then compiles every module it imports.
 """
 
 from __future__ import annotations
@@ -24,30 +31,8 @@ from math import gcd as _math_gcd
 
 from .characters import ORACLE_F_MAX, Family, family_count, make_label, torus_order_of
 from .cyclotomic import quad_sum_equivalence
-from .degrees import (
-    ExtensionSpec,
-    cd_closed_form,
-    cd_multiset,
-    cd_oracle,
-    check_corollary_b,
-)
 from .errors import require_within
-from .numtheory import (
-    Torus,
-    coincidence_classify,
-    euclid_gcd,
-    gcd_closed_form_rows,
-    gcd_two_powers,
-    gcd_verification_rows,
-)
 from .params import divisors_of, make_params
-from .stabilizers import (
-    exact_stabilizer_exponent,
-    is_witnessless,
-    orbit_counts,
-    orbit_oracle,
-    witness_for,
-)
 
 DEFAULT_SEED = 20160414
 # Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
@@ -153,6 +138,8 @@ def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
 def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
     """|cd(G)| >= 7 for proper extensions with f > 1 (>= 9 for composite
     d), while f = 1, d = 3 gives exactly 6."""
+    from .degrees import ExtensionSpec, check_corollary_b
+
     _require_size("--f-max", f_max, 1, COROLLARY_B_F_MAX_LIMIT)
     report = SweepReport("degree-count-bounds")
     for f in range(2, f_max + 1):
@@ -180,6 +167,15 @@ def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
 
 
 def _gcd_worker(f: int) -> SweepReport:
+    from .numtheory import (
+        Torus,
+        coincidence_classify,
+        euclid_gcd,
+        gcd_closed_form_rows,
+        gcd_two_powers,
+        gcd_verification_rows,
+    )
+
     report = SweepReport("")
     p = make_params(f)
     # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid
@@ -260,16 +256,25 @@ def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
     for k in roots:
         boundary = {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
         block = sorted({(i, j) for i in boundary for j in boundary}.union(pairs))
-        for (i, j), (identity, congruence) in zip(block, quad_sum_equivalence(n, k, block)):
-            _check(
-                report,
-                identity == congruence,
-                lambda: f"n={n} k={k} i={i} j={j}: identity={identity} congruence={congruence}",
-            )
+        # _check's count and messages, taken for the whole block at once
+        report.checks += len(block)
+        report.failures += [
+            f"n={n} k={k} i={i} j={j}: identity={identity} congruence={congruence}"
+            for (i, j), (identity, congruence) in zip(block, quad_sum_equivalence(n, k, block))
+            if identity != congruence
+        ]
     return report
 
 
 def _stabilizer_worker(f: int) -> SweepReport:
+    from .stabilizers import (
+        exact_stabilizer_exponent,
+        is_witnessless,
+        orbit_counts,
+        orbit_oracle,
+        witness_for,
+    )
+
     report = SweepReport("")
     p = make_params(f)
     divisors = divisors_of(p.out_order)
@@ -321,6 +326,8 @@ def _stabilizer_worker(f: int) -> SweepReport:
 
 
 def _degree_worker(f: int) -> SweepReport:
+    from .degrees import ExtensionSpec, cd_closed_form, cd_multiset, cd_oracle
+
     report = SweepReport("")
     p = make_params(f)
     for d in divisors_of(p.out_order):
@@ -345,7 +352,9 @@ def _degree_worker(f: int) -> SweepReport:
 
 
 def _roots_of_minus_one(n: int) -> list[int]:
-    return [k for k in range(n) if (k * k + 1) % n == 0]
+    # k^2 == -1 exactly when (n - k)^2 == -1, so scan k <= n // 2 and mirror
+    low = [k for k in range(n // 2 + 1) if (k * k + 1) % n == 0]
+    return low + [n - k for k in reversed(low) if 0 < k < n - k]
 
 
 def _check(report: SweepReport, ok: bool, message: Callable[[], str]) -> None:

@@ -178,12 +178,12 @@ def test_gcd_table_past_int_str_digit_limit(capsys):
     ids=["text-q2", "json-q2", "text-order", "json-degree"],
 )
 def test_cd_refuses_an_unprintable_integer_before_counting(capsys, monkeypatch, argv, bits):
-    import suzuki_cd.cli as cli
+    from suzuki_cd import degrees
 
     def count(spec):
         raise AssertionError("counted orbits before refusing")
 
-    monkeypatch.setattr(cli, "cd_multiset", count)
+    monkeypatch.setattr(degrees, "cd_multiset", count)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -201,13 +201,13 @@ def test_cd_just_below_int_str_digit_limit(capsys):
 
 
 def test_invariant_error_exits_one(capsys, monkeypatch):
-    import suzuki_cd.cli as cli
+    from suzuki_cd import degrees
     from suzuki_cd.errors import InvariantError
 
     def broken(spec):
         raise InvariantError("squared degrees do not sum to |G|")
 
-    monkeypatch.setattr(cli, "cd_multiset", broken)
+    monkeypatch.setattr(degrees, "cd_multiset", broken)
     code, out, err = run(capsys, "cd", "--f", "1", "--multiplicities")
     assert code == 1
     assert out == ""

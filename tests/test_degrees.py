@@ -180,6 +180,28 @@ def test_clifford_rejects_corrupted_histogram(family, corrupted):
         _clifford_multiset(spec, histogram)
 
 
+@pytest.mark.parametrize(
+    "family, fake, message",
+    [
+        # Z's degree 91 given to Y's 35: six (family, 1) pairs, five degrees
+        (Family.Z, lambda p: degree_of(p, Family.Y), "6 .* pairs give only 5 degrees"),
+        # W's degree 14 moved to 16, which no other family has
+        (Family.W, lambda p: degree_of(p, Family.W) + 2, "squared degrees do not sum to"),
+    ],
+    ids=["shared-degree", "square-sum"],
+)
+def test_clifford_rejects_a_wrong_family_degree(monkeypatch, family, fake, message):
+    from suzuki_cd import degrees
+
+    spec = ExtensionSpec(make_params(1), 1)
+    assert _clifford_multiset(spec, orbit_counts) == cd_oracle(spec)
+    monkeypatch.setattr(
+        degrees, "degree_of", lambda p, fam: fake(p) if fam is family else degree_of(p, fam)
+    )
+    with pytest.raises(InvariantError, match=message):
+        _clifford_multiset(spec, orbit_counts)
+
+
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
 def test_every_degree_is_s_degree_times_divisor(f):
     p = make_params(f)

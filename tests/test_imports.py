@@ -102,6 +102,37 @@ def test_cd_and_orbits_load_only_what_they_run(argv, counts):
     assert [m for m in NOT_FOR_CD if m in loaded] == gcd_lemmas
 
 
+def test_cli_import_loads_only_what_the_parser_reads():
+    # characters for the --family choices, errors and params for main and _ints
+    out = probe(
+        "import sys; before = set(sys.modules); import suzuki_cd.cli; "
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('suzuki_cd.')), "
+        "file=sys.stderr)"
+    )
+    assert ast.literal_eval(out) == [
+        "suzuki_cd.characters", "suzuki_cd.cli", "suzuki_cd.errors", "suzuki_cd.params"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, not_run",
+    [
+        (["verify", "cyclotomic", "--n-max", "5"], ["degrees", "numtheory", "stabilizers"]),
+        (["verify", "lemmas", "--f-max", "3"], ["degrees", "stabilizers"]),
+        (["gcd-table", "--f", "1..3"], ["cyclotomic", "degrees", "stabilizers", "verification"]),
+    ],
+    ids=["verify-cyclotomic", "verify-lemmas", "gcd-table"],
+)
+def test_commands_that_count_no_orbits_load_no_layer_they_do_not_run(argv, not_run):
+    out = probe(
+        "import sys; from suzuki_cd.cli import main; "
+        f"rc = main({argv!r}); print(rc, sorted(sys.modules), file=sys.stderr)"
+    )
+    rc, loaded = out.split(" ", 1)
+    assert rc == "0"
+    assert [m for m in not_run if f"suzuki_cd.{m}" in ast.literal_eval(loaded)] == []
+
+
 def test_star_import_binds_each_name_to_its_home_object():
     out = probe(
         "import sys; ns = {}; exec('from suzuki_cd import *', ns); ns.pop('__builtins__'); "

@@ -83,16 +83,17 @@ def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
 
 
 def test_gcd_failure_messages(monkeypatch):
-    from suzuki_cd import verification
+    # the fake reaches gcd_verification_rows too, which never asks for (65, 3)
+    from suzuki_cd import numtheory
 
-    euclid = verification.euclid_gcd
+    euclid = numtheory.euclid_gcd
 
     def wrong_once(a, b):
         # gcd(2^6 + 1, 2^1 + 1) = gcd(q^4 + 1, 2^n + 1) at f = n = 1
         return 5 if (a, b) == (65, 3) else euclid(a, b)
 
     checks = verify_gcd_closed_forms(f_max=2).checks
-    monkeypatch.setattr(verification, "euclid_gcd", wrong_once)
+    monkeypatch.setattr(numtheory, "euclid_gcd", wrong_once)
     report = verify_gcd_closed_forms(f_max=2)
     assert report.checks == checks == 24
     assert report.failures == ["f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1"]
@@ -100,14 +101,14 @@ def test_gcd_failure_messages(monkeypatch):
 
 def test_gcd_sweep_checks_the_x_kernel_orders_at_every_f(monkeypatch):
     # 2f+1 = 39 = 3 * 13 at f = 19 is the first proper divisor over 12
-    from suzuki_cd import verification
+    from suzuki_cd import numtheory
 
-    real = verification.gcd_two_powers
+    real = numtheory.gcd_two_powers
 
     def wrong_at_13(n, m, sign):
         return real(n, m, sign) + (2 if m == 13 else 0)
 
-    monkeypatch.setattr(verification, "gcd_two_powers", wrong_at_13)
+    monkeypatch.setattr(numtheory, "gcd_two_powers", wrong_at_13)
     assert verify_gcd_closed_forms(18).passed
     assert verify_gcd_closed_forms(19).failures == [
         "f=19 n=13 sign=-1: gcd(q^2-1, 2^n-1) closed 8193 != euclid 8191",
@@ -126,30 +127,38 @@ def fake_at_f4(real, fake):
 
 
 @pytest.mark.parametrize(
-    "name, fake, failures",
+    "name, fake, checks, failures",
     [
         # a wrong n = 1 witness on the 5-divisible family (Y at f = 4, a1 = 545)
         (
             "witness_for",
             lambda real, p, family, n: 1 if (family, n) == (Family.Y, 1) else real(p, family, n),
+            84,
             ["f=4 Y n=1: witness 1 has exponent 9", "f=4 Y: n=1 witness 1 != 545/5"],
         ),
-        # a flipped exception table sends the check to Z, whose a2 = 481 has no 5
+        # Y's n = 1 entry flipped sends the check to Z, whose a2 = 481 has no 5;
+        # witness_for reads the same table, so Y loses its n = 1 witness and the
+        # exponent check of that witness is not made
         (
             "is_witnessless",
-            lambda real, p, family, n: not real(p, family, n),
-            ["f=4: expected 5 | Z order 481", "f=4 Z: n=1 witness None != 481/5"],
+            lambda real, p, family, n: real(p, family, n) != ((family, n) == (Family.Y, 1)),
+            83,
+            [
+                "f=4 Y n=1: witness=None oracle_count=1",
+                "f=4: expected 5 | Z order 481",
+                "f=4 Z: n=1 witness None != 481/5",
+            ],
         ),
     ],
     ids=["witness", "table"],
 )
-def test_stabilizer_sweep_reports_a_wrong_invariant_label(monkeypatch, name, fake, failures):
-    from suzuki_cd import verification
+def test_stabilizer_sweep_reports_a_wrong_invariant_label(monkeypatch, name, fake, checks, failures):
+    from suzuki_cd import stabilizers
 
-    checks = verify_stabilizer_witnesses(4).checks
-    monkeypatch.setattr(verification, name, fake_at_f4(getattr(verification, name), fake))
+    assert verify_stabilizer_witnesses(4).checks == 84
+    monkeypatch.setattr(stabilizers, name, fake_at_f4(getattr(stabilizers, name), fake))
     report = verify_stabilizer_witnesses(4)
-    assert report.checks == checks == 84
+    assert report.checks == checks
     assert report.failures == failures
 
 
@@ -242,7 +251,7 @@ def test_sweeps_refuse_oversized_arguments_before_any_work(monkeypatch, sweep, k
         raise AssertionError("the sweep started work before checking its sizes")
 
     for module, name in [(verification, "_map_ordered"), (verification, "make_params"),
-                         (verification, "orbit_oracle"), (stabilizers, "orbit_oracle")]:
+                         (stabilizers, "orbit_oracle")]:
         monkeypatch.setattr(module, name, work)
     with pytest.raises(error) as exc:
         sweep(**kwargs)
