@@ -15,11 +15,12 @@ from .errors import BudgetExceededError, require_within
 
 #: Largest accepted f.  Past it make_params refuses before any arithmetic,
 #: so no command can run long on a big f.  The slowest accepted work is at
-#: an f whose 2f+1 has 48 divisors: at f = 37537 the sum-of-squares check
-#: of ``cd_multiset`` takes about 0.14 s per d (its orbit histograms 2 ms),
-#: ``witness_for`` at all 144 (family, n) about 0.05 s, and the Euclid
-#: calls of ``gcd_verification_rows`` about 1.8 s (2-vCPU Xeon, Python 3.11).  ``cd`` and ``gcd-table`` render what they print
-#: before that work, so at f = 37537 both refuse at once.
+#: an f whose 2f+1 has 48 divisors: at f = 37537 ``cd_multiset`` takes
+#: about 1.3 s over all 48 d (median of 5 fresh runs; its orbit histograms
+#: 2 ms per d), ``witness_for`` at all 144 (family, n) about 0.04 s, and the
+#: Euclid calls of ``gcd_verification_rows`` about 1.7 s (2-vCPU Xeon,
+#: Python 3.11).  ``cd`` and ``gcd-table`` render what they print before
+#: that work, so at f = 37537 both refuse at once.
 F_MAX = 38000
 
 #: Trial divisors stop below this bound: an order whose prime factors at

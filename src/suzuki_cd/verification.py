@@ -40,10 +40,11 @@ DEFAULT_SEED = 20160414
 # The gcd and class-count sweeps and the corollary-b sweep grow
 # superlinearly in f_max: 1.8 s and 2.0 s at their limits.  The quad sweep
 # grows with n_max * samples and, per check, with n, so its slowest
-# accepted pair is n_max 1000 with samples 200: 0.63 s (median of 5),
-# where n_max 500 with samples 400 took 0.28 s.  ORACLE_F_MAX caps the two
-# sweeps that enumerate orbits: stabilizers 1.1 s and theorem-a 1.0 s at
-# f_max 10, about three quarters of it orbit_oracle at f = 9 and 10.
+# accepted pair is n_max 1000 with samples 200: 0.55-0.64 s (two medians
+# of 7), where n_max 500 with samples 400 took 0.21-0.26 s.  ORACLE_F_MAX
+# caps the two sweeps that enumerate orbits: stabilizers 1.1 s and
+# theorem-a 1.0 s at f_max 10, about three quarters of it orbit_oracle at
+# f = 9 and 10.
 LEMMAS_F_MAX_LIMIT = 2400
 COROLLARY_B_F_MAX_LIMIT = 3800
 N_MAX_LIMIT = 1000
