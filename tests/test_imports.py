@@ -123,7 +123,7 @@ def test_cli_import_loads_only_what_the_parser_reads():
     ],
     ids=["verify-cyclotomic", "verify-lemmas", "gcd-table"],
 )
-def test_commands_that_count_no_orbits_load_no_layer_they_do_not_run(argv, not_run):
+def test_verify_and_gcd_table_load_no_layer_they_do_not_run(argv, not_run):
     out = probe(
         "import sys; from suzuki_cd.cli import main; "
         f"rc = main({argv!r}); print(rc, sorted(sys.modules), file=sys.stderr)"
