@@ -27,8 +27,8 @@ characters (the --family choices), errors and params; each subcommand
 imports the modules it runs.  So ``cd`` and ``orbits`` start without the
 sweeps or the cyclotomic code and load the gcd closed forms only to
 count, while ``gcd-table`` and ``verify lemmas`` load neither the
-degrees nor the stabilizers, and ``verify cyclotomic`` not even the gcd
-closed forms.
+degrees nor the stabilizers, ``verify cyclotomic`` not even the gcd
+closed forms, and no other scope the cyclotomic code.
 All output is deterministic (ascending degrees/divisors, fixed key
 order) and uses UTF-8 with LF line endings; --output writes bytes
 identical to what stdout would receive.

@@ -31,9 +31,12 @@ with exceptions only when G = Aut(S) (d = 2f+1):
 
 At Aut(S) a label of exact stabilizer exponent v has a G-orbit of size
 v, so the excluded multiples are exactly the witnessless exponents of
-stabilizers.is_witnessless; cd_closed_form reads that table and shares
-no code with the derived histograms (orbit_counts).  All the products
-above are pairwise distinct, so cardinalities add up.
+stabilizers.is_witnessless.  It derives them from which torus order 5
+divides (a1 when f == 0 or 3 (mod 4), else a2; never q^2 - 1), which is
+(i)-(iii) again: a is X's multiple, b is Y's (torus q^2+r+1) and c is
+Z's.  cd_closed_form reads that rule and shares no code with the
+derived histograms (orbit_counts).  All the products above are pairwise
+distinct, so cardinalities add up.
 """
 
 from __future__ import annotations

@@ -12,25 +12,29 @@ The *exact stabilizer exponent* of a label is the least such n; the
 orbit of the label under index-doubling has exactly that size.
 witness_for constructs, for each admissible n, a label whose exact
 exponent is n, and returns None exactly when no label in the family has
-exact exponent n.  is_witnessless holds the table of those cases, the
-single copy the closed form of theorem A also reads (its Aut(S)
-exclusions are these exponents): X at n = 1 (nothing is fixed by the
-whole automorphism group) and, for Y and Z, an f mod 4 table that the
-two families mirror:
+exact exponent n.  is_witnessless derives those cases from the torus
+order, and the closed form of theorem A reads it too (its Aut(S)
+exclusions are these exponents).  5 divides q^4 + 1 for every f, so it
+divides exactly one of the coprime Y and Z orders, and never the X
+order q^2 - 1 (2^(2f+1) is 2 or 3 mod 5).  On that one torus
+gcd(N, q^2 -+ 2^n) is 5 at n = 1 and again at n = 3 (see
+coincidence_classify), so n = 1 has a witness and n = 3 has none:
+anything fixed by the cube of the automorphism is already fixed by the
+automorphism itself.  On every other torus the n = 1 kernels are
+trivial (for X, gcd(q^2 - 1, 2 -+ 1) = 1), so nothing has exact
+exponent 1, while n = 3, where it divides 2f+1, has a witness.  Every
+other n dividing 2f+1 has a witness, so the witnessless cases are:
 
-=======  ================  ================
-family   n = 1             n = 3
-=======  ================  ================
-Y        f == 1, 2 (4)     f == 0, 3 (4)
-Z        f == 0, 3 (4)     f == 1, 2 (4)
-=======  ================  ================
+=======  ==============  ==============
+family   n = 1           n = 3
+=======  ==============  ==============
+X        always          never
+Y, Z     N % 5 != 0      N % 5 == 0
+=======  ==============  ==============
 
-Every other n dividing 2f+1 has a witness.  The n = 3 exceptions
-happen because the gcds at exponents 3 and 1 coincide (see
-coincidence_classify): anything fixed by the cube of the automorphism is
-already fixed by the automorphism itself.  They apply even at f = 1
-where n = 3 is all of 2f+1; the lone Z class of Sz(8) is invariant, so
-nothing there has exact exponent 3.
+5 divides a1 exactly when f == 0, 3 (mod 4), so this is the paper's
+f mod 4 form.  It holds even at f = 1, where n = 3 is all of 2f+1: the
+lone Z class of Sz(8) (Z order 5) is invariant.
 
 witness_for and orbit_counts read one route to the gcd lemmas,
 _kernel_orders: for each n the orders of the two kernels that can fix
@@ -88,20 +92,13 @@ def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
 def is_witnessless(p: SuzukiParams, family: Family, n: int) -> bool:
     """Does no label of the torus family have exact stabilizer exponent n?
 
-    The exception table above, read without counting; n must divide
-    2f+1.  orbit_counts(p, family) lacks exactly these exponents.
+    The 5 | N rule above, read without counting; n must divide 2f+1.
+    orbit_counts(p, family) lacks exactly these exponents.
     """
     if family not in TORUS_FAMILIES:
         raise ValueError(f"no exception table for family {family.value}")
     _require_divisor(p, n)
-    if family is Family.X:
-        return n == 1
-    low_classes = (1, 2) if family is Family.Y else (0, 3)
-    if n == 1:
-        return p.f % 4 in low_classes
-    if n == 3:
-        return p.f % 4 not in low_classes
-    return False
+    return n in (1, 3) and (n == 1) != (torus_order_of(p, family) % 5 == 0)
 
 
 def exact_stabilizer_exponent(p: SuzukiParams, label: CharacterLabel) -> int:

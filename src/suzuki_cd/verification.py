@@ -12,11 +12,13 @@ The per-f work items are independent, so sweeps accept a ``jobs``
 argument and fan out over a process pool of at most min(jobs, items,
 CPUs) workers; results are merged in deterministic order regardless of
 worker count.  The pool's modules are imported only when that is > 1.
+An InvariantError raised while one item runs becomes that item's
+result, one failed check with the error's text; the other items still run.
 
-This module imports only cyclotomic, characters, params and errors.
-Each sweep or worker imports the numtheory, stabilizers and degrees names
+This module imports only characters, params and errors.  Each sweep or
+worker imports the cyclotomic, numtheory, stabilizers and degrees names
 it calls, so a sweep loads only the layers it checks: ``verify
-cyclotomic`` none of the three, ``verify lemmas`` only numtheory.  A
+cyclotomic`` only cyclotomic, ``verify lemmas`` only numtheory.  A
 command starts in a fresh interpreter that may write no bytecode cache,
 and then compiles every module it imports.
 """
@@ -27,11 +29,11 @@ import os
 import random
 import sys
 from collections.abc import Callable
+from functools import partial
 from math import gcd as _math_gcd
 
 from .characters import ORACLE_F_MAX, Family, family_count, make_label, torus_order_of
-from .cyclotomic import quad_sum_equivalence
-from .errors import require_within
+from .errors import InvariantError, require_within
 from .params import divisors_of, make_params
 
 DEFAULT_SEED = 20160414
@@ -250,6 +252,8 @@ def _gcd_worker(f: int) -> SweepReport:
 
 
 def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
+    from .cyclotomic import quad_sum_equivalence
+
     n, roots, samples, seed = args
     report = SweepReport("")
     rng = random.Random(seed * 1000003 + n)
@@ -317,7 +321,7 @@ def _stabilizer_worker(f: int) -> SweepReport:
                     lambda: f"f={f} n={n}: torus order {order} vs q^2{sign:+d}*2^n: "
                     f"divides={divides}",
                 )
-    # the invariant label: the Y or Z that the exception table gives one has
+    # the invariant label: the Y or Z that is_witnessless gives one has
     # 5 | N, and its n = 1 witness (exponent checked above) is N/5
     family = Family.Z if is_witnessless(p, Family.Y, 1) else Family.Y
     order, w = torus_order_of(p, family), witnesses[family, 1]
@@ -375,6 +379,7 @@ def _require_size(name: str, value: int, least: int, limit: int | None = None) -
 def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
     _require_size("--jobs", jobs, 1)
     items = list(items)
+    run = partial(_run_item, fn)
     # the pool starts all its workers at once, so ask for no more than can run
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
@@ -384,10 +389,18 @@ def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
+                return list(pool.map(run, items))
         except (OSError, BrokenProcessPool) as exc:  # pragma: no cover
             print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
-    return [fn(item) for item in items]
+    return [run(item) for item in items]
+
+
+def _run_item(fn, item) -> SweepReport:
+    """fn(item), or one failed check with its InvariantError's text; top level, so it pickles."""
+    try:
+        return fn(item)
+    except InvariantError as exc:
+        return SweepReport("", 1, [str(exc)])
 
 
 def _merge(scope: str, reports: list[SweepReport]) -> SweepReport:

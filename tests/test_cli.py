@@ -423,6 +423,26 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "counterexample: f=9 d=1: mismatch" in out
 
 
+def test_verify_reports_an_invariant_error_as_a_counterexample(capsys, monkeypatch):
+    from suzuki_cd import stabilizers
+    from suzuki_cd.errors import InvariantError
+
+    witness_for = stabilizers.witness_for
+
+    def broken(p, family, n):
+        if p.f == 2:
+            raise InvariantError("f=2 X n=1: 0 nontrivial kernels, expected 1")
+        return witness_for(p, family, n)
+
+    monkeypatch.setattr(stabilizers, "witness_for", broken)
+    code, out, err = run(capsys, "verify", "stabilizers", "--f-max", "3")
+    assert code == 1
+    assert err == ""
+    summary, counterexample = out.splitlines()
+    assert summary.startswith("stabilizer-witnesses: ") and summary.endswith("checks, FAILED (1)")
+    assert counterexample == "  counterexample: f=2 X n=1: 0 nontrivial kernels, expected 1"
+
+
 def test_gcd_table_rejects_f_zero(capsys):
     assert run(capsys, "gcd-table", "--f", "0..2")[0] == 2
     # a long range from below f = 1 too: the range cap never counts f <= 0

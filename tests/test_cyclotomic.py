@@ -332,7 +332,7 @@ def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
     n = 997
     roots = sqrt_minus_one(n)
     log = recording_images(monkeypatch)
-    quad, calls = verification.quad_sum_equivalence, []
+    quad, calls = cyclotomic.quad_sum_equivalence, []
 
     def recording(n, k, pairs):
         start = len(log)
@@ -341,7 +341,7 @@ def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
         calls.append((k, keys, len(pairs)))
         return answers
 
-    monkeypatch.setattr(verification, "quad_sum_equivalence", recording)
+    monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", recording)
     report = verification._quad_worker((n, roots, 200, verification.DEFAULT_SEED))
     assert report.passed and report.checks > 0
     assert [k for k, _, _ in calls] == roots

@@ -118,10 +118,11 @@ def test_cli_import_loads_only_what_the_parser_reads():
     "argv, not_run",
     [
         (["verify", "cyclotomic", "--n-max", "5"], ["degrees", "numtheory", "stabilizers"]),
-        (["verify", "lemmas", "--f-max", "3"], ["degrees", "stabilizers"]),
+        (["verify", "lemmas", "--f-max", "3"], ["cyclotomic", "degrees", "stabilizers"]),
+        (["verify", "theorem-a", "--f-max", "2"], ["cyclotomic"]),
         (["gcd-table", "--f", "1..3"], ["cyclotomic", "degrees", "stabilizers", "verification"]),
     ],
-    ids=["verify-cyclotomic", "verify-lemmas", "gcd-table"],
+    ids=["verify-cyclotomic", "verify-lemmas", "verify-theorem-a", "gcd-table"],
 )
 def test_verify_and_gcd_table_load_no_layer_they_do_not_run(argv, not_run):
     out = probe(

@@ -8,8 +8,9 @@
   (every size cap), errors.to_decimal (the int->str digit limit) and
   params.distinct_primes (an order trial division cannot factor).
 - ``f % 4`` (a name ``f`` or an attribute ``.f`` modulo 4) is taken only
-  by numtheory.coincidence_classify and stabilizers.is_witnessless, the
-  one home of theorem A's f mod 4 exceptions.
+  by numtheory.coincidence_classify, the one table keyed by f mod 4;
+  stabilizers.is_witnessless derives theorem A's exceptions from which
+  torus order 5 divides instead.
 - ``distinct_primes`` is called only by cyclotomic._annihilator, the one
   per-prime pass, which builds the annihilator every equality test uses.
 - ``lru_cache`` is named only by cyclotomic._annihilator and
@@ -33,7 +34,7 @@ from suzuki_cd.cli import VERIFY_SWEEPS
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
-F_MOD_4_HOMES = {"numtheory.coincidence_classify", "stabilizers.is_witnessless"}
+F_MOD_4_HOMES = {"numtheory.coincidence_classify"}
 DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
 LRU_CACHE_HOMES = {"cyclotomic._annihilator", "stabilizers._orbit_histogram"}
 GETATTR_CALL_HOMES = {"cli._cmd_verify"}
@@ -218,6 +219,7 @@ def test_f_mod_4_outside_its_homes_is_a_rule_break(tmp_path):
     )
     (tmp_path / "verification.py").write_text("def _stabilizer_worker(f):\n    return f % 4\n")
     assert rule_breaks(tmp_path) == [
+        "stabilizers.py:2: f % 4 taken in stabilizers.is_witnessless",
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "verification.py:2: f % 4 taken in verification._stabilizer_worker",

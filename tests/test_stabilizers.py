@@ -14,6 +14,7 @@ from suzuki_cd.characters import (
     Family,
     canonical_indices,
     canonicalize,
+    degree_of,
     family_count,
     make_label,
     multipliers_of,
@@ -47,7 +48,7 @@ def checked_witness(p, family, n):
 
 
 def assert_full_power_witness(p, family):
-    """witness_for at n = 2f+1 is 1, unless the exception table says none."""
+    """witness_for at n = 2f+1 is 1, unless is_witnessless says none."""
     n = p.out_order
     expected = None if is_witnessless(p, family, n) else 1
     assert witness_for(p, family, n) == expected, (p.f, family)
@@ -473,7 +474,7 @@ def test_witness_for_rejects_non_torus_families():
 
 @given(st.integers(min_value=1, max_value=500))
 def test_witnessless_table_matches_counting(f):
-    # the exception table that witness_for and the closed form read,
+    # the 5 | N rule that witness_for and the closed form read,
     # against orbit_counts, which reads the gcd lemmas instead
     p = make_params(f)
     for family in (Family.X, Family.Y, Family.Z):
@@ -481,6 +482,25 @@ def test_witnessless_table_matches_counting(f):
         for n in divisors_of(p.out_order):
             assert is_witnessless(p, family, n) == (counts.get(n, 0) == 0), (f, family, n)
         assert_full_power_witness(p, family)
+
+
+def test_witnessless_exponents_are_theorem_a_in_its_f_mod_4_form():
+    # Theorem A at G = Aut(S): a != 1; if f == 1, 2 (mod 4), b != 1 and
+    # c != 3; if f == 0, 3 (mod 4), b != 3 and c != 1.  a multiplies X's
+    # degree, b Y's and c Z's; the degree and torus criss-cross, Y's degree
+    # being (q^2-r+1)(q^2-1) and its torus q^2+r+1.
+    for f in [*range(1, 2001), 37537, 38000]:
+        p = make_params(f)
+        assert (degree_of(p, Family.Y), torus_order_of(p, Family.Y)) == (p.a2 * p.a0, p.a1)
+        assert (degree_of(p, Family.Z), torus_order_of(p, Family.Z)) == (p.a1 * p.a0, p.a2)
+        # 5 divides q^4 + 1 = a1 * a2, so exactly one of them, and never q^2 - 1
+        assert (p.a1 % 5 == 0) != (p.a2 % 5 == 0) and p.a0 % 5 != 0, f
+        b, c = ({1}, {3}) if f % 4 in (1, 2) else ({3}, {1})
+        excluded = {Family.X: {1}, Family.Y: b, Family.Z: c}
+        for family, ns in excluded.items():
+            for n in (1, 3):
+                if p.out_order % n == 0:
+                    assert is_witnessless(p, family, n) == (n in ns), (f, family, n)
 
 
 def test_is_witnessless_rejects_bad_input():

@@ -36,9 +36,9 @@ def test_quad_identity_deterministic():
 
 
 def test_quad_failure_message(monkeypatch):
-    from suzuki_cd import verification
+    from suzuki_cd import cyclotomic
 
-    quad = verification.quad_sum_equivalence
+    quad = cyclotomic.quad_sum_equivalence
 
     def flip_one(n, k, pairs):
         return [
@@ -47,7 +47,7 @@ def test_quad_failure_message(monkeypatch):
         ]
 
     checks = verify_quad_identity(n_max=13).checks
-    monkeypatch.setattr(verification, "quad_sum_equivalence", flip_one)
+    monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", flip_one)
     report = verify_quad_identity(n_max=13)
     assert report.checks == checks == 534
     assert report.failures == ["n=13 k=5 i=1 j=2: identity=True congruence=False"]
@@ -57,9 +57,9 @@ def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
     # each (n, k) block goes to quad_sum_equivalence whole, its pairs sorted
     # and distinct, and the call computes at most one image per orbit of the
     # exponents i, j, il and jl it is given
-    from suzuki_cd import cyclotomic, verification
+    from suzuki_cd import cyclotomic
 
-    quad, image = verification.quad_sum_equivalence, cyclotomic._image
+    quad, image = cyclotomic.quad_sum_equivalence, cyclotomic._image
     blocks, computed = [], []
 
     def record(n, k, pairs):
@@ -74,7 +74,7 @@ def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
         computed[-1] += 1
         return image(terms, n)
 
-    monkeypatch.setattr(verification, "quad_sum_equivalence", record)
+    monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", record)
     monkeypatch.setattr(cyclotomic, "_image", count)
     assert verify_quad_identity(n_max=130).passed
     roots = [(n, k) for n in range(1, 131) for k in range(n) if (k * k + 1) % n == 0]
@@ -136,9 +136,9 @@ def fake_at_f4(real, fake):
             84,
             ["f=4 Y n=1: witness 1 has exponent 9", "f=4 Y: n=1 witness 1 != 545/5"],
         ),
-        # Y's n = 1 entry flipped sends the check to Z, whose a2 = 481 has no 5;
-        # witness_for reads the same table, so Y loses its n = 1 witness and the
-        # exponent check of that witness is not made
+        # Y's n = 1 answer flipped sends the check to Z, whose a2 = 481 has no 5;
+        # witness_for reads is_witnessless too, so Y loses its n = 1 witness and
+        # the exponent check of that witness is not made
         (
             "is_witnessless",
             lambda real, p, family, n: real(p, family, n) != ((family, n) == (Family.Y, 1)),
@@ -160,6 +160,45 @@ def test_stabilizer_sweep_reports_a_wrong_invariant_label(monkeypatch, name, fak
     report = verify_stabilizer_witnesses(4)
     assert report.checks == checks
     assert report.failures == failures
+
+
+def broken_at_f2(real, f_of):
+    """real, except that at f = 2 it raises InvariantError."""
+    from suzuki_cd.errors import InvariantError
+
+    def fake(arg, *rest):
+        if f_of(arg) == 2:
+            raise InvariantError("f=2: broken")
+        return real(arg, *rest)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "sweep, worker, module, name, f_of",
+    [
+        (verify_stabilizer_witnesses, "_stabilizer_worker", "stabilizers", "witness_for",
+         lambda p: p.f),
+        (verify_degree_sets, "_degree_worker", "degrees", "cd_multiset",
+         lambda spec: spec.params.f),
+    ],
+    ids=["stabilizers", "theorem-a"],
+)
+def test_an_invariant_error_fails_its_item_and_the_sweep_goes_on(
+    monkeypatch, sweep, worker, module, name, f_of
+):
+    # the item that raises counts as one failed check with the error's text;
+    # f = 1 and f = 3 still run all of their checks
+    import importlib
+
+    from suzuki_cd import verification
+
+    home = importlib.import_module(f"suzuki_cd.{module}")
+    checks = {f: getattr(verification, worker)(f).checks for f in (1, 3)}
+    monkeypatch.setattr(home, name, broken_at_f2(getattr(home, name), f_of))
+    report = sweep(3)
+    assert report.failures == ["f=2: broken"]
+    assert report.checks == checks[1] + 1 + checks[3]
 
 
 def test_degree_set_sweep():
