@@ -4,27 +4,32 @@ Irr(S) splits into six families: the trivial character (ONE), the
 Steinberg character of degree q^4 (ST), two exceptional characters of
 degree r(q^2-1)/2 (W), and three semisimple families X, Y, Z indexed by
 the cyclic tori.  A semisimple character is determined by a nonzero
-residue modulo its torus order, up to a fixed multiplier group:
+residue modulo its torus order N, up to the multipliers {+-1, +-q^2}
+mod N:
 
-========  ============  =====================  ====================
-family    torus order   multipliers            degree
-========  ============  =====================  ====================
-X         q^2 - 1       {+-1}                  q^4 + 1
-Y         q^2 + r + 1   {+-1, +-q^2}           (q^2 - r + 1)(q^2 - 1)
-Z         q^2 - r + 1   {+-1, +-q^2}           (q^2 + r + 1)(q^2 - 1)
-========  ============  =====================  ====================
+========  ============  ==================  ==========================
+family    torus order   multipliers mod N   degree
+========  ============  ==================  ==========================
+X         q^2 - 1       {+-1, +-q^2}        (q^2 + r + 1)(q^2 - r + 1)
+Y         q^2 + r + 1   {+-1, +-q^2}        (q^2 - r + 1)(q^2 - 1)
+Z         q^2 - r + 1   {+-1, +-q^2}        (q^2 + r + 1)(q^2 - 1)
+========  ============  ==================  ==========================
 
-Beware the criss-cross in the right column: the family indexed by the
-torus of order q^2+r+1 has degree (q^2-r+1)(q^2-1) and vice versa.  It
-is intentional (the count tests pin it down) and easy to invert by
-accident.
+A semisimple character attached to a torus T has degree
+theta(1) = |S|_{2'}/|T|, and |S|_{2'} = (q^2 - 1)(q^2 + r + 1)(q^2 - r + 1)
+is the product of the three torus orders, so each family's degree is
+the product of the other two.  That is why the degrees criss-cross
+with the tori: Y, indexed by q^2 + r + 1, has degree (q^2 - r + 1)(q^2 - 1)
+and Z the other way round.  degree_of and the stabilizer exceptions
+both read the torus from torus_order_of, the one place where the
+families meet their tori.
 
-For Y and Z the multiplier q^2 squares to -1 modulo the torus order
-because q^4 == -1 there, so each multiplier set really is a group of
-order 4 and every nonzero residue class has exactly 4 (respectively 2
-for X) members; the family counts q^2/2 - 1, (q^2+r)/4, (q^2-r)/4 fall
-out of that.  The canonical representative of a class is its least
-positive member.
+For X, q^2 == 1 modulo q^2 - 1, so its multipliers collapse to {+-1}.
+For Y and Z, q^2 squares to -1 modulo the torus order because
+q^4 == -1 there, so each multiplier set really is a group of order 4.
+Every nonzero residue class has exactly 2 (X) or 4 (Y, Z) members; the
+family counts q^2/2 - 1, (q^2+r)/4, (q^2-r)/4 fall out of that.  The
+canonical representative of a class is its least positive member.
 
 The field automorphism acts on semisimple labels by doubling the index:
 applying it n times sends index i to the class of 2^n * i.  ONE, ST and
@@ -72,13 +77,9 @@ def degree_of(p: SuzukiParams, family: Family) -> int:
         return 1
     if family is Family.ST:
         return p.q4
-    if family is Family.X:
-        return p.q4 + 1
-    if family is Family.Y:
-        return p.a2 * p.a0
-    if family is Family.Z:
-        return p.a1 * p.a0
-    return p.r * p.a0 // 2
+    if family is Family.W:
+        return p.r * p.a0 // 2
+    return p.a0 * p.a1 * p.a2 // torus_order_of(p, family)
 
 
 def family_count(p: SuzukiParams, family: Family) -> int:
@@ -105,8 +106,6 @@ def torus_order_of(p: SuzukiParams, family: Family) -> int:
 
 def multipliers_of(p: SuzukiParams, family: Family) -> frozenset[int]:
     n = torus_order_of(p, family)
-    if family is Family.X:
-        return frozenset((1, n - 1))
     q = p.q2 % n
     return frozenset((1, n - 1, q, n - q))
 
@@ -152,10 +151,10 @@ def canonical_indices(p: SuzukiParams, family: Family) -> list[int]:
 def torus_value(p: SuzukiParams, label: CharacterLabel, l: int) -> CyclotomicSum:
     """Exact character value at the l-th power of the torus generator.
 
-    X_i takes value zeta^(il) + zeta^(-il) on the split torus; Y_j and
-    Z_k take -(zeta^(jl) + zeta^(-jl) + zeta^(jlq^2) + zeta^(-jlq^2))
-    on theirs.  Values away from the indexing torus are out of scope,
-    as are ONE/ST/W values.
+    A label with index i takes eps * sum(zeta^(ilm)) over the multipliers
+    m of its family: eps = +1 on the split torus of X, where q^2 == 1 and
+    the multipliers are +-1, and -1 on the tori of Y and Z.  Values away
+    from the indexing torus are out of scope, as are ONE/ST/W values.
     """
     from .cyclotomic import root_power_sum  # here, so that cd and orbits never load it
     if label.family not in TORUS_FAMILIES:
@@ -163,13 +162,9 @@ def torus_value(p: SuzukiParams, label: CharacterLabel, l: int) -> CyclotomicSum
     n = torus_order_of(p, label.family)
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= {n}, got {l}")
-    i = label.index
-    if label.family is Family.X:
-        return root_power_sum(n, [i * l, -i * l], [1, 1])
-    q = p.q2 % n
-    return root_power_sum(
-        n, [i * l, -i * l, i * l * q, -i * l * q], [-1, -1, -1, -1]
-    )
+    eps = 1 if p.q2 % n == 1 else -1
+    mult = multipliers_of(p, label.family)
+    return root_power_sum(n, [label.index * l * m for m in mult], [eps] * len(mult))
 
 
 def phi_power_on_label(

@@ -1,15 +1,17 @@
-"""Closed-form gcds for divisors of q^4 + 1 against q^2 +- 2^n.
+"""Closed-form gcds of the torus orders against q^2 +- 2^n.
 
-The torus orders a1 = q^2+r+1 and a2 = q^2-r+1 multiply to q^4+1, and
-their gcds with numbers of the form q^2 +- 2^n (n a proper divisor of
-2f+1) collapse to a three-way branch on the congruence class of
-2f -+ n + 1 modulo 8.  The case analysis is easy to mis-transcribe, so
-euclid_gcd, a plain Euclidean oracle on the actual pair of integers, is
-the ground truth.  gcd_verification_rows is the only code here that
-calls it: one grid of closed form vs Euclid per f, which ``gcd-table``
-prints and the sweep in :mod:`suzuki_cd.verification` checks; it extends
-the closed-form rows of gcd_closed_form_rows, so a caller can render the
-closed forms before any Euclid call.
+On the split torus, of order q^2 - 1, the gcd is 2^n - 1 or 1
+(gcd_split_torus).  The other two torus orders a1 = q^2+r+1 and
+a2 = q^2-r+1 multiply to q^4+1, and their gcds with q^2 +- 2^n (n a
+proper divisor of 2f+1) collapse to a three-way branch on the
+congruence class of 2f -+ n + 1 modulo 8.  The case analysis is easy
+to mis-transcribe, so euclid_gcd, a plain Euclidean oracle on the
+actual pair of integers, is the ground truth.  gcd_verification_rows
+is the only code here that calls it: one grid of closed form vs Euclid
+per f, which ``gcd-table`` prints and the sweep in
+:mod:`suzuki_cd.verification` checks; it extends the closed-form rows
+of gcd_closed_form_rows, so a caller can render the closed forms before
+any Euclid call.
 
 Notation used in branch records: ``4 || x`` means 4 divides x but 8
 does not (4 divides x exactly).
@@ -69,21 +71,17 @@ def torus_order(p: SuzukiParams, torus: Torus) -> int:
     return p.a1 if torus is Torus.PLUS else p.a2
 
 
-def gcd_two_powers(n: int, m: int, sign: int) -> int:
-    """gcd(2^n - 1, 2^m + sign) for m | n, in closed form.
+def gcd_split_torus(p: SuzukiParams, n: int, sign: int) -> int:
+    """gcd(q^2 - 1, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
 
-    It is 2^m - 1 for sign -1, since 2^m - 1 divides 2^n - 1.  For
-    sign +1 it is 2^m + 1 if n/m is even, else 1: modulo the odd 2^m + 1,
-    2^n is (-1)^(n/m), so 2^n - 1 is 0 or -2.
+    Modulo q^2 - 1, q^2 is 1, so this is gcd(2^(2f+1) - 1, 2^n + sign).
+    For sign -1 it is 2^n - 1, since n | 2f+1.  For sign +1 it is 1:
+    modulo the odd 2^n + 1, 2^(2f+1) is (-1)^((2f+1)/n) = -1, so
+    2^(2f+1) - 1 is -2.
     """
     _require_sign(sign)
-    if n < 1 or m < 1:
-        raise ValueError(f"need positive exponents, got n={n}, m={m}")
-    if n % m != 0:
-        raise ValueError(f"m must divide n, got n={n}, m={m}")
-    if sign < 0:
-        return (1 << m) - 1
-    return (1 << m) + 1 if (n // m) % 2 == 0 else 1
+    _require_proper_divisor(p, n)
+    return (1 << n) - 1 if sign < 0 else 1
 
 
 def gcd_q4_plus1(p: SuzukiParams, n: int, sign: int) -> GcdCase:

@@ -1,12 +1,12 @@
 """Stabilizers of characters under the field automorphism.
 
 For a divisor n of 2f+1, a torus label with index i is fixed by the
-n-th power of the field automorphism iff the torus order N divides
-(2^n - m) i for some multiplier m of the family.  Spelled out:
-
-- X_i:  q^2 - 1 divides (2^n - 1) i
-- Y_j:  q^2 + r + 1 divides (q^2 - 2^n) j or (q^2 + 2^n) j
-- Z_k:  same with q^2 - r + 1
+n-th power of the field automorphism iff 2^n i == m i (mod N) for some
+multiplier m of the family, N its torus order.  For every family that
+is one criterion: N divides (q^2 - 2^n) i or (q^2 + 2^n) i.  The
+multipliers +-q^2 give it directly.  For X, q^2 == 1 (mod N) makes
++-1 the same multipliers; for Y and Z, +-1 fix no nonzero index, since
+gcd(q^4 + 1, 2^n -+ 1) = 1.
 
 The *exact stabilizer exponent* of a label is the least such n; the
 orbit of the label under index-doubling has exactly that size.
@@ -96,7 +96,7 @@ def is_witnessless(p: SuzukiParams, family: Family, n: int) -> bool:
     orbit_counts(p, family) lacks exactly these exponents.
     """
     if family not in TORUS_FAMILIES:
-        raise ValueError(f"no exception table for family {family.value}")
+        raise ValueError(f"family {family.value} has no indexing torus")
     _require_divisor(p, n)
     return n in (1, 3) and (n == 1) != (torus_order_of(p, family) % 5 == 0)
 
@@ -146,15 +146,13 @@ def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
 
 
 def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:
-    """(g-, g+): the orders of the only kernels ker(2^n - m), m a multiplier,
-    that can hold a nonzero index of the torus family, from the gcd lemmas.
+    """(g-, g+): the orders of the kernels that can hold a nonzero index of
+    the torus family, g-+ = gcd(N, q^2 -+ 2^n) by the one criterion
+    N | (q^2 -+ 2^n) i above, N the torus order, from the gcd lemmas:
 
-    - n = 2f+1: 2^n = q^2 is itself a multiplier mod the torus order N,
-      so the pair is (N, 1);
-    - X: m = +-1, g-+ = gcd(q^2-1, 2^n -+ 1) = gcd_two_powers(2f+1, n, -+1),
-      which is 2^n - 1 and 1;
-    - Y, Z: m = +-q^2, g-+ = gcd(N, q^2 -+ 2^n) = gcd_torus(p, torus, n, -+1);
-      m = +-1 fix no nonzero index, since gcd(q^4+1, 2^n -+ 1) = 1.
+    - n = 2f+1: q^2 - 2^n = 0, so the pair is (N, 1);
+    - X: gcd_split_torus(p, n, -+1), which is 2^n - 1 and 1;
+    - Y, Z: gcd_torus(p, torus, n, -+1).
 
     The two kernels meet only in 0 (N is odd), so the n-th automorphism
     power fixes g- + g+ - 2 nonzero indices, which the |M| multipliers
@@ -162,12 +160,12 @@ def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:
     exact exponent n exists, exactly one of g-, g+ is nontrivial.
     """
     # here, so that a cd that does not count skips it
-    from .numtheory import Torus, gcd_torus, gcd_two_powers
+    from .numtheory import Torus, gcd_split_torus, gcd_torus
 
     if n == p.out_order:
         return torus_order_of(p, family), 1
     if family is Family.X:
-        return gcd_two_powers(p.out_order, n, -1), gcd_two_powers(p.out_order, n, +1)
+        return gcd_split_torus(p, n, -1), gcd_split_torus(p, n, +1)
     torus = Torus.PLUS if family is Family.Y else Torus.MINUS
     return gcd_torus(p, torus, n, -1).value, gcd_torus(p, torus, n, +1).value
 

@@ -79,7 +79,7 @@ def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
 
     Every check is per f, so all grow with f_max: the torus and q^4+1
     rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1) at the arguments
-    stabilizers._kernel_orders passes to gcd_two_powers."""
+    stabilizers._kernel_orders passes to gcd_split_torus."""
     _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
     return _merge("gcd-closed-forms", _map_ordered(_gcd_worker, range(1, f_max + 1), jobs))
 
@@ -175,7 +175,7 @@ def _gcd_worker(f: int) -> SweepReport:
         coincidence_classify,
         euclid_gcd,
         gcd_closed_form_rows,
-        gcd_two_powers,
+        gcd_split_torus,
         gcd_verification_rows,
     )
 
@@ -199,8 +199,9 @@ def _gcd_worker(f: int) -> SweepReport:
                 euclid_gcd(p.q4 + 1, (1 << n) + sign) == 1,
                 lambda: f"f={f} n={n} sign={sign}: gcd(q^4+1, 2^n{sign:+d}) != 1",
             )
-            # the X kernel orders of stabilizers._kernel_orders
-            closed = gcd_two_powers(p.out_order, n, sign)
+            # the X kernel orders of stabilizers._kernel_orders; Euclid's pair
+            # has the same gcd, as q^2 == 1 (mod q^2-1)
+            closed = gcd_split_torus(p, n, sign)
             actual = euclid_gcd(p.a0, (1 << n) + sign)
             _check(
                 report,

@@ -45,7 +45,7 @@ PUBLIC_NAMES = [
 ]
 
 # modules the cd and orbits commands do not run, apart from numtheory,
-# whose gcd lemmas (gcd_two_powers for X, gcd_torus for Y and Z)
+# whose gcd lemmas (gcd_split_torus for X, gcd_torus for Y and Z)
 # orbit_counts reads through stabilizers._kernel_orders when a command counts
 NOT_FOR_CD = [
     "csv",

@@ -10,8 +10,8 @@ from suzuki_cd.numtheory import (
     euclid_gcd,
     gcd_closed_form_rows,
     gcd_q4_plus1,
+    gcd_split_torus,
     gcd_torus,
-    gcd_two_powers,
     gcd_verification_rows,
     torus_order,
 )
@@ -38,33 +38,22 @@ def test_euclid_matches_math_gcd(a, b):
     assert euclid_gcd(a, b) == math.gcd(a, b)
 
 
-@pytest.mark.parametrize(
-    "n,m,sign,expected",
-    [
-        (6, 3, -1, 7),
-        (6, 3, +1, 9),
-        (6, 2, +1, 1),
-    ],
-)
-def test_gcd_two_powers_examples(n, m, sign, expected):
-    assert gcd_two_powers(n, m, sign) == expected
-    assert expected == math.gcd(2**n - 1, 2**m + sign)
-
-
-def test_gcd_two_powers_exhaustive_small():
-    for m in range(1, 11):
-        for n in range(m, 31, m):
+def test_gcd_split_torus_matches_math_gcd():
+    for f in range(1, 65):
+        p = make_params(f)
+        for n in divisors_of(p.out_order)[:-1]:
             for sign in (-1, 1):
-                assert gcd_two_powers(n, m, sign) == math.gcd(2**n - 1, 2**m + sign)
+                assert gcd_split_torus(p, n, sign) == math.gcd(p.a0, p.q2 + sign * 2**n), (f, n)
 
 
-def test_gcd_two_powers_rejects():
+@pytest.mark.parametrize(
+    "n, sign",
+    [(3, 0), (5, -1), (9, 1)],
+    ids=["sign-0", "not-a-divisor", "all-of-2f+1"],
+)
+def test_gcd_split_torus_rejects(n, sign):
     with pytest.raises(ValueError):
-        gcd_two_powers(6, 4, -1)  # 4 does not divide 6
-    with pytest.raises(ValueError):
-        gcd_two_powers(6, 3, 0)
-    with pytest.raises(ValueError):
-        gcd_two_powers(0, 1, 1)
+        gcd_split_torus(make_params(4), n, sign)  # 2f+1 = 9
 
 
 def test_gcd_q4_plus1_examples():

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from suzuki_cd import numtheory, stabilizers
+from suzuki_cd import characters, numtheory, stabilizers
 from suzuki_cd.characters import (
     TORUS_FAMILIES,
     CharacterLabel,
@@ -23,6 +23,7 @@ from suzuki_cd.characters import (
     torus_value,
 )
 from suzuki_cd.cyclotomic import equals
+from suzuki_cd.degrees import ExtensionSpec, cd_closed_form
 from suzuki_cd.errors import BudgetExceededError, InvariantError
 from suzuki_cd.numtheory import GcdCase
 from suzuki_cd.params import divisors_of, make_params
@@ -362,10 +363,10 @@ def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, mes
 def test_orbit_counts_refuse_an_x_kernel_order_that_splits_a_label(monkeypatch):
     # 2^n in place of gcd(q^2-1, 2^n-1) = 2^n-1: at n = 1 the kernels hold
     # 2 + 1 - 2 = 1 nonzero index, not whole pairs {i, -i}
-    def gcd_two_powers(n, m, sign):
-        return 1 << m if sign < 0 else 1
+    def gcd_split_torus(p, n, sign):
+        return 1 << n if sign < 0 else 1
 
-    monkeypatch.setattr(numtheory, "gcd_two_powers", gcd_two_powers)
+    monkeypatch.setattr(numtheory, "gcd_split_torus", gcd_split_torus)
     with pytest.raises(InvariantError, match="^f=4 X n=1: 1 fixed indices, not 2 per label$"):
         orbit_counts(make_params(4), Family.X)
 
@@ -493,6 +494,8 @@ def test_witnessless_exponents_are_theorem_a_in_its_f_mod_4_form():
         p = make_params(f)
         assert (degree_of(p, Family.Y), torus_order_of(p, Family.Y)) == (p.a2 * p.a0, p.a1)
         assert (degree_of(p, Family.Z), torus_order_of(p, Family.Z)) == (p.a1 * p.a0, p.a2)
+        for family in TORUS_FAMILIES:  # theta(1) = |S|_2' / |T|
+            assert degree_of(p, family) * torus_order_of(p, family) == (p.q4 + 1) * p.a0
         # 5 divides q^4 + 1 = a1 * a2, so exactly one of them, and never q^2 - 1
         assert (p.a1 % 5 == 0) != (p.a2 % 5 == 0) and p.a0 % 5 != 0, f
         b, c = ({1}, {3}) if f % 4 in (1, 2) else ({3}, {1})
@@ -503,9 +506,29 @@ def test_witnessless_exponents_are_theorem_a_in_its_f_mod_4_form():
                     assert is_witnessless(p, family, n) == (n in ns), (f, family, n)
 
 
+def test_the_degree_and_torus_criss_cross_has_one_source(monkeypatch):
+    # Y and Z swapped in torus_order_of: the degrees and the Aut(S)
+    # exceptions both follow the torus, so no degree set changes
+    def closed_forms():
+        return [
+            cd_closed_form(ExtensionSpec(p, d))
+            for p in map(make_params, range(1, 41))
+            for d in divisors_of(p.out_order)
+        ]
+
+    real = closed_forms()
+    swap = {Family.Y: Family.Z, Family.Z: Family.Y}
+    swapped = lambda p, family: torus_order_of(p, swap.get(family, family))
+    monkeypatch.setattr(characters, "torus_order_of", swapped)
+    monkeypatch.setattr(stabilizers, "torus_order_of", swapped)
+    p = make_params(1)
+    assert characters.torus_order_of(p, Family.Y) == torus_order_of(p, Family.Z)
+    assert closed_forms() == real
+
+
 def test_is_witnessless_rejects_bad_input():
     p = make_params(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^family W has no indexing torus$"):
         is_witnessless(p, Family.W, 1)
     with pytest.raises(ValueError):
         is_witnessless(p, Family.Y, 5)  # 5 does not divide 9

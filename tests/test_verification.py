@@ -103,12 +103,12 @@ def test_gcd_sweep_checks_the_x_kernel_orders_at_every_f(monkeypatch):
     # 2f+1 = 39 = 3 * 13 at f = 19 is the first proper divisor over 12
     from suzuki_cd import numtheory
 
-    real = numtheory.gcd_two_powers
+    real = numtheory.gcd_split_torus
 
-    def wrong_at_13(n, m, sign):
-        return real(n, m, sign) + (2 if m == 13 else 0)
+    def wrong_at_13(p, n, sign):
+        return real(p, n, sign) + (2 if n == 13 else 0)
 
-    monkeypatch.setattr(numtheory, "gcd_two_powers", wrong_at_13)
+    monkeypatch.setattr(numtheory, "gcd_split_torus", wrong_at_13)
     assert verify_gcd_closed_forms(18).passed
     assert verify_gcd_closed_forms(19).failures == [
         "f=19 n=13 sign=-1: gcd(q^2-1, 2^n-1) closed 8193 != euclid 8191",
