@@ -1,7 +1,7 @@
 """Closed-form gcds of the torus orders against q^2 +- 2^n.
 
 On the split torus, of order q^2 - 1, the gcd is 2^n - 1 or 1
-(gcd_split_torus).  The other two torus orders a1 = q^2+r+1 and
+(gcd_split_torus, through the two-power lemma gcd_two_powers).  The other two torus orders a1 = q^2+r+1 and
 a2 = q^2-r+1 multiply to q^4+1, and their gcds with q^2 +- 2^n (n a
 proper divisor of 2f+1) collapse to a three-way branch on the
 congruence class of 2f -+ n + 1 modulo 8.  The case analysis is easy
@@ -71,17 +71,32 @@ def torus_order(p: SuzukiParams, torus: Torus) -> int:
     return p.a1 if torus is Torus.PLUS else p.a2
 
 
+def gcd_two_powers(n: int, m: int, sign: int) -> int:
+    """gcd(2^n - 1, 2^m + sign) for m | n, in closed form.
+
+    It is 2^m - 1 for sign -1, since 2^m - 1 divides 2^n - 1.  For
+    sign +1 it is 2^m + 1 if n/m is even, else 1: modulo the odd 2^m + 1,
+    2^n is (-1)^(n/m), so 2^n - 1 is 0 or -2.
+    """
+    _require_sign(sign)
+    if n < 1 or m < 1:
+        raise ValueError(f"need positive exponents, got n={n}, m={m}")
+    if n % m != 0:
+        raise ValueError(f"m must divide n, got n={n}, m={m}")
+    if sign < 0:
+        return (1 << m) - 1
+    return (1 << m) + 1 if (n // m) % 2 == 0 else 1
+
+
 def gcd_split_torus(p: SuzukiParams, n: int, sign: int) -> int:
     """gcd(q^2 - 1, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
 
-    Modulo q^2 - 1, q^2 is 1, so this is gcd(2^(2f+1) - 1, 2^n + sign).
-    For sign -1 it is 2^n - 1, since n | 2f+1.  For sign +1 it is 1:
-    modulo the odd 2^n + 1, 2^(2f+1) is (-1)^((2f+1)/n) = -1, so
-    2^(2f+1) - 1 is -2.
+    Modulo q^2 - 1, q^2 is 1, so this is gcd(2^(2f+1) - 1, 2^n + sign),
+    which gcd_two_powers gives: 2^n - 1 for sign -1, and 1 for sign +1
+    since (2f+1)/n is odd.
     """
-    _require_sign(sign)
     _require_proper_divisor(p, n)
-    return (1 << n) - 1 if sign < 0 else 1
+    return gcd_two_powers(p.out_order, n, sign)
 
 
 def gcd_q4_plus1(p: SuzukiParams, n: int, sign: int) -> GcdCase:

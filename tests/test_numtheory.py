@@ -12,6 +12,7 @@ from suzuki_cd.numtheory import (
     gcd_q4_plus1,
     gcd_split_torus,
     gcd_torus,
+    gcd_two_powers,
     gcd_verification_rows,
     torus_order,
 )
@@ -36,6 +37,35 @@ def test_euclid_matches_math_gcd(a, b):
     if a == 0 and b == 0:
         return
     assert euclid_gcd(a, b) == math.gcd(a, b)
+
+
+@pytest.mark.parametrize(
+    "n,m,sign,expected",
+    [
+        (6, 3, -1, 7),
+        (6, 3, +1, 9),
+        (6, 2, +1, 1),
+    ],
+)
+def test_gcd_two_powers_examples(n, m, sign, expected):
+    assert gcd_two_powers(n, m, sign) == expected
+    assert expected == math.gcd(2**n - 1, 2**m + sign)
+
+
+def test_gcd_two_powers_exhaustive_small():
+    for m in range(1, 11):
+        for n in range(m, 31, m):
+            for sign in (-1, 1):
+                assert gcd_two_powers(n, m, sign) == math.gcd(2**n - 1, 2**m + sign)
+
+
+def test_gcd_two_powers_rejects():
+    with pytest.raises(ValueError):
+        gcd_two_powers(6, 4, -1)  # 4 does not divide 6
+    with pytest.raises(ValueError):
+        gcd_two_powers(6, 3, 0)
+    with pytest.raises(ValueError):
+        gcd_two_powers(0, 1, 1)
 
 
 def test_gcd_split_torus_matches_math_gcd():
