@@ -12,21 +12,31 @@ zeta_d for every proper divisor d (some p has d | n/p), while at a
 primitive n-th root each factor is zeta_p - 1 != 0.  So P(zeta) = 0 iff
 P * Q == 0 in Z[x]/(x^n - 1).  Only the primes of n are needed, and
 :func:`~suzuki_cd.params.distinct_primes` refuses an order it cannot
-factor quickly, so no call can hang.
+factor quickly, so no call can hang.  Q is built once per order, and
+multiplying a t-term sum by it sums Q shifted by each exponent and
+scaled by each coefficient: t * 2^omega(n) terms, with no factoring.
 
-Multiplication by Q is linear, so a == b iff a * Q == b * Q term for
-term.  Q itself is built once per order, and the image of a t-term sum
-is the sum of Q shifted by each of its exponents and scaled by its
-coefficient: one pass over t * 2^omega(n) terms, with no factoring.
-:func:`equals` compares the images of a and b;
-:func:`quad_sum_equivalence` compares those of the two four-root sums
-for a batch of index pairs at one root k, computing each image once per
-orbit {+-e, +-ek} and keeping it only for that call.
+Q has two users.  :func:`equals` tests the difference a - b for zero:
+it multiplies it by the head H, the product of every prime binomial
+but the last one (x^m - 1), m = n/p, and tests the last factor without
+multiplying, as a period.  D = (a - b) * H has D * (x^m - 1) == 0 iff D
+is invariant under the shift by m, that is iff its sorted terms are one
+block of exponents below m repeated at offsets m, 2m, ..., (p - 1)m with
+the same coefficients: exactly D = B * (1 + x^m + ... + x^((p-1)m)),
+which x^m - 1 takes to B * (x^n - 1) == 0.  For n = 1, Q = 1 and the
+difference itself must be empty.  :func:`quad_sum_equivalence` compares
+images under Q instead: those of the two four-root sums for a batch of
+index pairs at one root k, computing each image once per orbit
+{+-e, +-ek} and keeping it only for that call.
 
-No floating point is involved anywhere.  Only sums, negation and exact
-equality are provided; ring multiplication is not needed for character
-values and is deliberately left out, and equality has no congruence
-shortcut beside :func:`equals`.
+Sums are built in C-level passes: :func:`root_power_sum` sorts its
+reduced exponents whole, and a sum of two copies the longer operand
+into a dict; the summing loop runs only over the shorter operand, or
+where an exponent repeats.  No floating point is involved
+anywhere.  Only sums, negation and exact equality are provided; ring
+multiplication is not needed for character values and is deliberately
+left out, and equality has no congruence shortcut beside
+:func:`equals`.
 """
 
 from __future__ import annotations
@@ -63,10 +73,7 @@ class CyclotomicSum(Record):
     def __add__(self, other: CyclotomicSum) -> CyclotomicSum:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return _from_dict(self.order, acc)
+        return _from_dict(self.order, _merged(self.terms, other.terms, 1))
 
     def __neg__(self) -> CyclotomicSum:
         return CyclotomicSum(self.order, tuple((e, -c) for e, c in self.terms))
@@ -79,7 +86,29 @@ class CyclotomicSum(Record):
 
 
 def _from_dict(n: int, acc: dict[int, int]) -> CyclotomicSum:
-    return CyclotomicSum(n, tuple(sorted((e, c) for e, c in acc.items() if c)))
+    """The sum of the terms {exponent: coefficient} of acc, none zero."""
+    return CyclotomicSum(n, tuple(sorted(acc.items())))
+
+
+def _add_terms(acc: dict[int, int], terms, sign: int) -> dict[int, int]:
+    """Add sign * c at e into acc for each (e, c) of terms, deleting each
+    coefficient that reaches zero; return acc."""
+    for e, c in terms:
+        c = acc.get(e, 0) + sign * c
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+    return acc
+
+
+def _merged(a, b, sign: int) -> dict[int, int]:
+    """The terms {exponent: coefficient} of the longer of the term tuples
+    a and b plus sign times the shorter, none zero: the longer is copied
+    in one pass, and only the shorter is summed term by term."""
+    if len(a) < len(b):
+        a, b = b, a
+    return _add_terms(dict(a), b, sign)
 
 
 def root_power_sum(
@@ -94,27 +123,44 @@ def root_power_sum(
         raise ValueError("exponents and signs must have the same length")
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    acc: dict[int, int] = {}
-    for e, s in zip(exponents, signs):
-        if s not in (-1, 1):
-            raise ValueError(f"signs must be +1 or -1, got {s!r}")
-        e %= n
-        acc[e] = acc.get(e, 0) + s
-    return _from_dict(n, acc)
+    if signs.count(1) + signs.count(-1) != len(signs):
+        bad = next(s for s in signs if s not in (-1, 1))
+        raise ValueError(f"signs must be +1 or -1, got {bad!r}")
+    exponents = [e % n for e in exponents]
+    if len(set(exponents)) == len(exponents):
+        return CyclotomicSum(n, tuple(sorted(zip(exponents, signs))))
+    return _from_dict(n, _add_terms({}, zip(exponents, signs), 1))  # sum repeats
 
 
 def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
     """True iff a and b are the same element of Z[zeta_n].
 
-    Compares the images of a and b under multiplication by the
-    prime-binomial annihilator prod_{p | n} (x^(n/p) - 1) modulo
-    x^n - 1 (see the module docstring); identical terms are equal
-    without factoring n.  Raises BudgetExceededError if the order cannot
-    be factored below the trial-division bound.
+    Tests the difference D = a - b for zero under the prime-binomial
+    annihilator Q = prod_{p | n} (x^(n/p) - 1) modulo x^n - 1 (see the
+    module docstring): D is built once, from a dict of the longer
+    operand, and multiplied by the head H, every prime binomial of Q but
+    the last, (x^m - 1) with m = n/p.  D * H * (x^m - 1) is zero exactly
+    when D * H is invariant under the shift by m, so its sorted terms are
+    checked to be one block below m repeated at offsets m, ...,
+    (p - 1)m, coefficients included.  Identical terms are equal without
+    factoring n.  Raises BudgetExceededError if the order cannot be
+    factored below the trial-division bound.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    return a.terms == b.terms or _image(a.terms, a.order) == _image(b.terms, a.order)
+    if a.terms == b.terms:
+        return True
+    n = a.order
+    _, head, m = _annihilator(n)
+    diff = _merged(a.terms, b.terms, -1)  # +-(a - b): the sign does not matter
+    if len(head) > 1:  # head = 1 when n has at most one prime
+        diff = _times(diff.items(), head, n)
+    if not m:  # n = 1: Q = 1
+        return not diff
+    exps = sorted(diff)
+    coefs = [diff[e] for e in exps]
+    s, rest = divmod(len(exps), n // m)
+    return not rest and coefs[s:] == coefs[:-s] and exps[s:] == [e + m for e in exps[:-s]]
 
 
 def quad_sum_equivalence(
@@ -166,21 +212,33 @@ def quad_sum_equivalence(
 
 
 @lru_cache(maxsize=8)
-def _annihilator(n: int) -> tuple[tuple[int, int], ...]:
-    """The sorted terms of prod_{p | n} (x^(n/p) - 1) modulo x^n - 1."""
+def _annihilator(
+    n: int,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...], int]:
+    """(Q, head, m): the sorted terms of Q = prod_{p | n} (x^(n/p) - 1)
+    modulo x^n - 1, the terms of its head, the product without the last
+    prime's binomial, and that binomial's shift m = n/p, so that
+    Q = head * (x^m - 1); m is 0 for n = 1, where Q = head = 1."""
     # no two terms meet: a sum of distinct n/p is nonzero mod p^a (p^a || n)
     # exactly for the p it contains, so the 2^omega(n) exponents differ mod n
-    q = [(0, 1)]
+    q, head, m = [(0, 1)], [(0, 1)], 0
     for p in distinct_primes(n):
-        q = [((e + n // p) % n, c) for e, c in q] + [(e, -c) for e, c in q]
-    return tuple(sorted(q))
+        head, m = q, n // p
+        q = [((e + m) % n, c) for e, c in q] + [(e, -c) for e, c in q]
+    return tuple(sorted(q)), tuple(head), m
 
 
 def _image(terms: tuple[tuple[int, int], ...], n: int) -> dict[int, int]:
     """The nonzero terms {exponent: coefficient} of the sum of c * zeta^t
-    over the (t, c) in terms, t in [0, n), times the annihilator: the sum
-    of c times the annihilator shifted by t.  Callers only compare it."""
-    q = _annihilator(n)
+    over the (t, c) in terms, t in [0, n), times the annihilator.
+    Callers only compare it."""
+    return _times(terms, _annihilator(n)[0], n)
+
+
+def _times(terms, q: tuple[tuple[int, int], ...], n: int) -> dict[int, int]:
+    """The nonzero terms {exponent: coefficient} of the sum of c * zeta^t
+    over the (t, c) in terms, times the sum of the terms q, exponents
+    of both in [0, n): the sum of c times q shifted by t."""
     out: dict[int, int] = {}
     for t, c in terms:
         for s, d in q:

@@ -5,10 +5,14 @@ library function they use is params.divisors_of.
 
 A sum s of n-th roots of unity is zero in Z[zeta_n] iff its remainder
 modulo Phi_n is zero; :func:`phi_remainder` decides equality that way.
-The library instead compares images under multiplication by the
-annihilator prod_{p | n} (x^(n/p) - 1) modulo x^n - 1, built sparsely
-(suzuki_cd.cyclotomic); :func:`annihilated` computes the same image by
-dense cyclic convolution, with the primes of n read off divisors_of.
+The library instead multiplies by the annihilator Q = prod_{p | n}
+(x^(n/p) - 1) modulo x^n - 1, built sparsely (suzuki_cd.cyclotomic),
+which has two users there: equals tests the difference for zero,
+multiplying it by every prime binomial of Q but the last and testing
+that one, x^m - 1 with m = n/p, as a period (D * (x^m - 1) == 0 iff D
+is invariant under the shift by m), and quad_sum_equivalence compares
+images under Q.  :func:`annihilated` computes such an image by dense
+cyclic convolution, with the primes of n read off divisors_of.
 The tests compare the library against both.  There is no size cap: the
 tests choose their orders, the largest 8321.
 """

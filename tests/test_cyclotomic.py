@@ -88,10 +88,27 @@ def test_root_power_sum_examples():
 
 
 def test_root_power_sum_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="same length"):
         root_power_sum(5, [1, 2], [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 2$"):
         root_power_sum(5, [1], [2])
+    # the first bad sign is named, not a later one
+    with pytest.raises(ValueError, match="got 2$"):
+        root_power_sum(5, [1, 2, 3, 4], [1, 2, -1, 3])
+
+
+def test_root_power_sum_with_repeats_is_the_term_by_term_sum():
+    # seeded exponents drawn from a small range, so most of them repeat and
+    # some cancel; the reference adds one term at a time into a dense vector
+    rng = random.Random(29)
+    for n in (1, 2, 9, 97, 1155):
+        for size in (2, 5, 40):
+            exponents = [rng.randrange(-8, 8) for _ in range(size)]
+            signs = [rng.choice((-1, 1)) for _ in range(size)]
+            coeffs = [0] * n
+            for e, s in zip(exponents, signs):
+                coeffs[e % n] += s
+            assert root_power_sum(n, exponents, signs) == dense_sum(n, coeffs), (n, exponents, signs)
 
 
 def test_equals_basics():
@@ -361,6 +378,21 @@ def test_sum_negation_arithmetic():
     assert equals(total - b, a)
 
 
+def test_sum_is_symmetric_when_one_operand_is_much_longer():
+    # the longer operand is copied whole and the shorter merged into it,
+    # whichever side each is on; a + (-a) cancels every term
+    n = 8321
+    rng = random.Random(n)
+    short = root_power_sum(n, [1, 3, 5], [1, -1, 1])
+    evens = rng.sample(range(0, n, 2), 2998)
+    long = root_power_sum(n, [1, 3] + evens, [-1, 1] + [rng.choice((-1, 1)) for _ in evens])
+    assert len(long.terms) == 1000 * len(short.terms)
+    expected = tuple(sorted([(5, 1)] + [(e, c) for e, c in long.terms if e not in (1, 3)]))
+    assert (short + long).terms == (long + short).terms == expected
+    for a in (short, long):
+        assert (a + (-a)).terms == ()
+
+
 # Orders past 300: 3^7 and 2^12 (one repeated prime), 210 = 2.3.5.7,
 # 1155 = 3.5.7.11 and 2310 = 2.3.5.7.11 (four or five distinct primes);
 # the slower reference at 8321 = 53.157 runs only in the fixed test.
@@ -369,8 +401,20 @@ ANNIHILATOR_ORDERS = tuple(range(1, 301)) + LARGE_ORDERS
 
 
 def test_annihilator_matches_the_dense_product():
+    # Q, and its split head * (x^m - 1) with m = n/p for the last prime p,
+    # computed densely; at n = 1, Q = head = 1 and m = 0
     for n in ANNIHILATOR_ORDERS:
-        assert _annihilator(n) == sparse(annihilator_vector(n)), n
+        q, head, m = _annihilator(n)
+        assert q == sparse(annihilator_vector(n)), n
+        primes = distinct_primes(n)
+        assert m == (n // primes[-1] if primes else 0), n
+        product = [0] * n
+        for e, c in head:
+            product[(e + m) % n] += c
+            product[e] -= c
+        assert sparse(product) == (q if primes else ()), n
+        if not primes:
+            assert head == q == ((0, 1),)
 
 
 def test_image_matches_the_dense_product():
@@ -428,6 +472,61 @@ def test_equals_matches_oracle_on_both_verdicts(n):
     # the coset minus one root is a nonzero sum of p - 1 roots
     partial = coset - root_power_sum(n, [3], [1])
     assert not equals(partial, zero_sum(n)) and not oracle_equals(partial, zero_sum(n))
+
+
+def near_misses(n):
+    """(name, sum, zero) around the last step of equals at order n: sums
+    on which the period check for the last prime p of n (shift m = n/p)
+    must say zero, and nearby ones on which it must not.  At n = 1 there
+    is no prime and zero is None: only the oracle's verdict counts."""
+    primes = distinct_primes(n) or (1,)
+    first, p = primes[0], primes[-1]
+    m = n // p
+
+    def coset(prime, k):
+        return [k + t * (n // prime) for t in range(prime)]
+
+    def single(e, c=1):
+        return CyclotomicSum(n, ((e % n, c),))
+
+    # full cosets of p at up to three offsets below m, coefficients 1, -2, 3
+    union = zero_sum(n)
+    for k, c in zip((0, m // 2, m - 1), (1, -2, 3)):
+        if k < m and not any(k == e for e, _ in union.terms):
+            union = union + CyclotomicSum(n, tuple((e, c) for e in coset(p, k)))
+    e, c = union.terms[len(union.terms) // 2]
+    heads = root_power_sum(n, coset(first, 1) + coset(p, 2), [1] * (first + p))
+    # p terms in steps of m + 1: no coset of p, unless n is prime (m = 1),
+    # where any p distinct roots are all of them
+    stepped = root_power_sum(n, [t * (m + 1) for t in range(p)], [1] * p)
+    cases = [
+        ("union of cosets", union, True),
+        ("one coefficient changed", union + single(e), False),
+        ("one term removed", union + single(e, -c), False),
+        ("one term moved by one", union + single(e + 1, c) + single(e, -c), False),
+        ("p terms", stepped, m == 1),
+        ("first and last cosets", heads, True),
+        ("first and last cosets plus a root", heads + single(3), False),
+    ]
+    return [(name, s, zero if n > 1 else None) for name, s, zero in cases]
+
+
+@pytest.mark.parametrize("n", [1, 7937, 2187, 8321, 1155])
+def test_equals_decides_near_misses_of_the_period_check(monkeypatch, n):
+    # _image raises, so every verdict below comes from the difference and
+    # the period check, not from comparing images
+    def no_image(terms, n):
+        raise AssertionError("equals compared images")
+
+    monkeypatch.setattr(cyclotomic, "_image", no_image)
+    other = root_power_sum(n, [1, -1, 5], [1, 1, -1])
+    for name, s, zero in near_misses(n):
+        verdict = oracle_equals(s, zero_sum(n))
+        assert zero is None or verdict is zero, (n, name)
+        assert equals(s, zero_sum(n)) is verdict, (n, name)
+        assert equals(zero_sum(n), s) is verdict, (n, name)
+        assert equals(other + s, other) is verdict, (n, name)
+        assert equals(other, s + other) is verdict, (n, name)
 
 
 def test_equals_refuses_an_order_it_cannot_factor():
