@@ -491,9 +491,8 @@ def near_misses(n):
 
     # full cosets of p at up to three offsets below m, coefficients 1, -2, 3
     union = zero_sum(n)
-    for k, c in zip((0, m // 2, m - 1), (1, -2, 3)):
-        if k < m and not any(k == e for e, _ in union.terms):
-            union = union + CyclotomicSum(n, tuple((e, c) for e in coset(p, k)))
+    for k, c in zip(sorted({0, m // 2, m - 1}), (1, -2, 3)):
+        union = union + CyclotomicSum(n, tuple((e, c) for e in coset(p, k)))
     e, c = union.terms[len(union.terms) // 2]
     heads = root_power_sum(n, coset(first, 1) + coset(p, 2), [1] * (first + p))
     # p terms in steps of m + 1: no coset of p, unless n is prime (m = 1),
