@@ -44,11 +44,15 @@ accepted f) counts their union; it is the only route the command line
 and cd_multiset use.  An independent brute-force oracle
 (orbit_oracle) enumerates the index-doubling dynamics of the family
 instead; it runs only in the verification sweeps and tests, and is
-budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  It jumps to
-each unvisited start with bytearray.find, walks the start's doubling
-orbit until it comes back into the start's class, then marks the rest
-of the class along it, keeping one flag per pair {y, N - y}.  Per-label
-queries have no budget.
+budgeted to f <= ORACLE_F_MAX (largest torus around 2^21).  It reads
+the family through the pairs {y, N - y}, per = |M|/2 of them to a class.
+For each divisor k of per * (2f+1) it counts the pairs that k doublings
+fix, over every residue at once: a byte tag per pair, pulled through
+the doubling by two extended slices a step, picks the candidates, and
+each candidate is tested exactly (2^k y == +-y mod N).  Subtraction over
+the divisors gives the pairs of each exact period, and a class of exact
+exponent n has its per pairs in one cycle of length per * n.  It reads
+no gcd and no kernel size.  Per-label queries have no budget.
 """
 
 from __future__ import annotations
@@ -207,12 +211,18 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
 def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:
     """Exact-exponent histogram {n: number of canonical labels} for a family.
 
-    Brute force: walks the doubling dynamics over every residue class
-    of the torus.  Refuses f > ORACLE_F_MAX, as does cd_oracle, with
+    Brute force: for each divisor k of |M|/2 * (2f+1), counts the pairs
+    {y, N - y} of the torus that k doublings fix, testing every residue
+    whose tag came back.  Refuses f > ORACLE_F_MAX, as does cd_oracle, with
     "orbit enumeration: f F is over its limit of 10".
     """
     require_within("orbit enumeration: f", p.f, ORACLE_F_MAX)
     return dict(_orbit_histogram(p.f, family))
+
+
+#: One tag byte per pair, repeated along the half torus; a faked constant
+#: (all zeros, say) only widens the candidates the exact test decides.
+_TAGS = bytes(range(256))
 
 
 @lru_cache(maxsize=None)
@@ -226,41 +236,55 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
         raise InvariantError(
             f"f={f} {family.value}: the multipliers are not closed under negation"
         )
-    # Each class is closed under negation and N is odd, so one flag per pair
-    # {y, N - y}, kept at its lower member y <= N // 2, stands for both; on
-    # those members doubling is 2y, folded to N - 2y when past N // 2.
-    half = order // 2
-    low_mult = mult[: len(mult) // 2]  # the m <= N // 2, m = 1 first
-    visited = bytearray(half + 1)
-    visited[0] = 1
-    counts: dict[int, int] = {}
-    start = visited.find(0)
-    while start != -1:
-        # the pairs of the start's class, heads[0] the start's own
-        heads = [start * m % order for m in low_mult]
-        heads = [h if h <= half else order - h for h in heads]
-        j, length = start, 0
-        while True:  # the start's doubling orbit, until it comes back into the class
-            visited[j] = 1
+    # Each class is closed under negation and N is odd, so a pair {y, N - y},
+    # kept at its lower member y <= N // 2, stands for both; on those members
+    # doubling is 2y, folded to N - 2y when past N // 2.  A class holds
+    # per = |M|/2 pairs, and fold(c y) = y for every y iff c == +-1 (take
+    # y = 1), so `period` doublings fix every pair iff 2^period == +-1.
+    per = len(mult) // 2
+    period = per * p.out_order
+    if pow(2, period, order) not in (1, order - 1):
+        length = 1  # the doubling orbit of index 1 back into its class
+        while pow(2, length, order) not in mult:  # ends, as 1 is a multiplier
             length += 1
-            j *= 2
-            if j > half:
-                j = order - j
-            if j in heads:
-                break
-        for j in heads[1:]:  # then that orbit times each other multiplier
-            for _ in range(length):
-                visited[j] = 1
-                j *= 2
-                if j > half:
-                    j = order - j
-        if p.out_order % length:
+        raise InvariantError(
+            f"f={f} {family.value}: a doubling orbit of length {length} "
+            "does not divide 2f+1"
+        )
+    half = order // 2
+    size = half + 1
+    quarter = half // 2
+    # tags[y] is pair y's tag; after k doubling steps cur[y] is the tag of
+    # fold(2^k y), so the pairs k doublings fix are among those whose tag
+    # came back, and the exact test below decides each of them.
+    tags = (_TAGS * (size // 256 + 1))[:size]
+    start = int.from_bytes(tags, "little")
+    cur, steps = tags, 0
+    exact: dict[int, int] = {}  # pairs of each exact doubling period
+    for k in divisors_of(period):
+        fixed = half
+        if k < period:
+            while steps < k:
+                cur = cur[0 : 2 * quarter + 1 : 2] + cur[order - 2 * quarter - 2 :: -2]
+                steps += 1
+            same = (int.from_bytes(cur, "little") ^ start).to_bytes(size, "little")
+            two_k = pow(2, k, order)
+            fixed = 0
+            y = same.find(0, 1)
+            while y != -1:
+                if two_k * y % order in (y, order - y):
+                    fixed += 1
+                y = same.find(0, y + 1)
+        count = fixed - sum(c for d, c in exact.items() if k % d == 0)
+        # pairs of period k fill k-cycles, and a class's pairs share one cycle
+        if count < 0 or count % k or (count and k % per):
             raise InvariantError(
-                f"f={f} {family.value}: a doubling orbit of length {length} "
-                "does not divide 2f+1"
+                f"f={f} {family.value}: {count} pairs of doubling period {k}, "
+                f"not whole cycles of {per}-pair classes"
             )
-        counts[length] = counts.get(length, 0) + length
-        start = visited.find(0, start + 1)
+        exact[k] = count
+    # a class of exact exponent n has its per pairs in one cycle of length per * n
+    counts = {k // per: c // per for k, c in exact.items() if c}
     if sum(counts.values()) != family_count(p, family):
         raise InvariantError(
             f"f={f} {family.value}: enumerated labels do not sum to the family count"

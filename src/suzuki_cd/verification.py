@@ -44,9 +44,9 @@ DEFAULT_SEED = 20160414
 # grows with n_max * samples and, per check, with n, so its slowest
 # accepted pair is n_max 1000 with samples 200: 0.55-0.64 s (two medians
 # of 7), where n_max 500 with samples 400 took 0.21-0.26 s.  ORACLE_F_MAX
-# caps the two sweeps that enumerate orbits: stabilizers 1.1 s and
-# theorem-a 1.0 s at f_max 10, about three quarters of it orbit_oracle at
-# f = 9 and 10.
+# caps the two sweeps that enumerate orbits: stabilizers and theorem-a
+# 0.25 s each at f_max 10 (medians of 5; 0.19 s and 0.18 s in an earlier
+# set of 3), about nine tenths of it orbit_oracle at f = 9 and 10.
 LEMMAS_F_MAX_LIMIT = 2400
 COROLLARY_B_F_MAX_LIMIT = 3800
 N_MAX_LIMIT = 1000

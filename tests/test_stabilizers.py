@@ -208,7 +208,7 @@ def test_orbit_counts_match_oracle(f):
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_orbit_oracle_matches_per_label_exponents(f):
     # label by label through phi_power_on_label, sharing none of the
-    # oracle's bookkeeping (start scan, pair flags, marking)
+    # oracle's bookkeeping (tags, slices, fixed-pair counts by divisor)
     p = make_params(f)
     for family in TORUS_FAMILIES:
         naive = Counter(
@@ -266,6 +266,41 @@ def test_orbit_oracle_refuses_an_orbit_length_not_dividing_2f_plus_1(
         InvariantError, match="^f=2 X: a doubling orbit of length 3 does not divide 2f\\+1$"
     ):
         orbit_oracle(make_params(2), Family.X)
+    # two pairs per class: f = 2's Y torus swapped for Z/13, 2^3 = -5 there
+    monkeypatch.setattr(stabilizers, "torus_order_of", lambda p, family: 13)
+    monkeypatch.setattr(
+        stabilizers, "multipliers_of", lambda p, family: frozenset((1, 5, 8, 12))
+    )
+    with pytest.raises(
+        InvariantError, match="^f=2 Y: a doubling orbit of length 3 does not divide 2f\\+1$"
+    ):
+        orbit_oracle(make_params(2), Family.Y)
+
+
+def test_orbit_oracle_refuses_pairs_that_fill_no_whole_class(monkeypatch, fresh_orbit_cache):
+    # f = 2's Y torus swapped for Z/11: 2^5 = -1 puts every pair in one
+    # 5-cycle, so the 2-pair classes of {1, 3, 8, 10} cannot share cycles
+    monkeypatch.setattr(stabilizers, "torus_order_of", lambda p, family: 11)
+    monkeypatch.setattr(
+        stabilizers, "multipliers_of", lambda p, family: frozenset((1, 3, 8, 10))
+    )
+    with pytest.raises(
+        InvariantError,
+        match="^f=2 Y: 5 pairs of doubling period 5, not whole cycles of 2-pair classes$",
+    ):
+        orbit_oracle(make_params(2), Family.Y)
+
+
+@pytest.mark.parametrize("f", range(1, 7))
+def test_orbit_oracle_tags_only_filter_the_exact_test(f, monkeypatch, fresh_orbit_cache):
+    # With every tag equal, every pair is a candidate at every divisor, so
+    # the histograms stand only if the exact test 2^k y == +-y decides.
+    p = make_params(f)
+    expected = {family: orbit_oracle(p, family) for family in Family}
+    stabilizers._orbit_histogram.cache_clear()
+    monkeypatch.setattr(stabilizers, "_TAGS", bytes(256))
+    for family in Family:
+        assert orbit_oracle(p, family) == expected[family], (f, family)
 
 
 def test_orbit_counts_past_enumeration_budget():
