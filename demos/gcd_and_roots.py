@@ -15,6 +15,10 @@ from suzuki_cd import (
     torus_order,
 )
 
+# The paper's names for the four collision cases, by f mod 4; the
+# library derives each case from which torus order 5 divides.
+CASE_NAMES = {0: "i", 3: "ii", 1: "iii", 2: "iv"}
+
 
 def main() -> None:
     print("Closed-form gcd(torus order, q^2 +- 2^n) vs Euclid:")
@@ -41,7 +45,7 @@ def main() -> None:
         d2 = euclid_gcd(order, p.q2 + case.sign_m * 2**1)
         gcds = f"d1 = d2 = {d1}" if d1 == d2 else f"d1 = {d1}, d2 = {d2}"
         print(
-            f"  f={f} (f mod 4 = {f % 4}): case {case.case} on torus "
+            f"  f={f} (f mod 4 = {f % 4}): case {CASE_NAMES[f % 4]} on torus "
             f"{case.torus.value}, signs ({case.sign_n:+d}, {case.sign_m:+d}), "
             f"{gcds}"
         )

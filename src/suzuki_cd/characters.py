@@ -79,7 +79,9 @@ def degree_of(p: SuzukiParams, family: Family) -> int:
         return p.q4
     if family is Family.W:
         return p.r * p.a0 // 2
-    return p.a0 * p.a1 * p.a2 // torus_order_of(p, family)
+    own = torus_order_of(p, family)
+    first, second = (order for order in (p.a0, p.a1, p.a2) if order != own)
+    return first * second
 
 
 def family_count(p: SuzukiParams, family: Family) -> int:

@@ -33,9 +33,9 @@ Sums are built in C-level passes: :func:`root_power_sum` sorts its
 reduced exponents whole, and a sum of two copies the longer operand
 into a dict; the summing loop runs only over the shorter operand, or
 where an exponent repeats.  No floating point is involved
-anywhere.  Only sums, negation and exact equality are provided; ring
-multiplication is not needed for character values and is deliberately
-left out, and equality has no congruence shortcut beside
+anywhere.  Only sums and exact equality are provided: negation and
+ring multiplication are not needed for character values and are
+deliberately left out, and equality has no congruence shortcut beside
 :func:`equals`.
 """
 
@@ -74,12 +74,6 @@ class CyclotomicSum(Record):
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
         return _from_dict(self.order, _merged(self.terms, other.terms, 1))
-
-    def __neg__(self) -> CyclotomicSum:
-        return CyclotomicSum(self.order, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: CyclotomicSum) -> CyclotomicSum:
-        return self + (-other)
 
     def equals(self, other: CyclotomicSum) -> bool:
         return equals(self, other)

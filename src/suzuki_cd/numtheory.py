@@ -1,17 +1,21 @@
 """Closed-form gcds of the torus orders against q^2 +- 2^n.
 
 On the split torus, of order q^2 - 1, the gcd is 2^n - 1 or 1
-(gcd_split_torus, through the two-power lemma gcd_two_powers).  The other two torus orders a1 = q^2+r+1 and
-a2 = q^2-r+1 multiply to q^4+1, and their gcds with q^2 +- 2^n (n a
-proper divisor of 2f+1) collapse to a three-way branch on the
-congruence class of 2f -+ n + 1 modulo 8.  The case analysis is easy
-to mis-transcribe, so euclid_gcd, a plain Euclidean oracle on the
-actual pair of integers, is the ground truth.  gcd_verification_rows
-is the only code here that calls it: one grid of closed form vs Euclid
-per f, which ``gcd-table`` prints and the sweep in
-:mod:`suzuki_cd.verification` checks; it extends the closed-form rows
-of gcd_closed_form_rows, so a caller can render the closed forms before
-any Euclid call.
+(gcd_split_torus, through the two-power lemma gcd_two_powers).  The
+other two torus orders a1 = q^2+r+1 and a2 = q^2-r+1 multiply to
+q^4+1, and their gcds with q^2 +- 2^n (n a proper divisor of 2f+1)
+collapse to a three-way branch on the congruence class of 2f -+ n + 1
+modulo 8.  Gcds at two exponents collide only at 1 and 3, where both
+are 5 (coincidence_classify): the torus and signs are derived from
+which torus order 5 divides, as stabilizers.is_witnessless derives
+theorem A's exceptions, so nothing here is keyed by f mod 4.  The
+case analysis is easy to mis-transcribe, so euclid_gcd, a plain
+Euclidean oracle on the actual pair of integers, is the ground truth.
+gcd_verification_rows is the only code here that calls it: one grid of
+closed form vs Euclid per f, which ``gcd-table`` prints and the sweep
+in :mod:`suzuki_cd.verification` checks; it extends the closed-form
+rows of gcd_closed_form_rows, so a caller can render the closed forms
+before any Euclid call.
 
 Notation used in branch records: ``4 || x`` means 4 divides x but 8
 does not (4 divides x exactly).
@@ -47,10 +51,11 @@ class CoincidenceCase(Record):
 
     d1 = gcd(torus order, q^2 + sign_n * 2^n) and
     d2 = gcd(torus order, q^2 + sign_m * 2^m) are equal (to 5); this
-    happens only for (m, n) = (1, 3), in one Torus per f mod 4 class.
+    happens only for (m, n) = (1, 3), on the one Torus whose order 5
+    divides.
     """
 
-    __slots__ = ("case", "torus", "sign_n", "sign_m")  # case: "i", "ii", "iii" or "iv"
+    __slots__ = ("torus", "sign_n", "sign_m")
 
 
 def euclid_gcd(a: int, b: int) -> int:
@@ -156,17 +161,6 @@ def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
     return GcdCase((1 << n) - half + 1, condition)
 
 
-# f mod 4 -> (case label, torus, sign for 2^n=8, sign for 2^m=2).
-# Every f class has exactly one coinciding torus; the other torus has
-# d1 != d2 (one of them being 1).
-_COINCIDENCE_TABLE = {
-    0: ("i", Torus.PLUS, +1, -1),
-    3: ("ii", Torus.PLUS, -1, +1),
-    1: ("iii", Torus.MINUS, -1, +1),
-    2: ("iv", Torus.MINUS, +1, -1),
-}
-
-
 def coincidence_classify(
     p: SuzukiParams, m: int, n: int
 ) -> CoincidenceCase | None:
@@ -175,9 +169,11 @@ def coincidence_classify(
     For distinct proper divisors m | n of 2f+1 and a fixed torus, a
     nontrivial d1 = gcd(torus, q^2 +- 2^n) can equal
     d2 = gcd(torus, q^2 -+ 2^m) only when (m, n) = (1, 3); then both
-    gcds are 5, in the torus and with the signs listed in
-    ``_COINCIDENCE_TABLE`` for f mod 4.  Returns that case, or None
-    when no collision occurs for (m, n).  A pure table read: the
+    gcds are 5.  5 divides q^4 + 1 = a1 * a2, so exactly one torus order,
+    and q^2 = 2^(2f+1) is 2 or 3 mod 5, as are 2 and 8, so exactly one
+    sign makes 5 | q^2 +- 2^k at each k: the collision is on the torus
+    whose order 5 divides, with those signs.  Returns that case, or None
+    when no collision occurs for (m, n).  It computes no gcd: the
     verification sweep checks every prediction against Euclid.
     """
     _require_proper_divisor(p, m)
@@ -186,7 +182,11 @@ def coincidence_classify(
         raise ValueError(f"need distinct proper divisors with m | n, got m={m}, n={n}")
     if (m, n) != (1, 3):
         return None
-    return CoincidenceCase(*_COINCIDENCE_TABLE[p.f % 4])
+    torus = Torus.PLUS if torus_order(p, Torus.PLUS) % 5 == 0 else Torus.MINUS
+    sign_n, sign_m = (
+        sign for k in (n, m) for sign in (-1, 1) if (p.q2 + sign * (1 << k)) % 5 == 0
+    )
+    return CoincidenceCase(torus, sign_n, sign_m)
 
 
 def gcd_closed_form_rows(p: SuzukiParams) -> list[tuple[int, str, int, GcdCase]]:

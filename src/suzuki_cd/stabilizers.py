@@ -17,8 +17,9 @@ order, and the closed form of theorem A reads it too (its Aut(S)
 exclusions are these exponents).  5 divides q^4 + 1 for every f, so it
 divides exactly one of the coprime Y and Z orders, and never the X
 order q^2 - 1 (2^(2f+1) is 2 or 3 mod 5).  On that one torus
-gcd(N, q^2 -+ 2^n) is 5 at n = 1 and again at n = 3 (see
-coincidence_classify), so n = 1 has a witness and n = 3 has none:
+gcd(N, q^2 -+ 2^n) is 5 at n = 1 and again at n = 3, with the sign that
+makes 5 divide q^2 -+ 2^n (coincidence_classify derives the collision
+from the same torus), so n = 1 has a witness and n = 3 has none:
 anything fixed by the cube of the automorphism is already fixed by the
 automorphism itself.  On every other torus the n = 1 kernels are
 trivial (for X, gcd(q^2 - 1, 2 -+ 1) = 1), so nothing has exact

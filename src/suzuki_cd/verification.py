@@ -40,10 +40,11 @@ DEFAULT_SEED = 20160414
 # Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
 # medians of 3 runs, each in a fresh interpreter; runs swing by a quarter).
 # The gcd and class-count sweeps and the corollary-b sweep grow
-# superlinearly in f_max: 1.8 s and 2.0 s at their limits.  The quad sweep
-# grows with n_max * samples and, per check, with n, so its slowest
-# accepted pair is n_max 1000 with samples 200: 0.55-0.64 s (two medians
-# of 7), where n_max 500 with samples 400 took 0.21-0.26 s.  ORACLE_F_MAX
+# superlinearly in f_max: 1.6 s each at their limits (medians of 5; up to
+# 2.6 s on a busier host).  The quad sweep grows with n_max * samples
+# and, per check, with n, so its slowest accepted pair is n_max 1000 with
+# samples 200: 0.55-0.64 s (two medians of 7), where n_max 500 with
+# samples 400 took 0.21-0.26 s.  ORACLE_F_MAX
 # caps the two sweeps that enumerate orbits: stabilizers and theorem-a
 # 0.25 s each at f_max 10 (medians of 5; 0.19 s and 0.18 s in an earlier
 # set of 3), about nine tenths of it orbit_oracle at f = 9 and 10.

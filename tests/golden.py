@@ -4,7 +4,9 @@ Each entry of golden.json holds an argv, its exit code, the sha256 of
 its stdout and the last line of its stderr.  An argv whose first item
 ends in ``.py`` runs that script (relative to the repository root) as
 ``__main__``; any other argv runs ``suzuki_cd.cli.main``.  Every entry
-runs in this process, so the whole corpus replays in about a second.
+runs in this process, so the whole corpus replays in a few seconds.
+A replay that takes over TIME_LIMIT_S seconds is a difference too, so
+each command line is also held to its time; times are never pinned.
 
     PYTHONPATH=src python tests/golden.py --check    # replay; exit 1 on any difference
     PYTHONPATH=src python tests/golden.py --update   # rewrite golden.json from its argvs
@@ -25,10 +27,12 @@ import io
 import json
 import runpy
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).with_name("golden.json")
+TIME_LIMIT_S = 5.0
 
 
 def run(argv: list[str]) -> dict:
@@ -67,9 +71,21 @@ def changes(entry: dict, actual: dict) -> list[str]:
     ]
 
 
+def replay(entry: dict) -> tuple[dict, list[str]]:
+    """Run entry's argv; return its new entry and changes(), plus one line
+    if the run took over TIME_LIMIT_S."""
+    started = time.perf_counter()
+    actual = run(entry["argv"])
+    seconds = time.perf_counter() - started
+    found = changes(entry, actual)
+    if seconds > TIME_LIMIT_S:
+        found.append(f"{' '.join(entry['argv'])}: took {seconds:.1f} s, over {TIME_LIMIT_S:g} s")
+    return actual, found
+
+
 def differences(entries: list[dict]) -> list[str]:
-    """One line per pinned field that an entry's replay differs in."""
-    return [line for entry in entries for line in changes(entry, run(entry["argv"]))]
+    """One line per pinned field that an entry's replay differs in, and per slow replay."""
+    return [line for entry in entries for line in replay(entry)[1]]
 
 
 def dump(entries: list[dict]) -> str:
@@ -84,11 +100,11 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--update", action="store_true", help="rewrite golden.json")
     args = parser.parse_args(argv)
     entries = load()
-    replays = [run(entry["argv"]) for entry in entries]
-    found = [line for entry, actual in zip(entries, replays) for line in changes(entry, actual)]
+    replays = [replay(entry) for entry in entries]
+    found = [line for _, lines in replays for line in lines]
     if args.update:
         print("\n".join(found) or "no entry changed")
-        CORPUS.write_text(dump(replays), encoding="utf-8")
+        CORPUS.write_text(dump([actual for actual, _ in replays]), encoding="utf-8")
         print(f"rewrote {len(entries)} entries of {CORPUS.name}")
         return 0
     print("\n".join(found) or f"{len(entries)} entries match {CORPUS.name}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,17 @@ def test_every_degree_is_s_degree_times_divisor(f):
             assert any(
                 deg % e == 0 and deg // e in divisors_d for e in s_degrees
             ), (f, d, deg)
+
+
+def test_closed_form_near_f_max_divides_no_product_of_tori():
+    # each torus family's degree multiplies the other two torus orders;
+    # dividing a0 * a1 * a2 by the third took about 4 s over these 48 sets
+    p = make_params(37537)  # 2f+1 = 75075 has 48 divisors
+    started = time.perf_counter()
+    sets = [cd_closed_form(ExtensionSpec(p, d)) for d in divisors_of(p.out_order)]
+    elapsed = time.perf_counter() - started
+    assert len(sets) == 48 and len(sets[0]) == 6
+    assert elapsed < 1.0, elapsed
 
 
 def test_corollary_reports():

@@ -1,10 +1,24 @@
-"""Every command line of the golden corpus (golden.json) prints what it pins."""
+"""Every command line of the golden corpus (golden.json) prints what it pins,
+within golden.TIME_LIMIT_S."""
+
+import re
 
 import golden
 
 
 def test_golden_corpus():
     assert golden.differences(golden.load()) == []
+
+
+def test_a_replay_over_the_time_limit_is_a_difference(monkeypatch):
+    # the bound is checked on every replay, and no time is pinned in the corpus
+    entry = golden.load()[0]
+    assert golden.differences([entry]) == []
+    monkeypatch.setattr(golden, "TIME_LIMIT_S", 0.0)
+    (line,) = golden.differences([entry])
+    assert re.fullmatch(rf"{re.escape(' '.join(entry['argv']))}: took \d+\.\d s, over 0 s", line)
+    pinned = {"argv", "exit", "stdout_sha256", "stderr_last"}
+    assert all(other.keys() == pinned for other in golden.load())
 
 
 def test_update_names_each_changed_entry_before_it_rewrites(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from suzuki_cd import numtheory
+from suzuki_cd.characters import Family, torus_order_of
 from suzuki_cd.numtheory import (
     Torus,
     coincidence_classify,
@@ -17,6 +18,17 @@ from suzuki_cd.numtheory import (
     torus_order,
 )
 from suzuki_cd.params import divisors_of, make_params
+from suzuki_cd.stabilizers import is_witnessless
+
+# f mod 4 -> (the paper's case name, torus, sign at 2^3, sign at 2^1) of the
+# collision at exponents 1 and 3; coincidence_classify derives the last three
+# from which torus order 5 divides, and the tests check it against this table
+COINCIDENCE_TABLE = {
+    0: ("i", Torus.PLUS, +1, -1),
+    3: ("ii", Torus.PLUS, -1, +1),
+    1: ("iii", Torus.MINUS, -1, +1),
+    2: ("iv", Torus.MINUS, +1, -1),
+}
 
 
 def test_euclid_examples():
@@ -172,7 +184,7 @@ def test_coincidence_case_i_at_f4():
     p = make_params(4)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert case.case == "i" and case.torus is Torus.PLUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "i" and case.torus is Torus.PLUS
     assert (case.sign_n, case.sign_m) == (+1, -1)
     # d1 = d2 = 5: a1 = 545 against q^2 + 8 and q^2 - 2
     assert euclid_gcd(545, 520) == euclid_gcd(545, 510) == 5
@@ -182,7 +194,7 @@ def test_coincidence_case_ii_at_f7():
     p = make_params(7)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert case.case == "ii" and case.torus is Torus.PLUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "ii" and case.torus is Torus.PLUS
     assert (case.sign_n, case.sign_m) == (-1, +1)
     assert euclid_gcd(p.a1, p.q2 - 8) == euclid_gcd(p.a1, p.q2 + 2) == 5
     # the other torus has no collision at f=7: d1=13 while both
@@ -196,7 +208,7 @@ def test_coincidence_case_iii_at_f13():
     p = make_params(13)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert case.case == "iii" and case.torus is Torus.MINUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "iii" and case.torus is Torus.MINUS
     assert euclid_gcd(p.a2, p.q2 - 8) == euclid_gcd(p.a2, p.q2 + 2) == 5
 
 
@@ -204,7 +216,7 @@ def test_coincidence_case_iv_at_f10():
     p = make_params(10)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert case.case == "iv" and case.torus is Torus.MINUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "iv" and case.torus is Torus.MINUS
     assert euclid_gcd(p.a2, p.q2 + 8) == euclid_gcd(p.a2, p.q2 - 2) == 5
 
 
@@ -223,7 +235,21 @@ def test_coincidence_classify_computes_no_gcd(monkeypatch, f, label, torus, sign
 
     monkeypatch.setattr(numtheory, "euclid_gcd", refuse)
     case = coincidence_classify(make_params(f), 1, 3)
-    assert (case.case, case.torus, (case.sign_n, case.sign_m)) == (label, torus, signs)
+    assert COINCIDENCE_TABLE[f % 4][0] == label
+    assert (case.torus, (case.sign_n, case.sign_m)) == (torus, signs)
+
+
+def test_coincidence_classify_reads_the_torus_theorem_a_reads():
+    # one fact, two readers: 5 divides exactly one torus order, the one
+    # is_witnessless gives no witness at n = 3, and the collision is there,
+    # with the torus and signs of the f mod 4 table; 3 | 2f+1 exactly when
+    # f == 1 (mod 3), and at f = 1 the 3 is no proper divisor
+    for f in range(4, 2001, 3):
+        p = make_params(f)
+        case = coincidence_classify(p, 1, 3)
+        (family,) = [fam for fam in (Family.Y, Family.Z) if is_witnessless(p, fam, 3)]
+        assert torus_order(p, case.torus) == torus_order_of(p, family), f
+        assert (case.torus, case.sign_n, case.sign_m) == COINCIDENCE_TABLE[f % 4][1:], f
 
 
 def test_coincidence_none_for_other_pairs():

@@ -7,10 +7,10 @@
 - ``BudgetExceededError`` is constructed only by errors.require_within
   (every size cap), errors.to_decimal (the int->str digit limit) and
   params.distinct_primes (an order trial division cannot factor).
-- ``f % 4`` (a name ``f`` or an attribute ``.f`` modulo 4) is taken only
-  by numtheory.coincidence_classify, the one table keyed by f mod 4;
-  stabilizers.is_witnessless derives theorem A's exceptions from which
-  torus order 5 divides instead.
+- ``f % 4`` (a name ``f`` or an attribute ``.f`` modulo 4) is taken
+  nowhere: stabilizers.is_witnessless derives theorem A's exceptions,
+  and numtheory.coincidence_classify the gcd collision at exponents 1
+  and 3, from which torus order 5 divides.
 - ``distinct_primes`` is called only by cyclotomic._annihilator, the one
   per-prime pass, which builds the annihilator every equality test uses.
 - ``lru_cache`` is named only by cyclotomic._annihilator and
@@ -34,7 +34,7 @@ from suzuki_cd.cli import VERIFY_SWEEPS
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
-F_MOD_4_HOMES = {"numtheory.coincidence_classify"}
+F_MOD_4_HOMES: set[str] = set()
 DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
 LRU_CACHE_HOMES = {"cyclotomic._annihilator", "stabilizers._orbit_histogram"}
 GETATTR_CALL_HOMES = {"cli._cmd_verify"}
