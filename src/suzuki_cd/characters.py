@@ -20,9 +20,11 @@ theta(1) = |S|_{2'}/|T|, and |S|_{2'} = (q^2 - 1)(q^2 + r + 1)(q^2 - r + 1)
 is the product of the three torus orders, so each family's degree is
 the product of the other two.  That is why the degrees criss-cross
 with the tori: Y, indexed by q^2 + r + 1, has degree (q^2 - r + 1)(q^2 - 1)
-and Z the other way round.  degree_of and the stabilizer exceptions
-both read the torus from torus_order_of, the one place where the
-families meet their tori.
+and Z the other way round.  degree_of, the stabilizer exceptions and
+the kernel orders behind orbit_counts all read the torus from
+torus_order_of, the one place where the families meet their tori;
+family_count is an independent expression, the reference the counts
+are checked against.
 
 For X, q^2 == 1 modulo q^2 - 1, so its multipliers collapse to {+-1}.
 For Y and Z, q^2 squares to -1 modulo the torus order because

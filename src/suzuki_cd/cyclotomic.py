@@ -71,6 +71,8 @@ class CyclotomicSum(Record):
             prev = e
 
     def __add__(self, other: CyclotomicSum) -> CyclotomicSum:
+        if not isinstance(other, CyclotomicSum):
+            return NotImplemented
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
         return _from_dict(self.order, _merged(self.terms, other.terms, 1))

@@ -83,9 +83,10 @@ def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:
     """The degree set of G, straight from the closed form above."""
     p = spec.params
     degs = {1, p.q4, degree_of(p, Family.W)}
+    divisors = divisors_of(spec.d)
     for family in TORUS_FAMILIES:
         base = degree_of(p, family)
-        for v in divisors_of(spec.d):
+        for v in divisors:
             if not (spec.is_aut and is_witnessless(p, family, v)):
                 degs.add(base * v)
     return frozenset(degs)

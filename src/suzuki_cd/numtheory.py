@@ -1,11 +1,12 @@
 """Closed-form gcds of the torus orders against q^2 +- 2^n.
 
 On the split torus, of order q^2 - 1, the gcd is 2^n - 1 or 1
-(gcd_split_torus, through the two-power lemma gcd_two_powers).  The
-other two torus orders a1 = q^2+r+1 and a2 = q^2-r+1 multiply to
-q^4+1, and their gcds with q^2 +- 2^n (n a proper divisor of 2f+1)
-collapse to a three-way branch on the congruence class of 2f -+ n + 1
-modulo 8.  Gcds at two exponents collide only at 1 and 3, where both
+(gcd_split_torus).  The other two torus orders a1 = q^2+r+1 and
+a2 = q^2-r+1 are coprime and multiply to q^4+1, and their gcds with
+q^2 +- 2^n (n a proper divisor of 2f+1) collapse to a three-way branch
+on the congruence class of 2f -+ n + 1 modulo 8 (gcd_torus).  The q^4+1
+gcd is stated nowhere else: its rows are the product of the two torus
+rows.  Gcds at two exponents collide only at 1 and 3, where both
 are 5 (coincidence_classify): the torus and signs are derived from
 which torus order 5 divides, as stabilizers.is_witnessless derives
 theorem A's exceptions, so nothing here is keyed by f mod 4.  The
@@ -76,51 +77,17 @@ def torus_order(p: SuzukiParams, torus: Torus) -> int:
     return p.a1 if torus is Torus.PLUS else p.a2
 
 
-def gcd_two_powers(n: int, m: int, sign: int) -> int:
-    """gcd(2^n - 1, 2^m + sign) for m | n, in closed form.
-
-    It is 2^m - 1 for sign -1, since 2^m - 1 divides 2^n - 1.  For
-    sign +1 it is 2^m + 1 if n/m is even, else 1: modulo the odd 2^m + 1,
-    2^n is (-1)^(n/m), so 2^n - 1 is 0 or -2.
-    """
-    _require_sign(sign)
-    if n < 1 or m < 1:
-        raise ValueError(f"need positive exponents, got n={n}, m={m}")
-    if n % m != 0:
-        raise ValueError(f"m must divide n, got n={n}, m={m}")
-    if sign < 0:
-        return (1 << m) - 1
-    return (1 << m) + 1 if (n // m) % 2 == 0 else 1
-
-
 def gcd_split_torus(p: SuzukiParams, n: int, sign: int) -> int:
     """gcd(q^2 - 1, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
 
-    Modulo q^2 - 1, q^2 is 1, so this is gcd(2^(2f+1) - 1, 2^n + sign),
-    which gcd_two_powers gives: 2^n - 1 for sign -1, and 1 for sign +1
-    since (2f+1)/n is odd.
-    """
-    _require_proper_divisor(p, n)
-    return gcd_two_powers(p.out_order, n, sign)
-
-
-def gcd_q4_plus1(p: SuzukiParams, n: int, sign: int) -> GcdCase:
-    """gcd(q^4 + 1, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
-
-    The value is 2^(2n) + 1 exactly when 2f+1 is congruent to -sign * n
-    modulo 4, and 1 otherwise.
+    Modulo q^2 - 1, q^2 is 1, so this is gcd(2^(2f+1) - 1, 2^n + sign).
+    For sign -1 it is 2^n - 1, which divides 2^(2f+1) - 1.  For sign +1
+    it is 1: modulo the odd 2^n + 1, 2^(2f+1) is (-1)^((2f+1)/n) = -1,
+    so 2^(2f+1) - 1 is -2.
     """
     _require_sign(sign)
     _require_proper_divisor(p, n)
-    if sign < 0:
-        fires = (2 * p.f + 1 - n) % 4 == 0
-        condition = "2f+1 == n (mod 4)" if fires else "none"
-    else:
-        fires = (2 * p.f + 1 + n) % 4 == 0
-        condition = "2f+1 == -n (mod 4)" if fires else "none"
-    if fires:
-        return GcdCase((1 << (2 * n)) + 1, condition)
-    return GcdCase(1, condition)
+    return (1 << n) - 1 if sign < 0 else 1
 
 
 def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
@@ -139,9 +106,9 @@ def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
     =========  ==================  ==================
 
     Note 2^n - h + 1 = 1 when n = 1, so at n = 1 only one torus ever
-    has a nontrivial gcd.  The two torus values always multiply to the
-    matching gcd_q4_plus1 value, since a1 * a2 = q^4 + 1 with a1, a2
-    coprime.
+    has a nontrivial gcd.  The two torus values multiply to
+    gcd(q^4 + 1, q^2 + sign * 2^n), since a1 * a2 = q^4 + 1 with a1, a2
+    coprime; gcd_closed_form_rows builds its q^4+1 rows that way.
     """
     _require_sign(sign)
     _require_proper_divisor(p, n)
@@ -194,17 +161,23 @@ def gcd_closed_form_rows(p: SuzukiParams) -> list[tuple[int, str, int, GcdCase]]
 
     One row ``(n, torus, sign, case)`` per query, n over the proper
     divisors of 2f+1 ascending, torus over "plus", "minus" and "product"
-    (the q^4+1 queries), sign over -1, +1.
+    (the q^4+1 queries), sign over -1, +1.  A product row is the product
+    of the two torus rows of its (n, sign), since a1 and a2 are coprime
+    with a1 * a2 = q^4 + 1.  It is above 1 exactly when one torus branch
+    fires, that is when 4 divides 2f -+ n + 1: 2f+1 == n (mod 4) for
+    sign -1 and 2f+1 == -n (mod 4) for sign +1.
     """
     rows = []
     for n in divisors_of(p.out_order)[:-1]:
-        for torus_name in ("plus", "minus", "product"):
-            for sign in (-1, +1):
-                if torus_name == "product":
-                    case = gcd_q4_plus1(p, n, sign)
-                else:
-                    case = gcd_torus(p, Torus(torus_name), n, sign)
-                rows.append((n, torus_name, sign, case))
+        product = {-1: 1, 1: 1}
+        for torus in Torus:
+            for sign in (-1, 1):
+                case = gcd_torus(p, torus, n, sign)
+                product[sign] *= case.value
+                rows.append((n, torus.value, sign, case))
+        for sign, value in product.items():
+            condition = "2f+1 == n (mod 4)" if sign < 0 else "2f+1 == -n (mod 4)"
+            rows.append((n, "product", sign, GcdCase(value, condition if value > 1 else "none")))
     return rows
 
 

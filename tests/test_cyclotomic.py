@@ -385,6 +385,18 @@ def test_sum_arithmetic():
     assert total.terms == ((1, 1), (2, 1), (4, -1))
 
 
+def test_sum_addition_refuses_other_types_and_orders():
+    # a non-sum operand is a TypeError from either side, not an AttributeError
+    s = root_power_sum(7, [1], [1])
+    for add in (lambda: s + 1, lambda: 1 + s, lambda: s + [1], lambda: (1,) + s):
+        with pytest.raises(TypeError):
+            add()
+    with pytest.raises(ValueError, match="^order mismatch: 7 != 9$"):
+        s + root_power_sum(9, [1], [1])
+    with pytest.raises(ValueError, match="^order mismatch: 9 != 7$"):
+        root_power_sum(9, [1], [1]) + s
+
+
 def test_sum_is_symmetric_when_one_operand_is_much_longer():
     # the longer operand is copied whole and the shorter merged into it,
     # whichever side each is on; a + (-a) cancels every term

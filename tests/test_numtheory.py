@@ -6,14 +6,13 @@ from hypothesis import given, strategies as st
 from suzuki_cd import numtheory
 from suzuki_cd.characters import Family, torus_order_of
 from suzuki_cd.numtheory import (
+    GcdCase,
     Torus,
     coincidence_classify,
     euclid_gcd,
     gcd_closed_form_rows,
-    gcd_q4_plus1,
     gcd_split_torus,
     gcd_torus,
-    gcd_two_powers,
     gcd_verification_rows,
     torus_order,
 )
@@ -51,33 +50,12 @@ def test_euclid_matches_math_gcd(a, b):
     assert euclid_gcd(a, b) == math.gcd(a, b)
 
 
-@pytest.mark.parametrize(
-    "n,m,sign,expected",
-    [
-        (6, 3, -1, 7),
-        (6, 3, +1, 9),
-        (6, 2, +1, 1),
-    ],
+# queries every closed form refuses at f = 4, where 2f+1 = 9
+BAD_QUERIES = pytest.mark.parametrize(
+    "n, sign",
+    [(3, 0), (5, -1), (9, 1)],
+    ids=["sign-0", "not-a-divisor", "all-of-2f+1"],
 )
-def test_gcd_two_powers_examples(n, m, sign, expected):
-    assert gcd_two_powers(n, m, sign) == expected
-    assert expected == math.gcd(2**n - 1, 2**m + sign)
-
-
-def test_gcd_two_powers_exhaustive_small():
-    for m in range(1, 11):
-        for n in range(m, 31, m):
-            for sign in (-1, 1):
-                assert gcd_two_powers(n, m, sign) == math.gcd(2**n - 1, 2**m + sign)
-
-
-def test_gcd_two_powers_rejects():
-    with pytest.raises(ValueError):
-        gcd_two_powers(6, 4, -1)  # 4 does not divide 6
-    with pytest.raises(ValueError):
-        gcd_two_powers(6, 3, 0)
-    with pytest.raises(ValueError):
-        gcd_two_powers(0, 1, 1)
 
 
 def test_gcd_split_torus_matches_math_gcd():
@@ -88,39 +66,42 @@ def test_gcd_split_torus_matches_math_gcd():
                 assert gcd_split_torus(p, n, sign) == math.gcd(p.a0, p.q2 + sign * 2**n), (f, n)
 
 
-@pytest.mark.parametrize(
-    "n, sign",
-    [(3, 0), (5, -1), (9, 1)],
-    ids=["sign-0", "not-a-divisor", "all-of-2f+1"],
-)
+@BAD_QUERIES
 def test_gcd_split_torus_rejects(n, sign):
     with pytest.raises(ValueError):
-        gcd_split_torus(make_params(4), n, sign)  # 2f+1 = 9
+        gcd_split_torus(make_params(4), n, sign)
 
 
-def test_gcd_q4_plus1_examples():
+@BAD_QUERIES
+@pytest.mark.parametrize("torus", Torus)
+def test_gcd_torus_rejects(n, sign, torus):
+    # the checks the q^4+1 rows rely on, as they have no function of their own
+    with pytest.raises(ValueError):
+        gcd_torus(make_params(4), torus, n, sign)
+
+
+def product_rows(p):
+    """{(n, sign): (plus, minus, product)} cases from gcd_closed_form_rows."""
+    cases = {(n, torus, sign): case for n, torus, sign, case in gcd_closed_form_rows(p)}
+    return {
+        (n, sign): tuple(cases[n, torus, sign] for torus in ("plus", "minus", "product"))
+        for n, torus, sign in cases
+    }
+
+
+def test_gcd_product_row_examples():
     p2 = make_params(2)
-    case = gcd_q4_plus1(p2, 1, -1)
-    assert case.value == 5 == euclid_gcd(p2.q4 + 1, p2.q2 - 2)
-    assert case.condition == "2f+1 == n (mod 4)"
+    rows = product_rows(p2)
+    plus, minus, product = rows[1, -1]
+    assert product.value == 5 == euclid_gcd(p2.q4 + 1, p2.q2 - 2)
+    assert product.condition == "2f+1 == n (mod 4)"
+    assert (plus.value, minus.value) == (1, 5)
     assert euclid_gcd(1025, 30) == 5
-
-    case = gcd_q4_plus1(p2, 1, +1)
-    assert case.value == 1 == euclid_gcd(p2.q4 + 1, p2.q2 + 2)
+    assert rows[1, +1][2] == GcdCase(1, "none") and euclid_gcd(p2.q4 + 1, p2.q2 + 2) == 1
 
     p4 = make_params(4)
-    assert gcd_q4_plus1(p4, 3, -1).value == 1  # 9 != 3 (mod 4)
+    assert product_rows(p4)[3, -1][2] == GcdCase(1, "none")  # 9 != 3 (mod 4)
     assert euclid_gcd(p4.q4 + 1, p4.q2 - 8) == 1
-
-
-def test_gcd_q4_plus1_rejects_improper_n():
-    p = make_params(4)
-    with pytest.raises(ValueError):
-        gcd_q4_plus1(p, 9, -1)  # n = 2f+1 is not proper
-    with pytest.raises(ValueError):
-        gcd_q4_plus1(p, 2, -1)  # 2 does not divide 9
-    with pytest.raises(ValueError):
-        gcd_q4_plus1(p, 1, 0)
 
 
 @pytest.mark.parametrize("f", range(1, 17))
@@ -148,25 +129,27 @@ def test_gcd_torus_examples():
 @pytest.mark.parametrize("f", range(1, 33))
 def test_gcd_torus_checked_sweep(f):
     p = make_params(f)
-    for n in divisors_of(p.out_order)[:-1]:
-        for sign in (-1, 1):
-            rhs = p.q2 + sign * (1 << n)
-            for torus in Torus:
-                case = gcd_torus(p, torus, n, sign)
-                assert case.value == euclid_gcd(torus_order(p, torus), rhs), (n, torus, sign)
-            assert gcd_q4_plus1(p, n, sign).value == euclid_gcd(p.q4 + 1, rhs), (n, sign)
+    for (n, sign), (*_, product) in product_rows(p).items():
+        rhs = p.q2 + sign * (1 << n)
+        for torus in Torus:
+            case = gcd_torus(p, torus, n, sign)
+            assert case.value == euclid_gcd(torus_order(p, torus), rhs), (n, torus, sign)
+        assert product.value == math.gcd(p.q4 + 1, rhs), (n, sign)
 
 
 @pytest.mark.parametrize("f", range(1, 33))
 def test_gcd_torus_factors_multiply(f):
+    # each q^4+1 row is the product of its two torus rows, and its branch
+    # is the mod-4 congruence the product fires on, read here from f and n
     p = make_params(f)
-    for n in divisors_of(p.out_order)[:-1]:
-        for sign in (-1, 1):
-            prod = (
-                gcd_torus(p, Torus.PLUS, n, sign).value
-                * gcd_torus(p, Torus.MINUS, n, sign).value
-            )
-            assert prod == gcd_q4_plus1(p, n, sign).value
+    for (n, sign), (plus, minus, product) in product_rows(p).items():
+        assert product.value == plus.value * minus.value, (n, sign)
+        if sign < 0:
+            fires, condition = (2 * f + 1 - n) % 4 == 0, "2f+1 == n (mod 4)"
+        else:
+            fires, condition = (2 * f + 1 + n) % 4 == 0, "2f+1 == -n (mod 4)"
+        assert (product.value > 1) == fires, (n, sign)
+        assert product.condition == (condition if fires else "none"), (n, sign)
 
 
 def test_gcd_case_value_divides_pair():

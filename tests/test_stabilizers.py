@@ -561,6 +561,23 @@ def test_the_degree_and_torus_criss_cross_has_one_source(monkeypatch):
     assert closed_forms() == real
 
 
+def test_the_orbit_counts_follow_the_relabelled_torus(monkeypatch):
+    # Y and Z swapped in torus_order_of and family_count: the kernel orders
+    # read each family's torus from torus_order_of alone, so the exponent
+    # histograms of Y and Z trade places
+    families = (Family.Y, Family.Z)
+    real = {(f, fam): orbit_counts(make_params(f), fam) for f in range(1, 41) for fam in families}
+    swap = {Family.Y: Family.Z, Family.Z: Family.Y}
+    for name, fn in (("torus_order_of", torus_order_of), ("family_count", family_count)):
+        relabelled = lambda p, family, fn=fn: fn(p, swap.get(family, family))
+        monkeypatch.setattr(characters, name, relabelled)
+        monkeypatch.setattr(stabilizers, name, relabelled)
+    p = make_params(1)
+    assert characters.family_count(p, Family.Y) == family_count(p, Family.Z)
+    for (f, family), hist in real.items():
+        assert orbit_counts(make_params(f), swap[family]) == hist, (f, family)
+
+
 def test_is_witnessless_rejects_bad_input():
     p = make_params(4)
     with pytest.raises(ValueError, match="^family W has no indexing torus$"):
