@@ -3,7 +3,6 @@
 root-of-unity identities, each checked against its oracle live."""
 
 from suzuki_cd import (
-    Torus,
     coincidence_classify,
     divisors_of,
     euclid_gcd,
@@ -12,7 +11,6 @@ from suzuki_cd import (
     quad_sum_equivalence,
     root_power_sum,
     equals,
-    torus_order,
 )
 
 # The paper's names for the four collision cases, by f mod 4; the
@@ -25,12 +23,12 @@ def main() -> None:
     for f in (2, 4, 7):
         p = make_params(f)
         for n in divisors_of(p.out_order)[:-1]:
-            for torus in Torus:
+            for name, order in (("plus", p.a1), ("minus", p.a2)):
                 for sign in (-1, 1):
-                    case = gcd_torus(p, torus, n, sign)
-                    actual = euclid_gcd(torus_order(p, torus), p.q2 + sign * 2**n)
+                    case = gcd_torus(p, order, n, sign)
+                    actual = euclid_gcd(order, p.q2 + sign * 2**n)
                     print(
-                        f"  f={f} n={n} {torus.value:5s} sign={sign:+d}: "
+                        f"  f={f} n={n} {name:5s} sign={sign:+d}: "
                         f"closed={case.value:4d} euclid={actual:4d} "
                         f"[{case.condition}]"
                     )
@@ -40,13 +38,13 @@ def main() -> None:
     for f in (4, 7, 10, 13):
         p = make_params(f)
         case = coincidence_classify(p, 1, 3)
-        order = torus_order(p, case.torus)
-        d1 = euclid_gcd(order, p.q2 + case.sign_n * 2**3)
-        d2 = euclid_gcd(order, p.q2 + case.sign_m * 2**1)
+        d1 = euclid_gcd(case.order, p.q2 + case.sign_n * 2**3)
+        d2 = euclid_gcd(case.order, p.q2 + case.sign_m * 2**1)
+        name = "plus" if case.order == p.a1 else "minus"
         gcds = f"d1 = d2 = {d1}" if d1 == d2 else f"d1 = {d1}, d2 = {d2}"
         print(
             f"  f={f} (f mod 4 = {f % 4}): case {CASE_NAMES[f % 4]} on torus "
-            f"{case.torus.value}, signs ({case.sign_n:+d}, {case.sign_m:+d}), "
+            f"{name}, signs ({case.sign_n:+d}, {case.sign_m:+d}), "
             f"{gcds}"
         )
 

@@ -25,7 +25,7 @@ _HOMES = {
         ("cyclotomic", "equals quad_sum_equivalence root_power_sum"),
         ("degrees", "ExtensionSpec cd_closed_form cd_multiset cd_oracle check_corollary_b"),
         ("errors", "BudgetExceededError InvariantError"),
-        ("numtheory", "Torus coincidence_classify euclid_gcd gcd_torus torus_order"),
+        ("numtheory", "coincidence_classify euclid_gcd gcd_torus"),
         ("params", "divisors_of make_params"),
         ("stabilizers", "ORACLE_F_MAX exact_stabilizer_exponent orbit_counts orbit_oracle"),
         ("stabilizers", "witness_for"),

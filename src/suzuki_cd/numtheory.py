@@ -1,16 +1,19 @@
 """Closed-form gcds of the torus orders against q^2 +- 2^n.
 
-On the split torus, of order q^2 - 1, the gcd is 2^n - 1 or 1
-(gcd_split_torus).  The other two torus orders a1 = q^2+r+1 and
-a2 = q^2-r+1 are coprime and multiply to q^4+1, and their gcds with
-q^2 +- 2^n (n a proper divisor of 2f+1) collapse to a three-way branch
-on the congruence class of 2f -+ n + 1 modulo 8 (gcd_torus).  The q^4+1
-gcd is stated nowhere else: its rows are the product of the two torus
-rows.  Gcds at two exponents collide only at 1 and 3, where both
-are 5 (coincidence_classify): the torus and signs are derived from
-which torus order 5 divides, as stabilizers.is_witnessless derives
-theorem A's exceptions, so nothing here is keyed by f mod 4.  The
-case analysis is easy to mis-transcribe, so euclid_gcd, a plain
+gcd_torus takes a torus order N, an int, and answers
+gcd(N, q^2 + sign * 2^n) for n a proper divisor of 2f+1.  On the split
+torus, N = q^2 - 1, the gcd is 2^n - 1 or 1.  The other two torus
+orders a1 = q^2+r+1 and a2 = q^2-r+1 are coprime and multiply to
+q^4+1, and their gcds collapse to a three-way branch on the congruence
+class of 2f -+ n + 1 modulo 8.  The q^4+1 gcd is stated nowhere else:
+its rows are the product of the two torus rows.  Gcds at two exponents
+collide only at 1 and 3, where both are 5 (coincidence_classify): the
+torus order and signs are derived from which torus order 5 divides, as
+stabilizers.is_witnessless derives theorem A's exceptions, so nothing
+here is keyed by f mod 4.  Here a torus is its order: which family an
+order indexes is characters.torus_order_of's business, and the names
+"plus" and "minus" only label the rows gcd-table prints.  The case
+analysis is easy to mis-transcribe, so euclid_gcd, a plain
 Euclidean oracle on the actual pair of integers, is the ground truth.
 gcd_verification_rows is the only code here that calls it: one grid of
 closed form vs Euclid per f, which ``gcd-table`` prints and the sweep
@@ -24,16 +27,7 @@ does not (4 divides x exactly).
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .params import Record, SuzukiParams, divisors_of
-
-
-class Torus(Enum):
-    """Which of the two q^4+1 torus factors a gcd refers to."""
-
-    PLUS = "plus"  # order q^2 + r + 1
-    MINUS = "minus"  # order q^2 - r + 1
 
 
 class GcdCase(Record):
@@ -52,11 +46,11 @@ class CoincidenceCase(Record):
 
     d1 = gcd(torus order, q^2 + sign_n * 2^n) and
     d2 = gcd(torus order, q^2 + sign_m * 2^m) are equal (to 5); this
-    happens only for (m, n) = (1, 3), on the one Torus whose order 5
-    divides.
+    happens only for (m, n) = (1, 3), on the one torus whose order, the
+    int ``order``, 5 divides.
     """
 
-    __slots__ = ("torus", "sign_n", "sign_m")
+    __slots__ = ("order", "sign_n", "sign_m")
 
 
 def euclid_gcd(a: int, b: int) -> int:
@@ -73,53 +67,47 @@ def euclid_gcd(a: int, b: int) -> int:
     return a
 
 
-def torus_order(p: SuzukiParams, torus: Torus) -> int:
-    return p.a1 if torus is Torus.PLUS else p.a2
+def gcd_torus(p: SuzukiParams, order: int, n: int, sign: int) -> GcdCase:
+    """gcd(order, q^2 + sign * 2^n) for a torus order and a proper divisor
+    n of 2f+1; any order but q^2 - 1, q^2 + r + 1 and q^2 - r + 1 is a
+    ValueError.
 
+    On the split torus, modulo q^2 - 1, q^2 is 1, so this is
+    gcd(2^(2f+1) - 1, 2^n + sign).  For sign -1 it is 2^n - 1, which
+    divides 2^(2f+1) - 1.  For sign +1 it is 1: modulo the odd 2^n + 1,
+    2^(2f+1) is (-1)^((2f+1)/n) = -1, so 2^(2f+1) - 1 is -2.
 
-def gcd_split_torus(p: SuzukiParams, n: int, sign: int) -> int:
-    """gcd(q^2 - 1, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
-
-    Modulo q^2 - 1, q^2 is 1, so this is gcd(2^(2f+1) - 1, 2^n + sign).
-    For sign -1 it is 2^n - 1, which divides 2^(2f+1) - 1.  For sign +1
-    it is 1: modulo the odd 2^n + 1, 2^(2f+1) is (-1)^((2f+1)/n) = -1,
-    so 2^(2f+1) - 1 is -2.
-    """
-    _require_sign(sign)
-    _require_proper_divisor(p, n)
-    return (1 << n) - 1 if sign < 0 else 1
-
-
-def gcd_torus(p: SuzukiParams, torus: Torus, n: int, sign: int) -> GcdCase:
-    """gcd(torus order, q^2 + sign * 2^n) for a proper divisor n of 2f+1.
-
-    Let u = 2f - n + 1 for sign -1 and u = 2f + n + 1 for sign +1, and
-    write h = 2^((n+1)/2).  The branch table, with the +-pairing fixed
-    by the Euclidean oracle (see the verification sweep):
+    On the other two, let u = 2f - n + 1 for sign -1 and u = 2f + n + 1
+    for sign +1, and write h = 2^((n+1)/2).  The branch table, with the
+    +-pairing fixed by the Euclidean oracle (see the verification sweep):
 
     =========  ==================  ==================
-    branch     torus q^2+r+1       torus q^2-r+1
+    branch     order q^2+r+1       order q^2-r+1
     =========  ==================  ==================
     8 | u      2^n + h + 1         2^n - h + 1
     4 || u     2^n - h + 1         2^n + h + 1
     otherwise  1                   1
     =========  ==================  ==================
 
-    Note 2^n - h + 1 = 1 when n = 1, so at n = 1 only one torus ever
-    has a nontrivial gcd.  The two torus values multiply to
+    Note 2^n - h + 1 = 1 when n = 1, so at n = 1 only one of the two has
+    a nontrivial gcd.  Their values multiply to
     gcd(q^4 + 1, q^2 + sign * 2^n), since a1 * a2 = q^4 + 1 with a1, a2
     coprime; gcd_closed_form_rows builds its q^4+1 rows that way.
     """
     _require_sign(sign)
     _require_proper_divisor(p, n)
+    if order == p.a0:
+        return GcdCase((1 << n) - 1, "sign -1") if sign < 0 else GcdCase(1, "none")
+    if order != p.a1 and order != p.a2:
+        raise ValueError(f"order is no torus order of Sz(2^{p.out_order})")
     u = 2 * p.f + (n if sign > 0 else -n) + 1
     u_name = "2f+n+1" if sign > 0 else "2f-n+1"
     half = 1 << ((n + 1) // 2)
     if u % 8 == 0:
-        plus_form = torus is Torus.PLUS
+        plus_form = order == p.a1
         condition = f"8 | {u_name}"
     elif u % 4 == 0:
-        plus_form = torus is Torus.MINUS
+        plus_form = order == p.a2
         condition = f"4 || {u_name}"
     else:
         return GcdCase(1, "none")
@@ -149,32 +137,34 @@ def coincidence_classify(
         raise ValueError(f"need distinct proper divisors with m | n, got m={m}, n={n}")
     if (m, n) != (1, 3):
         return None
-    torus = Torus.PLUS if torus_order(p, Torus.PLUS) % 5 == 0 else Torus.MINUS
+    order = p.a1 if p.a1 % 5 == 0 else p.a2
     sign_n, sign_m = (
         sign for k in (n, m) for sign in (-1, 1) if (p.q2 + sign * (1 << k)) % 5 == 0
     )
-    return CoincidenceCase(torus, sign_n, sign_m)
+    return CoincidenceCase(order, sign_n, sign_m)
 
 
 def gcd_closed_form_rows(p: SuzukiParams) -> list[tuple[int, str, int, GcdCase]]:
     """The closed form of every gcd query at this f.
 
     One row ``(n, torus, sign, case)`` per query, n over the proper
-    divisors of 2f+1 ascending, torus over "plus", "minus" and "product"
-    (the q^4+1 queries), sign over -1, +1.  A product row is the product
-    of the two torus rows of its (n, sign), since a1 and a2 are coprime
-    with a1 * a2 = q^4 + 1.  It is above 1 exactly when one torus branch
-    fires, that is when 4 divides 2f -+ n + 1: 2f+1 == n (mod 4) for
-    sign -1 and 2f+1 == -n (mod 4) for sign +1.
+    divisors of 2f+1 ascending, torus over "plus" (order q^2+r+1),
+    "minus" (order q^2-r+1) and "product" (the q^4+1 queries), sign over
+    -1, +1; the names are the ``torus`` column of ``gcd-table``.  A
+    product row is the product of the two torus rows of its (n, sign),
+    since a1 and a2 are coprime with a1 * a2 = q^4 + 1.  It is above 1
+    exactly when one torus branch fires, that is when 4 divides
+    2f -+ n + 1: 2f+1 == n (mod 4) for sign -1 and 2f+1 == -n (mod 4)
+    for sign +1.
     """
     rows = []
     for n in divisors_of(p.out_order)[:-1]:
         product = {-1: 1, 1: 1}
-        for torus in Torus:
+        for name, order in (("plus", p.a1), ("minus", p.a2)):
             for sign in (-1, 1):
-                case = gcd_torus(p, torus, n, sign)
+                case = gcd_torus(p, order, n, sign)
                 product[sign] *= case.value
-                rows.append((n, torus.value, sign, case))
+                rows.append((n, name, sign, case))
         for sign, value in product.items():
             condition = "2f+1 == n (mod 4)" if sign < 0 else "2f+1 == -n (mod 4)"
             rows.append((n, "product", sign, GcdCase(value, condition if value > 1 else "none")))
@@ -190,11 +180,11 @@ def gcd_verification_rows(
     ``(n, torus, sign, case, euclid)``: ``case`` is the closed form and
     ``euclid`` the oracle's gcd of the same pair.
     """
-    rows = []
-    for n, torus_name, sign, case in closed_forms:
-        left = p.q4 + 1 if torus_name == "product" else torus_order(p, Torus(torus_name))
-        rows.append((n, torus_name, sign, case, euclid_gcd(left, p.q2 + sign * (1 << n))))
-    return rows
+    left = {"plus": p.a1, "minus": p.a2, "product": p.q4 + 1}
+    return [
+        (n, torus_name, sign, case, euclid_gcd(left[torus_name], p.q2 + sign * (1 << n)))
+        for n, torus_name, sign, case in closed_forms
+    ]
 
 
 def _require_sign(sign: int) -> None:

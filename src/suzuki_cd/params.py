@@ -35,10 +35,10 @@ class Record:
     """Base of the package's immutable value records.
 
     A subclass names its fields in ``__slots__`` and is built from them
-    positionally or by keyword.  Records compare by type and field
-    values, hash by field values, repr as ``Name(field=value, ...)``,
-    refuse assignment, and pickle and copy through the constructor,
-    which calls the ``_validate`` hook last.
+    positionally.  Records compare by type and field values, hash by
+    field values, repr as ``Name(field=value, ...)``, refuse assignment,
+    and pickle and copy through the constructor, which calls the
+    ``_validate`` hook last.
     """
 
     __slots__ = ()
@@ -46,11 +46,9 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._values = attrgetter(*cls.__slots__)
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         names = self.__slots__
-        if kwargs:
-            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
-        if kwargs or len(args) != len(names):
+        if len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names}")
         for name, value in zip(names, args):
             _set_slot(self, name, value)
@@ -86,14 +84,11 @@ class SuzukiParams(Record):
 
     All ints: q2 = 2^(2f+1), r = 2^(f+1), a0 = q^2 - 1 (order of the
     split torus), a1 = q^2 + r + 1 and a2 = q^2 - r + 1 (a1 * a2 =
-    q^4 + 1), group_order = (q^4 + 1) * q^4 * (q^2 - 1), out_order = 2f + 1.
+    q^4 + 1), q4 = q^4, group_order = (q^4 + 1) * q^4 * (q^2 - 1),
+    out_order = 2f + 1.
     """
 
-    __slots__ = ("f", "q2", "r", "a0", "a1", "a2", "group_order", "out_order")
-
-    @property
-    def q4(self) -> int:
-        return self.q2 * self.q2
+    __slots__ = ("f", "q2", "r", "a0", "a1", "a2", "q4", "group_order", "out_order")
 
 
 def make_params(f: int) -> SuzukiParams:
@@ -114,7 +109,7 @@ def make_params(f: int) -> SuzukiParams:
     a1 = q2 + r + 1
     a2 = q2 - r + 1
     q4 = q2 * q2
-    return SuzukiParams(f, q2, r, a0, a1, a2, (q4 + 1) * q4 * a0, 2 * f + 1)
+    return SuzukiParams(f, q2, r, a0, a1, a2, q4, (q4 + 1) * q4 * a0, 2 * f + 1)
 
 
 def divisors_of(n: int) -> list[int]:

@@ -153,30 +153,25 @@ def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
 def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:
     """(g-, g+): the orders of the kernels that can hold a nonzero index of
     the torus family, g-+ = gcd(N, q^2 -+ 2^n) by the one criterion
-    N | (q^2 -+ 2^n) i above, N = torus_order_of(p, family), from the gcd
-    lemmas:
+    N | (q^2 -+ 2^n) i above, N = torus_order_of(p, family): (N, 1) at
+    n = 2f+1, where q^2 - 2^n = 0, and otherwise the gcd lemma
+    numtheory.gcd_torus(p, N, n, -+1), which takes each of the three
+    torus orders.
 
-    - n = 2f+1: q^2 - 2^n = 0, so the pair is (N, 1);
-    - q^2 == 1 (mod N), the split torus (as in torus_value):
-      gcd_split_torus(p, n, -+1), which is 2^n - 1 and 1;
-    - otherwise gcd_torus(p, torus, n, -+1), torus the Torus of order N.
-
-    It names no family, so torus_order_of alone maps families to tori.
-    The two kernels meet only in 0 (N is odd), so the n-th automorphism
-    power fixes g- + g+ - 2 nonzero indices, which the |M| multipliers
-    permute freely: F(n) = (g- + g+ - 2)/|M| labels.  Where a label of
-    exact exponent n exists, exactly one of g-, g+ is nontrivial.
+    It names no family and no torus, so torus_order_of alone maps
+    families to tori.  The two kernels meet only in 0 (N is odd), so the
+    n-th automorphism power fixes g- + g+ - 2 nonzero indices, which the
+    |M| multipliers permute freely: F(n) = (g- + g+ - 2)/|M| labels.
+    Where a label of exact exponent n exists, exactly one of g-, g+ is
+    nontrivial.
     """
     # here, so that a cd that does not count skips it
-    from .numtheory import Torus, gcd_split_torus, gcd_torus, torus_order
+    from .numtheory import gcd_torus
 
     order = torus_order_of(p, family)
     if n == p.out_order:
         return order, 1
-    if p.q2 % order == 1:
-        return gcd_split_torus(p, n, -1), gcd_split_torus(p, n, +1)
-    torus = Torus.PLUS if torus_order(p, Torus.PLUS) == order else Torus.MINUS
-    return gcd_torus(p, torus, n, -1).value, gcd_torus(p, torus, n, +1).value
+    return gcd_torus(p, order, n, -1).value, gcd_torus(p, order, n, +1).value
 
 
 def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:

@@ -79,8 +79,9 @@ def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
     exponents happen exactly where the classifier says they do.
 
     Every check is per f, so all grow with f_max: the torus and q^4+1
-    rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1) at the arguments
-    stabilizers._kernel_orders passes to gcd_split_torus."""
+    rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1), the split-torus
+    case of gcd_torus, at the arguments stabilizers._kernel_orders
+    passes."""
     _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
     return _merge("gcd-closed-forms", _map_ordered(_gcd_worker, range(1, f_max + 1), jobs))
 
@@ -172,11 +173,10 @@ def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
 
 def _gcd_worker(f: int) -> SweepReport:
     from .numtheory import (
-        Torus,
         coincidence_classify,
         euclid_gcd,
         gcd_closed_form_rows,
-        gcd_split_torus,
+        gcd_torus,
         gcd_verification_rows,
     )
 
@@ -193,6 +193,7 @@ def _gcd_worker(f: int) -> SweepReport:
             f"closed {case.value} != euclid {actual}",
         )
     proper = divisors_of(p.out_order)[:-1]
+    tori = (("plus", p.a1), ("minus", p.a2))
     for n in proper:
         for sign in (-1, 1):
             _check(
@@ -202,7 +203,7 @@ def _gcd_worker(f: int) -> SweepReport:
             )
             # the X kernel orders of stabilizers._kernel_orders; Euclid's pair
             # has the same gcd, as q^2 == 1 (mod q^2-1)
-            closed = gcd_split_torus(p, n, sign)
+            closed = gcd_torus(p, p.a0, n, sign).value
             actual = euclid_gcd(p.a0, (1 << n) + sign)
             _check(
                 report,
@@ -210,12 +211,12 @@ def _gcd_worker(f: int) -> SweepReport:
                 lambda: f"f={f} n={n} sign={sign}: gcd(q^2-1, 2^n{sign:+d}) "
                 f"closed {closed} != euclid {actual}",
             )
-        for torus in Torus:
-            nontrivial = sum(1 for sign in (-1, 1) if euclid[n, torus.value, sign] > 1)
+        for name, _ in tori:
+            nontrivial = sum(1 for sign in (-1, 1) if euclid[n, name, sign] > 1)
             _check(
                 report,
                 nontrivial <= 1,
-                lambda: f"f={f} n={n} {torus.value}: both signs nontrivial",
+                lambda: f"f={f} n={n} {name}: both signs nontrivial",
             )
     # collisions between exponent pairs
     for m in proper:
@@ -223,24 +224,24 @@ def _gcd_worker(f: int) -> SweepReport:
             if m == n or n % m != 0:
                 continue
             case = coincidence_classify(p, m, n)
-            for torus in Torus:
+            for name, order in tori:
                 for sign_n in (-1, 1):
-                    d1 = euclid[n, torus.value, sign_n]
+                    d1 = euclid[n, name, sign_n]
                     if d1 == 1:
                         continue
                     for sign_m in (-1, 1):
-                        d2 = euclid[m, torus.value, sign_m]
+                        d2 = euclid[m, name, sign_m]
                         observed = d1 == d2
                         predicted = (
                             case is not None
-                            and case.torus is torus
+                            and case.order == order
                             and case.sign_n == sign_n
                             and case.sign_m == sign_m
                         )
                         _check(
                             report,
                             observed == predicted,
-                            lambda: f"f={f} (m,n)=({m},{n}) {torus.value} "
+                            lambda: f"f={f} (m,n)=({m},{n}) {name} "
                             f"signs=({sign_m},{sign_n}): d1={d1} d2={d2} "
                             f"predicted={predicted}",
                         )

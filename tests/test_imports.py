@@ -20,7 +20,6 @@ PUBLIC_NAMES = [
     "Family",
     "InvariantError",
     "ORACLE_F_MAX",
-    "Torus",
     "canonical_indices",
     "cd_closed_form",
     "cd_multiset",
@@ -39,13 +38,12 @@ PUBLIC_NAMES = [
     "phi_power_on_label",
     "quad_sum_equivalence",
     "root_power_sum",
-    "torus_order",
     "torus_value",
     "witness_for",
 ]
 
 # modules the cd and orbits commands do not run, apart from numtheory,
-# whose gcd lemmas (gcd_split_torus for X, gcd_torus for Y and Z)
+# whose gcd lemma (gcd_torus, for X, Y and Z alike)
 # orbit_counts reads through stabilizers._kernel_orders when a command counts
 NOT_FOR_CD = [
     "csv",

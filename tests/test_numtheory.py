@@ -1,4 +1,5 @@
 import math
+from enum import Enum
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,17 +8,25 @@ from suzuki_cd import numtheory
 from suzuki_cd.characters import Family, torus_order_of
 from suzuki_cd.numtheory import (
     GcdCase,
-    Torus,
     coincidence_classify,
     euclid_gcd,
     gcd_closed_form_rows,
-    gcd_split_torus,
     gcd_torus,
     gcd_verification_rows,
-    torus_order,
 )
 from suzuki_cd.params import divisors_of, make_params
 from suzuki_cd.stabilizers import is_witnessless
+
+
+class Torus(Enum):
+    """The paper's two q^4+1 tori, each valued by the SuzukiParams field
+    that holds its order; the library takes the order itself."""
+
+    PLUS = "a1"  # order q^2 + r + 1
+    MINUS = "a2"  # order q^2 - r + 1
+
+    def order(self, p):
+        return getattr(p, self.value)
 
 # f mod 4 -> (the paper's case name, torus, sign at 2^3, sign at 2^1) of the
 # collision at exponents 1 and 3; coincidence_classify derives the last three
@@ -58,26 +67,34 @@ BAD_QUERIES = pytest.mark.parametrize(
 )
 
 
-def test_gcd_split_torus_matches_math_gcd():
-    for f in range(1, 65):
+def test_gcd_torus_takes_every_torus_order():
+    # the split torus q^2 - 1 too, and an int for each torus, not a name
+    for f in range(1, 61):
         p = make_params(f)
         for n in divisors_of(p.out_order)[:-1]:
-            for sign in (-1, 1):
-                assert gcd_split_torus(p, n, sign) == math.gcd(p.a0, p.q2 + sign * 2**n), (f, n)
+            for order in (p.a0, p.a1, p.a2):
+                for sign in (-1, 1):
+                    case = gcd_torus(p, order, n, sign)
+                    assert case.value == euclid_gcd(order, p.q2 + sign * 2**n), (f, n, order, sign)
+            for order in (p.a1 + 2, p.q4 + 1):
+                with pytest.raises(ValueError, match="no torus order"):
+                    gcd_torus(p, order, n, -1)
 
 
 @BAD_QUERIES
 def test_gcd_split_torus_rejects(n, sign):
+    p = make_params(4)
     with pytest.raises(ValueError):
-        gcd_split_torus(make_params(4), n, sign)
+        gcd_torus(p, p.a0, n, sign)
 
 
 @BAD_QUERIES
 @pytest.mark.parametrize("torus", Torus)
 def test_gcd_torus_rejects(n, sign, torus):
     # the checks the q^4+1 rows rely on, as they have no function of their own
+    p = make_params(4)
     with pytest.raises(ValueError):
-        gcd_torus(make_params(4), torus, n, sign)
+        gcd_torus(p, torus.order(p), n, sign)
 
 
 def product_rows(p):
@@ -114,14 +131,14 @@ def test_gcd_q4_small_is_one(f):
 
 def test_gcd_torus_examples():
     p2 = make_params(2)
-    case = gcd_torus(p2, Torus.MINUS, 1, -1)
+    case = gcd_torus(p2, p2.a2, 1, -1)
     assert case.value == 5 == euclid_gcd(p2.a2, p2.q2 - 2)  # 2^1 + 2^1 + 1
     assert case.condition == "4 || 2f-n+1"
-    assert gcd_torus(p2, Torus.PLUS, 1, -1).value == 1 == euclid_gcd(p2.a1, p2.q2 - 2)
+    assert gcd_torus(p2, p2.a1, 1, -1).value == 1 == euclid_gcd(p2.a1, p2.q2 - 2)
 
     # oracle fixes the value at f=4, n=3, sign +: gcd(545, 520) = 5
     p4 = make_params(4)
-    case = gcd_torus(p4, Torus.PLUS, 3, +1)
+    case = gcd_torus(p4, p4.a1, 3, +1)
     assert case.value == 5  # 2^3 - 2^2 + 1
     assert euclid_gcd(2**9 + 2**5 + 1, 2**9 + 8) == 5
 
@@ -132,8 +149,8 @@ def test_gcd_torus_checked_sweep(f):
     for (n, sign), (*_, product) in product_rows(p).items():
         rhs = p.q2 + sign * (1 << n)
         for torus in Torus:
-            case = gcd_torus(p, torus, n, sign)
-            assert case.value == euclid_gcd(torus_order(p, torus), rhs), (n, torus, sign)
+            case = gcd_torus(p, torus.order(p), n, sign)
+            assert case.value == euclid_gcd(torus.order(p), rhs), (n, torus, sign)
         assert product.value == math.gcd(p.q4 + 1, rhs), (n, sign)
 
 
@@ -158,8 +175,8 @@ def test_gcd_case_value_divides_pair():
         for n in divisors_of(p.out_order)[:-1]:
             for torus in Torus:
                 for sign in (-1, 1):
-                    case = gcd_torus(p, torus, n, sign)
-                    assert torus_order(p, torus) % case.value == 0
+                    case = gcd_torus(p, torus.order(p), n, sign)
+                    assert torus.order(p) % case.value == 0
                     assert (p.q2 + sign * 2**n) % case.value == 0
 
 
@@ -167,7 +184,7 @@ def test_coincidence_case_i_at_f4():
     p = make_params(4)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert COINCIDENCE_TABLE[p.f % 4][0] == "i" and case.torus is Torus.PLUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "i" and case.order == Torus.PLUS.order(p)
     assert (case.sign_n, case.sign_m) == (+1, -1)
     # d1 = d2 = 5: a1 = 545 against q^2 + 8 and q^2 - 2
     assert euclid_gcd(545, 520) == euclid_gcd(545, 510) == 5
@@ -177,7 +194,7 @@ def test_coincidence_case_ii_at_f7():
     p = make_params(7)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert COINCIDENCE_TABLE[p.f % 4][0] == "ii" and case.torus is Torus.PLUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "ii" and case.order == Torus.PLUS.order(p)
     assert (case.sign_n, case.sign_m) == (-1, +1)
     assert euclid_gcd(p.a1, p.q2 - 8) == euclid_gcd(p.a1, p.q2 + 2) == 5
     # the other torus has no collision at f=7: d1=13 while both
@@ -191,7 +208,7 @@ def test_coincidence_case_iii_at_f13():
     p = make_params(13)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert COINCIDENCE_TABLE[p.f % 4][0] == "iii" and case.torus is Torus.MINUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "iii" and case.order == Torus.MINUS.order(p)
     assert euclid_gcd(p.a2, p.q2 - 8) == euclid_gcd(p.a2, p.q2 + 2) == 5
 
 
@@ -199,7 +216,7 @@ def test_coincidence_case_iv_at_f10():
     p = make_params(10)
     case = coincidence_classify(p, 1, 3)
     assert case is not None
-    assert COINCIDENCE_TABLE[p.f % 4][0] == "iv" and case.torus is Torus.MINUS
+    assert COINCIDENCE_TABLE[p.f % 4][0] == "iv" and case.order == Torus.MINUS.order(p)
     assert euclid_gcd(p.a2, p.q2 + 8) == euclid_gcd(p.a2, p.q2 - 2) == 5
 
 
@@ -217,9 +234,10 @@ def test_coincidence_classify_computes_no_gcd(monkeypatch, f, label, torus, sign
         raise AssertionError("coincidence_classify called euclid_gcd")
 
     monkeypatch.setattr(numtheory, "euclid_gcd", refuse)
-    case = coincidence_classify(make_params(f), 1, 3)
+    p = make_params(f)
+    case = coincidence_classify(p, 1, 3)
     assert COINCIDENCE_TABLE[f % 4][0] == label
-    assert (case.torus, (case.sign_n, case.sign_m)) == (torus, signs)
+    assert (case.order, (case.sign_n, case.sign_m)) == (torus.order(p), signs)
 
 
 def test_coincidence_classify_reads_the_torus_theorem_a_reads():
@@ -231,8 +249,9 @@ def test_coincidence_classify_reads_the_torus_theorem_a_reads():
         p = make_params(f)
         case = coincidence_classify(p, 1, 3)
         (family,) = [fam for fam in (Family.Y, Family.Z) if is_witnessless(p, fam, 3)]
-        assert torus_order(p, case.torus) == torus_order_of(p, family), f
-        assert (case.torus, case.sign_n, case.sign_m) == COINCIDENCE_TABLE[f % 4][1:], f
+        torus, *signs = COINCIDENCE_TABLE[f % 4][1:]
+        assert case.order == torus_order_of(p, family) == torus.order(p), f
+        assert [case.sign_n, case.sign_m] == signs, f
 
 
 def test_coincidence_none_for_other_pairs():

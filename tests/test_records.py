@@ -17,7 +17,7 @@ from suzuki_cd.degrees import (
     ExtensionSpec,
     check_corollary_b,
 )
-from suzuki_cd.numtheory import CoincidenceCase, GcdCase, Torus, coincidence_classify, gcd_torus
+from suzuki_cd.numtheory import CoincidenceCase, GcdCase, coincidence_classify, gcd_torus
 from suzuki_cd.params import SuzukiParams, make_params
 from suzuki_cd.verification import SweepReport
 
@@ -45,14 +45,14 @@ RECORDS = {
         "cardinality",
     ),
     GcdCase: (
-        lambda: gcd_torus(make_params(4), Torus.PLUS, 3, 1),
-        lambda: gcd_torus(make_params(4), Torus.MINUS, 3, 1),
+        lambda: gcd_torus(make_params(4), make_params(4).a1, 3, 1),
+        lambda: gcd_torus(make_params(4), make_params(4).a2, 3, 1),
         "value",
     ),
     CoincidenceCase: (
         lambda: coincidence_classify(make_params(4), 1, 3),
         lambda: coincidence_classify(make_params(7), 1, 3),
-        "torus",
+        "order",
     ),
 }
 
@@ -103,14 +103,13 @@ def test_pickle_and_deepcopy_round_trip(record):
         assert repr(clone) == repr(value)
 
 
-def test_records_build_by_position_or_keyword():
-    assert CharacterLabel(family=Family.X, index=1) == CharacterLabel(Family.X, index=1)
-    assert GcdCase(5, "none") == GcdCase(condition="none", value=5)
+def test_records_build_by_position_only():
     bad = [
         ((Family.X,), {}),
         ((Family.X, 1, 2), {}),
         ((Family.X,), {"family": Family.Y}),
         ((), {"family": Family.X, "index": 1, "extra": 0}),
+        ((Family.X,), {"index": 1}),
     ]
     for args, kwargs in bad:
         with pytest.raises(TypeError):

@@ -11,6 +11,11 @@
   nowhere: stabilizers.is_witnessless derives theorem A's exceptions,
   and numtheory.coincidence_classify the gcd collision at exponents 1
   and 3, from which torus order 5 divides.
+- ``Family.X``, ``Family.Y`` and ``Family.Z`` are named only in
+  characters, where torus_order_of meets the families with their tori,
+  and in verification, whose sweeps walk the families; numtheory imports
+  nothing from the package but params, so the gcd lemmas take a torus
+  order and know no family.
 - ``distinct_primes`` is called only by cyclotomic._annihilator, the one
   per-prime pass, which builds the annihilator every equality test uses.
 - ``lru_cache`` is named only by cyclotomic._annihilator and
@@ -38,6 +43,8 @@ F_MOD_4_HOMES: set[str] = set()
 DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
 LRU_CACHE_HOMES = {"cyclotomic._annihilator", "stabilizers._orbit_histogram"}
 GETATTR_CALL_HOMES = {"cli._cmd_verify"}
+TORUS_FAMILY_HOMES = {"characters", "verification"}  # modules, not defs
+NUMTHEORY_IMPORTS = {"params"}
 
 # oracle -> patterns of the closed forms it checks, which it must not reach
 CLOSED_FORMS = (
@@ -62,6 +69,17 @@ def imported(node: ast.AST) -> list[str]:
     return []
 
 
+def package_imported(node: ast.AST) -> list[str]:
+    """The package modules an import names, relatively or as ``suzuki_cd``."""
+    if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("suzuki_cd")):
+        module = (node.module or "").removeprefix("suzuki_cd").lstrip(".")
+        return [module.split(".")[0]] if module else [alias.name for alias in node.names]
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".") for alias in node.names]
+        return [name[1] for name in names if name[0] == "suzuki_cd" and len(name) > 1]
+    return []
+
+
 def name_of(node: ast.AST | None) -> str | None:
     return getattr(node, "id", getattr(node, "attr", None))
 
@@ -78,6 +96,14 @@ def takes_f_mod_4(node: ast.AST) -> bool:
         and isinstance(node.op, ast.Mod)
         and name_of(node.left) == "f"
         and getattr(node.right, "value", None) == 4
+    )
+
+
+def names_torus_family(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("X", "Y", "Z")
+        and name_of(node.value) == "Family"
     )
 
 
@@ -188,6 +214,13 @@ def rule_breaks(src: Path) -> list[str]:
         for line, home in homes(tree, path.stem, takes_f_mod_4):
             if home not in F_MOD_4_HOMES:
                 hits.append(f"{where}:{line}: f % 4 taken in {home}")
+        for line, home in homes(tree, path.stem, names_torus_family):
+            if path.stem not in TORUS_FAMILY_HOMES:
+                hits.append(f"{where}:{line}: Family.X/Y/Z named in {home}")
+        if path.stem == "numtheory":
+            for node in ast.walk(tree):
+                for module in set(package_imported(node)) - NUMTHEORY_IMPORTS:
+                    hits.append(f"{where}:{node.lineno}: numtheory imports {module}")
         for line, home in homes(tree, path.stem, calls_distinct_primes):
             if home not in DISTINCT_PRIMES_HOMES:
                 hits.append(f"{where}:{line}: distinct_primes called in {home}")
@@ -223,6 +256,28 @@ def test_f_mod_4_outside_its_homes_is_a_rule_break(tmp_path):
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "stabilizers.py:6: f % 4 taken in stabilizers.witness_for",
         "verification.py:2: f % 4 taken in verification._stabilizer_worker",
+    ]
+
+
+def test_torus_families_and_numtheory_imports_outside_their_homes_are_rule_breaks(tmp_path):
+    # _kernel_orders picking the gcd by family, and a gcd lemma reading the
+    # families' tori itself; characters and verification may name them
+    (tmp_path / "stabilizers.py").write_text(
+        "from .characters import Family\n\n\n"
+        "def _kernel_orders(p, family, n):\n    return family is Family.Y\n"
+    )
+    (tmp_path / "numtheory.py").write_text(
+        "from __future__ import annotations\n\nfrom enum import Enum\n\n"
+        "from .params import make_params\nfrom .characters import torus_order_of\n"
+        "from . import characters, params\nimport suzuki_cd.stabilizers\n"
+    )
+    (tmp_path / "characters.py").write_text("TORUS_FAMILIES = (Family.X, Family.Y, Family.Z)\n")
+    (tmp_path / "verification.py").write_text("def _worker(f):\n    return Family.Z\n")
+    assert rule_breaks(tmp_path) == [
+        "numtheory.py:6: numtheory imports characters",
+        "numtheory.py:7: numtheory imports characters",
+        "numtheory.py:8: numtheory imports stabilizers",
+        "stabilizers.py:5: Family.X/Y/Z named in stabilizers._kernel_orders",
     ]
 
 

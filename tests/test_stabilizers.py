@@ -387,7 +387,7 @@ def test_orbit_counts_near_f_max_agree_with_the_exception_table():
     ids=["fixed-indices", "orbits"],
 )
 def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, message):
-    def gcd_torus(p, torus, n, sign):
+    def gcd_torus(p, order, n, sign):
         return GcdCase(gcds[n][sign > 0], "none")
 
     monkeypatch.setattr(numtheory, "gcd_torus", gcd_torus)
@@ -396,12 +396,13 @@ def test_orbit_counts_refuse_gcds_that_break_an_invariant(monkeypatch, gcds, mes
 
 
 def test_orbit_counts_refuse_an_x_kernel_order_that_splits_a_label(monkeypatch):
-    # 2^n in place of gcd(q^2-1, 2^n-1) = 2^n-1: at n = 1 the kernels hold
-    # 2 + 1 - 2 = 1 nonzero index, not whole pairs {i, -i}
-    def gcd_split_torus(p, n, sign):
-        return 1 << n if sign < 0 else 1
+    # 2^n in place of gcd(q^2-1, 2^n-1) = 2^n-1 on the split torus: at n = 1
+    # the kernels hold 2 + 1 - 2 = 1 nonzero index, not whole pairs {i, -i}
+    def gcd_torus(p, order, n, sign):
+        assert order == p.a0
+        return GcdCase(1 << n if sign < 0 else 1, "none")
 
-    monkeypatch.setattr(numtheory, "gcd_split_torus", gcd_split_torus)
+    monkeypatch.setattr(numtheory, "gcd_torus", gcd_torus)
     with pytest.raises(InvariantError, match="^f=4 X n=1: 1 fixed indices, not 2 per label$"):
         orbit_counts(make_params(4), Family.X)
 
@@ -409,7 +410,7 @@ def test_orbit_counts_refuse_an_x_kernel_order_that_splits_a_label(monkeypatch):
 def test_witness_for_refuses_two_nontrivial_kernels(monkeypatch):
     p = make_params(4)
     assert not is_witnessless(p, Family.Y, 1)
-    monkeypatch.setattr(numtheory, "gcd_torus", lambda p, torus, n, sign: GcdCase(5, "none"))
+    monkeypatch.setattr(numtheory, "gcd_torus", lambda p, order, n, sign: GcdCase(5, "none"))
     with pytest.raises(InvariantError, match="^f=4 Y n=1: 2 nontrivial kernels, expected 1$"):
         witness_for(p, Family.Y, 1)
 

@@ -103,12 +103,15 @@ def test_gcd_sweep_checks_the_x_kernel_orders_at_every_f(monkeypatch):
     # 2f+1 = 39 = 3 * 13 at f = 19 is the first proper divisor over 12
     from suzuki_cd import numtheory
 
-    real = numtheory.gcd_split_torus
+    real = numtheory.gcd_torus
 
-    def wrong_at_13(p, n, sign):
-        return real(p, n, sign) + (2 if n == 13 else 0)
+    def wrong_at_13(p, order, n, sign):
+        case = real(p, order, n, sign)
+        if order == p.a0 and n == 13:
+            return numtheory.GcdCase(case.value + 2, case.condition)
+        return case
 
-    monkeypatch.setattr(numtheory, "gcd_split_torus", wrong_at_13)
+    monkeypatch.setattr(numtheory, "gcd_torus", wrong_at_13)
     assert verify_gcd_closed_forms(18).passed
     assert verify_gcd_closed_forms(19).failures == [
         "f=19 n=13 sign=-1: gcd(q^2-1, 2^n-1) closed 8193 != euclid 8191",
