@@ -26,8 +26,9 @@ the same coefficients: exactly D = B * (1 + x^m + ... + x^((p-1)m)),
 which x^m - 1 takes to B * (x^n - 1) == 0.  For n = 1, Q = 1 and the
 difference itself must be empty.  :func:`quad_sum_equivalence` compares
 images under Q instead: those of the two four-root sums for a batch of
-index pairs at one root k, computing each image once per orbit
-{+-e, +-ek} and keeping it only for that call.
+index pairs at one root k.  Its loop answers each lookup from the
+call's memo and runs :func:`_image` only on a miss, once per orbit
+{+-e, +-ek}; the memo is kept only for that call.
 
 Sums are built in C-level passes: :func:`root_power_sum` sorts its
 reduced exponents whole, and a sum of two copies the longer operand
@@ -173,14 +174,17 @@ def quad_sum_equivalence(
     - congruence_holds: i == +-j (mod n) or i == +-jk (mod n).
 
     Each pair is reduced mod n once, and the call's image memo is keyed
-    by the reduced residue.  Every e of one orbit {+-e, +-ek} mod n has
-    term for term the same four-root sum, so each image is computed once
-    per orbit the pairs meet, stored under all four residues, and kept
-    only for this call.  The congruence compares reduced residues: i is
-    one of j, n - j, jk and n - jk (jk reduced).  The two booleans always
-    agree; the verification sweep checks this exhaustively over boundary
-    pairs and at random.  Raises BudgetExceededError if n cannot be
-    factored below the trial-division bound.
+    by the reduced residue.  The loop reads the images of i and j, and of
+    il and jl once those two agree, straight from the memo.  Every e of
+    one orbit {+-e, +-ek} mod n has term for term the same four-root sum,
+    so a miss runs _image once for the orbit, on its four (t, 1) terms,
+    and stores the image under all four residues; each orbit the pairs
+    meet is computed once, and the memo is kept only for this call.  The
+    congruence compares reduced residues: i is one of j, n - j, jk and
+    n - jk (jk reduced).  The two booleans always agree; the verification
+    sweep checks this exhaustively over boundary pairs and at random.
+    Raises BudgetExceededError if n cannot be factored below the
+    trial-division bound.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -188,22 +192,28 @@ def quad_sum_equivalence(
         raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
     images: dict[int, dict[int, int]] = {}
 
-    def image(e: int) -> dict[int, int]:  # e reduced mod n
-        if e not in images:
-            orbit = (e, -e % n, e * k % n, -e * k % n)
-            images.update(dict.fromkeys(orbit, _image(tuple((t, 1) for t in orbit), n)))
-        return images[e]
+    def image(e: int) -> dict[int, int]:  # e reduced mod n, not yet in images
+        orbit = (e, -e % n, e * k % n, -e * k % n)
+        found = _image(tuple(zip(orbit, (1, 1, 1, 1))), n)
+        images.update(dict.fromkeys(orbit, found))
+        return found
 
     l = k - 1
     result = []
     for i, j in pairs:
         i %= n
         j %= n
+        same = (images[i] if i in images else image(i)) == (
+            images[j] if j in images else image(j)
+        )
+        if same:
+            il = i * l % n
+            jl = j * l % n
+            same = (images[il] if il in images else image(il)) == (
+                images[jl] if jl in images else image(jl)
+            )
         jk = j * k % n
-        result.append((
-            image(i) == image(j) and image(i * l % n) == image(j * l % n),
-            i in (j, n - j, jk, n - jk),
-        ))
+        result.append((same, i in (j, n - j, jk, n - jk)))
     return result
 
 

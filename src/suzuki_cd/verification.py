@@ -30,6 +30,7 @@ import random
 import sys
 from collections.abc import Callable
 from functools import partial
+from itertools import product
 from math import gcd as _math_gcd
 
 from .characters import ORACLE_F_MAX, Family, family_count, make_label, torus_order_of
@@ -43,8 +44,8 @@ DEFAULT_SEED = 20160414
 # superlinearly in f_max: 1.6 s each at their limits (medians of 5; up to
 # 2.6 s on a busier host).  The quad sweep grows with n_max * samples
 # and, per check, with n, so its slowest accepted pair is n_max 1000 with
-# samples 200: 0.55-0.64 s (two medians of 7), where n_max 500 with
-# samples 400 took 0.21-0.26 s.  ORACLE_F_MAX
+# samples 200: 0.43-0.46 s (two medians of 7), where n_max 500 with
+# samples 400 took 0.18 s.  ORACLE_F_MAX
 # caps the two sweeps that enumerate orbits: stabilizers and theorem-a
 # 0.25 s each at f_max 10 (medians of 5; 0.19 s and 0.18 s in an earlier
 # set of 3), about nine tenths of it orbit_oracle at f = 9 and 10.
@@ -260,10 +261,16 @@ def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
     n, roots, samples, seed = args
     report = SweepReport("")
     rng = random.Random(seed * 1000003 + n)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+    # the draws are sorted once per n; each root's block appends the sorted
+    # boundary grid's undrawn pairs, two sorted runs that sorted() merges.
+    # One call per block answers lookups from its image memo in the loop
+    # and runs _image once per orbit it meets.
+    drawn = {(rng.randrange(n), rng.randrange(n)) for _ in range(samples)}
+    ordered = sorted(drawn)
     for k in roots:
-        boundary = {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
-        block = sorted({(i, j) for i in boundary for j in boundary}.union(pairs))
+        boundary = sorted({v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)})
+        grid = product(boundary, repeat=2)
+        block = sorted(ordered + [pair for pair in grid if pair not in drawn])
         # _check's count and messages, taken for the whole block at once
         report.checks += len(block)
         report.failures += [

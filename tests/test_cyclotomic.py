@@ -323,6 +323,31 @@ def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
             assert [answer] == quad_sum_equivalence(n, k, [(i, j)]) == [(fresh, fresh)], (n, k, i, j)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 65, 130, 1105])
+def test_quad_sum_equivalence_reduces_pairs_outside_the_residues(monkeypatch, n):
+    # negative pairs, pairs >= n and multiples of n answer as their reduced
+    # pairs do, and the memo is keyed by reduced residue: a call on shifted
+    # pairs still computes at most one image per orbit it meets
+    log = recording_images(monkeypatch)
+    rng = random.Random(n)
+    for k in sqrt_minus_one(n):
+        reduced = [(rng.randrange(n), rng.randrange(n)) for _ in range(30)]
+        reduced += [(0, 0), (0, 1 % n), (1 % n, 0), (1 % n, k)]
+        shifted = [
+            (i + rng.choice((-3, -1, 1, 2)) * n, j - rng.choice((-2, 1, 4)) * n) for i, j in reduced
+        ]
+        shifted += [(-i, -j) for i, j in reduced]
+        shifted += [(a * n, b * n) for a, b in ((0, -1), (1, 0), (-2, 3), (5, 5))]
+        reference = quad_sum_equivalence(n, k, [(i % n, j % n) for i, j in shifted])
+        log.clear()
+        assert quad_sum_equivalence(n, k, shifted) == reference, (n, k)
+        exponents = {e * l for pair in shifted for e in pair for l in (1, k - 1)}
+        orbits = {orbit_key(n, e, k) for e in exponents}
+        keys = [min(t for t, _ in terms) for terms, _ in log]
+        assert len(set(keys)) == len(keys) <= len(orbits), (n, k)
+        assert set(keys) <= orbits, (n, k)
+
+
 def recording_images(monkeypatch):
     """Patch cyclotomic._image to log (terms, image) of each call; return the log."""
     log = []

@@ -82,6 +82,40 @@ def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
     assert all(0 < done <= orbits for (_, _, orbits), done in zip(blocks, computed))
 
 
+@pytest.mark.parametrize("seed", [1, 7, 20160414])
+@pytest.mark.parametrize("samples", [0, 1, 200])
+def test_quad_worker_blocks_are_the_sorted_grid_and_draws(monkeypatch, seed, samples):
+    # each root block is the boundary grid and the seeded draws, recomputed
+    # here: the draws in their order from the per-n generator, then one block
+    # per root k, sorted and without repeats
+    import random
+
+    from suzuki_cd import cyclotomic
+
+    quad, blocks = cyclotomic.quad_sum_equivalence, []
+
+    def record(n, k, pairs):
+        blocks.append((n, k, pairs))
+        return quad(n, k, pairs)
+
+    monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", record)
+    report = verify_quad_identity(n_max=60, samples=samples, seed=seed)
+    expected = []
+    for n in range(1, 61):
+        rng = random.Random(seed * 1000003 + n)
+        drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        for k in (k for k in range(n) if (k * k + 1) % n == 0):
+            grid = {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
+            expected.append((n, k, sorted({(i, j) for i in grid for j in grid}.union(drawn))))
+    assert blocks == expected
+    assert report.passed and report.checks == sum(len(pairs) for _, _, pairs in expected)
+
+
+def test_quad_sweep_count_at_the_benchmark_seed():
+    # the count of verify cyclotomic --n-max 200 --samples 200 --seed 1
+    assert verify_quad_identity(200, 200, seed=1).checks == 24890
+
+
 def test_gcd_failure_messages(monkeypatch):
     # the fake reaches gcd_verification_rows too, which never asks for (65, 3)
     from suzuki_cd import numtheory
