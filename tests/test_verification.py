@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from suzuki_cd.characters import Family
@@ -88,8 +90,6 @@ def test_quad_worker_blocks_are_the_sorted_grid_and_draws(monkeypatch, seed, sam
     # each root block is the boundary grid and the seeded draws, recomputed
     # here: the draws in their order from the per-n generator, then one block
     # per root k, sorted and without repeats
-    import random
-
     from suzuki_cd import cyclotomic
 
     quad, blocks = cyclotomic.quad_sum_equivalence, []
