@@ -59,7 +59,7 @@ def main() -> None:
 
     print("\nThe four-root identity vs its congruence criterion (k^2 == -1):")
     pairs = [(1, 5), (1, 2), (3, 11)]
-    for (i, j), (identity, congruence) in zip(pairs, quad_sum_equivalence(13, 5, pairs)):
+    for (i, j), (identity, congruence) in zip(pairs, quad_sum_equivalence(13, {5: pairs})[5]):
         print(f"  n=13 k=5 i={i} j={j}: identity={identity} congruence={congruence}")
 
 

@@ -25,10 +25,11 @@ block of exponents below m repeated at offsets m, 2m, ..., (p - 1)m with
 the same coefficients: exactly D = B * (1 + x^m + ... + x^((p-1)m)),
 which x^m - 1 takes to B * (x^n - 1) == 0.  For n = 1, Q = 1 and the
 difference itself must be empty.  :func:`quad_sum_equivalence` compares
-images under Q instead: those of the two four-root sums for a batch of
-index pairs at one root k.  Its loop answers each lookup from the
-call's memo and runs :func:`_image` only on a miss, once per orbit
-{+-e, +-ek}; the memo is kept only for that call.
+images under Q instead: those of the two four-root sums, for a batch of
+index pairs at each root k of one order n.  Its loop answers each
+lookup from a memo and runs :func:`_image` only on a miss, once per
+orbit {+-e, +-ek}.  k and -k have the same orbits, so they share one
+memo; the memos are kept only for that call.
 
 Sums are built in C-level passes: :func:`root_power_sum` sorts its
 reduced exponents whole, and a sum of two copies the longer operand
@@ -161,60 +162,69 @@ def equals(a: CyclotomicSum, b: CyclotomicSum) -> bool:
 
 
 def quad_sum_equivalence(
-    n: int, k: int, pairs: list[tuple[int, int]]
-) -> list[tuple[bool, bool]]:
+    n: int, blocks: dict[int, list[tuple[int, int]]]
+) -> dict[int, list[tuple[bool, bool]]]:
     """Compare the exact and congruence forms of the four-root identity.
 
-    Requires k^2 == -1 (mod n), checked once per call.  Returns one
-    (identity_holds, congruence_holds) per (i, j) in pairs, in order, where
+    blocks maps roots k of -1 mod n, checked once per call before any
+    work, to lists of index pairs.  Returns a dict with the same keys in
+    the same order, holding one (identity_holds, congruence_holds) per
+    (i, j) of that root's pairs, in order, where
 
     - identity_holds: zeta^(il) + zeta^(-il) + zeta^(ilk) + zeta^(-ilk)
       equals the same expression with j in place of i, for both l = 1
       and l = k - 1, tested exactly by comparing annihilator images;
     - congruence_holds: i == +-j (mod n) or i == +-jk (mod n).
 
-    Each pair is reduced mod n once, and the call's image memo is keyed
-    by the reduced residue.  The loop reads the images of i and j, and of
-    il and jl once those two agree, straight from the memo.  Every e of
-    one orbit {+-e, +-ek} mod n has term for term the same four-root sum,
+    Each pair is reduced mod n once, and an image memo is keyed by the
+    reduced residue.  The loop reads the images of i and j, and of il and
+    jl once those two agree, straight from the memo.  Every e of one
+    orbit {+-e, +-ek} mod n has term for term the same four-root sum,
     so a miss runs _image once for the orbit, on its four (t, 1) terms,
-    and stores the image under all four residues; each orbit the pairs
-    meet is computed once, and the memo is kept only for this call.  The
-    congruence compares reduced residues: i is one of j, n - j, jk and
-    n - jk (jk reduced).  The two booleans always agree; the verification
-    sweep checks this exhaustively over boundary pairs and at random.
-    Raises BudgetExceededError if n cannot be factored below the
-    trial-division bound.
+    and stores the image under all four residues.  The orbits of k and
+    -k are the same sets, so the two share one memo, keyed by the
+    smaller of k and -k mod n; roots of another class have other orbits
+    and another memo.  Each orbit a class meets is computed once, and the
+    memos are kept only for this call.  The congruence compares reduced
+    residues: i is one of j, n - j, jk and n - jk (jk reduced).  The two
+    booleans always agree; the verification sweep checks this
+    exhaustively over boundary pairs and at random.  Raises
+    BudgetExceededError if n cannot be factored below the trial-division
+    bound.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if (k * k + 1) % n != 0:
-        raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
-    images: dict[int, dict[int, int]] = {}
+    for k in blocks:
+        if (k * k + 1) % n != 0:
+            raise ValueError(f"need k^2 == -1 (mod n), got k={k}, n={n}")
+    memos: dict[int, dict[int, dict[int, int]]] = {}
+    results: dict[int, list[tuple[bool, bool]]] = {}
+    for k, pairs in blocks.items():
+        images = memos.setdefault(min(k % n, -k % n), {})
 
-    def image(e: int) -> dict[int, int]:  # e reduced mod n, not yet in images
-        orbit = (e, -e % n, e * k % n, -e * k % n)
-        found = _image(tuple(zip(orbit, (1, 1, 1, 1))), n)
-        images.update(dict.fromkeys(orbit, found))
-        return found
+        def image(e: int) -> dict[int, int]:  # e reduced mod n, not yet in images
+            orbit = (e, -e % n, e * k % n, -e * k % n)
+            found = _image(tuple(zip(orbit, (1, 1, 1, 1))), n)
+            images.update(dict.fromkeys(orbit, found))
+            return found
 
-    l = k - 1
-    result = []
-    for i, j in pairs:
-        i %= n
-        j %= n
-        same = (images[i] if i in images else image(i)) == (
-            images[j] if j in images else image(j)
-        )
-        if same:
-            il = i * l % n
-            jl = j * l % n
-            same = (images[il] if il in images else image(il)) == (
-                images[jl] if jl in images else image(jl)
+        l = k - 1
+        result = results[k] = []
+        for i, j in pairs:
+            i %= n
+            j %= n
+            same = (images[i] if i in images else image(i)) == (
+                images[j] if j in images else image(j)
             )
-        jk = j * k % n
-        result.append((same, i in (j, n - j, jk, n - jk)))
-    return result
+            if same:
+                il = i * l % n
+                jl = j * l % n
+                same = (images[il] if il in images else image(il)) == (
+                    images[jl] if jl in images else image(jl)
+                )
+            jk = j * k % n
+            result.append((same, i in (j, n - j, jk, n - jk)))
+    return results
 
 
 @lru_cache(maxsize=8)

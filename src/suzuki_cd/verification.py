@@ -44,8 +44,8 @@ DEFAULT_SEED = 20160414
 # superlinearly in f_max: 1.6 s each at their limits (medians of 5; up to
 # 2.6 s on a busier host).  The quad sweep grows with n_max * samples
 # and, per check, with n, so its slowest accepted pair is n_max 1000 with
-# samples 200: 0.43-0.46 s (two medians of 7), where n_max 500 with
-# samples 400 took 0.18 s.  ORACLE_F_MAX
+# samples 200: 0.26 s (median of 7), where n_max 500 with samples 400
+# took 0.13 s.  ORACLE_F_MAX
 # caps the two sweeps that enumerate orbits: stabilizers and theorem-a
 # 0.25 s each at f_max 10 (medians of 5; 0.19 s and 0.18 s in an earlier
 # set of 3), about nine tenths of it orbit_oracle at f = 9 and 10.
@@ -263,19 +263,22 @@ def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
     rng = random.Random(seed * 1000003 + n)
     # the draws are sorted once per n; each root's block appends the sorted
     # boundary grid's undrawn pairs, two sorted runs that sorted() merges.
-    # One call per block answers lookups from its image memo in the loop
-    # and runs _image once per orbit it meets.
+    # One call per n takes every root's block; k and -k share its image
+    # memo, so _image runs once per orbit that either of them meets.
     drawn = {(rng.randrange(n), rng.randrange(n)) for _ in range(samples)}
     ordered = sorted(drawn)
+    blocks = {}
     for k in roots:
         boundary = sorted({v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)})
         grid = product(boundary, repeat=2)
-        block = sorted(ordered + [pair for pair in grid if pair not in drawn])
+        blocks[k] = sorted(ordered + [pair for pair in grid if pair not in drawn])
+    answers = quad_sum_equivalence(n, blocks)
+    for k, block in blocks.items():
         # _check's count and messages, taken for the whole block at once
         report.checks += len(block)
         report.failures += [
             f"n={n} k={k} i={i} j={j}: identity={identity} congruence={congruence}"
-            for (i, j), (identity, congruence) in zip(block, quad_sum_equivalence(n, k, block))
+            for (i, j), (identity, congruence) in zip(block, answers[k])
             if identity != congruence
         ]
     return report

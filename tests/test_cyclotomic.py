@@ -222,27 +222,35 @@ def test_pair_equality_matches_exact_random(n, i, j):
 
 def test_quad_sum_equivalence_examples():
     # k = 5 is a square root of -1 mod 13; jk = 25 == -1 == -i
-    assert quad_sum_equivalence(13, 5, [(1, 5), (1, 2), (1, 1)]) == [
+    assert quad_sum_equivalence(13, {5: [(1, 5), (1, 2), (1, 1)]})[5] == [
         (True, True),
         (False, False),
         (True, True),
     ]
-    assert quad_sum_equivalence(13, 5, []) == []
+    assert quad_sum_equivalence(13, {5: []}) == {5: []}
+    # the answers come back under the blocks' own keys, in their order
+    answers = quad_sum_equivalence(13, {8: [(1, 5)], 5: [(1, 8), (2, 4)], 18: []})
+    assert list(answers.items()) == [(8, [(True, True)]), (5, [(True, True), (False, False)]), (18, [])]
+    assert quad_sum_equivalence(13, {}) == {}
 
 
 def test_quad_sum_equivalence_small_orders():
-    assert quad_sum_equivalence(1, 0, [(4, 9)]) == [(True, True)]
-    assert quad_sum_equivalence(2, 1, [(1, 1), (0, 1)]) == [(True, True), (False, False)]
+    assert quad_sum_equivalence(1, {0: [(4, 9)]})[0] == [(True, True)]
+    assert quad_sum_equivalence(2, {1: [(1, 1), (0, 1)]})[1] == [(True, True), (False, False)]
 
 
-def test_quad_sum_equivalence_validation():
-    # n and k are checked once per call, before any pair, so an empty batch
-    # is refused too
+def test_quad_sum_equivalence_validation(monkeypatch):
+    # n and every k are checked once per call, before any pair, so an empty
+    # batch is refused too, and so is a bad root after a good one
+    log = recording_images(monkeypatch)
     for pairs in ([(1, 1)], []):
         with pytest.raises(ValueError, match="need k"):
-            quad_sum_equivalence(13, 4, pairs)  # 4^2 != -1 (mod 13)
+            quad_sum_equivalence(13, {4: pairs})  # 4^2 != -1 (mod 13)
+        with pytest.raises(ValueError, match="need k.*k=4, n=13"):
+            quad_sum_equivalence(13, {5: pairs, 4: pairs})
         with pytest.raises(ValueError, match="n must be"):
-            quad_sum_equivalence(0, 1, pairs)
+            quad_sum_equivalence(0, {1: pairs})
+    assert log == []
 
 
 def sqrt_minus_one(n):
@@ -282,7 +290,8 @@ def test_quad_images_match_phi_remainder_oracle(args):
     # e times a multiplier +-k^power has the same four-root sums (verdict
     # equal); a random exponent mostly has others (verdict unequal)
     partner = sign * e * pow(k, power, n) % n
-    for f, answer in zip((partner, other), quad_sum_equivalence(n, k, [(e, partner), (e, other)])):
+    answers = quad_sum_equivalence(n, {k: [(e, partner), (e, other)]})[k]
+    for f, answer in zip((partner, other), answers):
         oracle = all(
             oracle_equals(fresh_quad(n, e * l, k), fresh_quad(n, f * l, k)) for l in (1, k - 1)
         )
@@ -302,7 +311,8 @@ def test_quad_images_of_k_and_minus_k_agree():
                     assert fresh_quad(n, e * m, k).terms == terms, (n, k, e, m)
                 assert fresh_quad(n, orbit_key(n, e, k), -k).terms == terms, (n, k, e)
             pairs = [(e, 7 * e + 1) for e in range(n)]
-            assert quad_sum_equivalence(n, k, pairs) == quad_sum_equivalence(n, -k % n, pairs)
+            minus = -k % n
+            assert quad_sum_equivalence(n, {k: pairs})[k] == quad_sum_equivalence(n, {minus: pairs})[minus]
 
 
 @pytest.mark.parametrize("n", [13, 65, 130, 1105, 2210])
@@ -313,14 +323,15 @@ def test_quad_sum_equivalence_cache_hits_match_fresh_equals(n):
     for k in sqrt_minus_one(n):
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
         pairs += [(i, i * k % n) for i, _ in pairs[:10]]
-        batch = quad_sum_equivalence(n, k, pairs + pairs)
+        batch = quad_sum_equivalence(n, {k: pairs + pairs})[k]
         assert batch[: len(pairs)] == batch[len(pairs) :]
         for (i, j), answer in zip(pairs, batch):
             fresh = all(
                 equals(fresh_quad(n, i * l, k), fresh_quad(n, j * l, k))
                 for l in (1, k - 1)
             )
-            assert [answer] == quad_sum_equivalence(n, k, [(i, j)]) == [(fresh, fresh)], (n, k, i, j)
+            single = quad_sum_equivalence(n, {k: [(i, j)]})[k]
+            assert [answer] == single == [(fresh, fresh)], (n, k, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 65, 130, 1105])
@@ -338,9 +349,9 @@ def test_quad_sum_equivalence_reduces_pairs_outside_the_residues(monkeypatch, n)
         ]
         shifted += [(-i, -j) for i, j in reduced]
         shifted += [(a * n, b * n) for a, b in ((0, -1), (1, 0), (-2, 3), (5, 5))]
-        reference = quad_sum_equivalence(n, k, [(i % n, j % n) for i, j in shifted])
+        reference = quad_sum_equivalence(n, {k: [(i % n, j % n) for i, j in shifted]})[k]
         log.clear()
-        assert quad_sum_equivalence(n, k, shifted) == reference, (n, k)
+        assert quad_sum_equivalence(n, {k: shifted})[k] == reference, (n, k)
         exponents = {e * l for pair in shifted for e in pair for l in (1, k - 1)}
         orbits = {orbit_key(n, e, k) for e in exponents}
         keys = [min(t for t, _ in terms) for terms, _ in log]
@@ -369,7 +380,7 @@ def test_quad_image_is_the_annihilated_four_root_sum(monkeypatch, n):
     log = recording_images(monkeypatch)
     for k in sqrt_minus_one(n):
         log.clear()
-        quad_sum_equivalence(n, k, [(e, e) for e in range(n)])
+        quad_sum_equivalence(n, {k: [(e, e) for e in range(n)]})
         keys = [min(t for t, _ in terms) for terms, _ in log]
         assert sorted(keys) == sorted({orbit_key(n, e, k) for e in range(n)}), (n, k)
         for key, (terms, image) in zip(keys, log):
@@ -379,28 +390,63 @@ def test_quad_image_is_the_annihilated_four_root_sum(monkeypatch, n):
 
 
 def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
-    # 997 is a prime 1 mod 4, so it has two roots of -1 and the worker makes
-    # two calls; each computes one image per orbit it meets, keyed by the
-    # orbit's least member, and answers every other lookup from its dict
+    # 997 is a prime 1 mod 4, so it has two roots of -1, k and -k, and the
+    # worker makes one call with both blocks; the two share one memo, so
+    # the call computes one image per orbit either block meets, keyed by
+    # the orbit's least member, and answers every other lookup from it
     n = 997
     roots = sqrt_minus_one(n)
     log = recording_images(monkeypatch)
     quad, calls = cyclotomic.quad_sum_equivalence, []
 
-    def recording(n, k, pairs):
-        start = len(log)
-        answers = quad(n, k, pairs)
-        keys = [min(t for t, _ in terms) for terms, _ in log[start:]]
-        calls.append((k, keys, len(pairs)))
+    def recording(n, blocks):
+        answers = quad(n, blocks)
+        calls.append((list(blocks), sum(map(len, blocks.values()))))
         return answers
 
     monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", recording)
     report = verification._quad_worker((n, roots, 200, verification.DEFAULT_SEED))
     assert report.passed and report.checks > 0
-    assert [k for k, _, _ in calls] == roots
-    for k, keys, size in calls:
-        assert len(set(keys)) == len(keys) < 2 * size
-        assert all(key == orbit_key(n, key, k) for key in keys)
+    assert calls == [(roots, report.checks)]
+    keys = [min(t for t, _ in terms) for terms, _ in log]
+    assert len(set(keys)) == len(keys) < report.checks
+    assert all(key == orbit_key(n, key, k) for key in keys for k in roots)
+
+
+# Orders with two or more classes {k, -k} of roots of -1: 65 = 5.13 and
+# 85 = 5.17 have two, 130 = 2.5.13 two, 1105 = 5.13.17 four.
+@pytest.mark.parametrize("n", [65, 85, 130, 1105])
+def test_quad_roots_share_images_within_a_class_only(monkeypatch, n):
+    # one call with a block per root: each answer matches the dense Phi_n
+    # reference of fresh sums, and _image runs exactly once per (class,
+    # orbit) the blocks meet.  Each block pairs a few e with e times every
+    # root, so e's partners under one class sit in the blocks of the others
+    roots = sqrt_minus_one(n)
+    assert len({min(k, n - k) for k in roots}) >= 2
+    rng = random.Random(n)
+    blocks = {}
+    for k in roots:
+        starts = [rng.randrange(1, n) for _ in range(3)]
+        blocks[k] = [(e, e * r % n) for e in starts for r in roots]
+        blocks[k] += [(e, rng.randrange(n)) for e in starts]
+    log = recording_images(monkeypatch)
+    answers = quad_sum_equivalence(n, blocks)
+    assert list(answers) == roots
+    met = set()
+    for k, pairs in blocks.items():
+        assert len(answers[k]) == len(pairs)
+        for (i, j), answer in zip(pairs, answers[k]):
+            met |= {(min(k, n - k), orbit_key(n, i, k)), (min(k, n - k), orbit_key(n, j, k))}
+            same = oracle_equals(fresh_quad(n, i, k), fresh_quad(n, j, k))
+            if same:
+                l = k - 1
+                met |= {(min(k, n - k), orbit_key(n, e * l, k)) for e in (i, j)}
+                same = oracle_equals(fresh_quad(n, i * l, k), fresh_quad(n, j * l, k))
+            congruent = i in {j * m % n for m in (1, -1, k, -k)}
+            assert answer == (same, congruent) == (same, same), (n, k, i, j)
+    keys = sorted(min(t for t, _ in terms) for terms, _ in log)
+    assert len(log) == len(met)
+    assert keys == sorted(orbit for _, orbit in met)
 
 
 def test_sum_arithmetic():

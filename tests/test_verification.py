@@ -42,11 +42,14 @@ def test_quad_failure_message(monkeypatch):
 
     quad = cyclotomic.quad_sum_equivalence
 
-    def flip_one(n, k, pairs):
-        return [
-            (identity != ((n, k, i, j) == (13, 5, 1, 2)), congruence)
-            for (i, j), (identity, congruence) in zip(pairs, quad(n, k, pairs))
-        ]
+    def flip_one(n, blocks):
+        return {
+            k: [
+                (identity != ((n, k, i, j) == (13, 5, 1, 2)), congruence)
+                for (i, j), (identity, congruence) in zip(pairs, answers)
+            ]
+            for (k, pairs), answers in zip(blocks.items(), quad(n, blocks).values())
+        }
 
     checks = verify_quad_identity(n_max=13).checks
     monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", flip_one)
@@ -55,22 +58,28 @@ def test_quad_failure_message(monkeypatch):
     assert report.failures == ["n=13 k=5 i=1 j=2: identity=True congruence=False"]
 
 
-def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
-    # each (n, k) block goes to quad_sum_equivalence whole, its pairs sorted
-    # and distinct, and the call computes at most one image per orbit of the
-    # exponents i, j, il and jl it is given
+def test_quad_sweep_makes_one_call_per_order(monkeypatch):
+    # each order n with a root of -1 goes to quad_sum_equivalence once, with
+    # one block per root in root order, each block's pairs sorted and
+    # distinct; the call computes at most one image per (class, orbit) of
+    # the exponents i, j, il and jl it is given, k and -k forming one class
     from suzuki_cd import cyclotomic
 
     quad, image = cyclotomic.quad_sum_equivalence, cyclotomic._image
-    blocks, computed = [], []
+    calls, computed = [], []
 
-    def record(n, k, pairs):
-        assert pairs == sorted(set(pairs))
-        exponents = {e * l for pair in pairs for e in pair for l in (1, k - 1)}
-        orbits = {min(t % n for t in (e, -e, e * k, -e * k)) for e in exponents}
-        blocks.append((n, k, len(orbits)))
+    def record(n, blocks):
+        met = set()
+        for k, pairs in blocks.items():
+            assert pairs == sorted(set(pairs))
+            exponents = {e * l for pair in pairs for e in pair for l in (1, k - 1)}
+            met |= {
+                (min(k % n, -k % n), min(t % n for t in (e, -e, e * k, -e * k)))
+                for e in exponents
+            }
+        calls.append((n, list(blocks), len(met)))
         computed.append(0)
-        return quad(n, k, pairs)
+        return quad(n, blocks)
 
     def count(terms, n):
         computed[-1] += 1
@@ -79,9 +88,23 @@ def test_quad_sweep_makes_one_call_per_root_block(monkeypatch):
     monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", record)
     monkeypatch.setattr(cyclotomic, "_image", count)
     assert verify_quad_identity(n_max=130).passed
-    roots = [(n, k) for n in range(1, 131) for k in range(n) if (k * k + 1) % n == 0]
-    assert [(n, k) for n, k, _ in blocks] == roots
-    assert all(0 < done <= orbits for (_, _, orbits), done in zip(blocks, computed))
+    roots = {n: [k for k in range(n) if (k * k + 1) % n == 0] for n in range(1, 131)}
+    assert [(n, ks) for n, ks, _ in calls] == [(n, ks) for n, ks in roots.items() if ks]
+    assert all(0 < done <= met for (_, _, met), done in zip(calls, computed))
+
+
+def expected_blocks(n_max, samples, seed):
+    """(n, k, pairs) for each order n <= n_max and root k of -1 mod n, in
+    the sweep's order: the boundary grid and the seeded draws, recomputed
+    here from the per-n generator, sorted and without repeats."""
+    blocks = []
+    for n in range(1, n_max + 1):
+        rng = random.Random(seed * 1000003 + n)
+        drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        for k in (k for k in range(n) if (k * k + 1) % n == 0):
+            grid = {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
+            blocks.append((n, k, sorted({(i, j) for i in grid for j in grid}.union(drawn))))
+    return blocks
 
 
 @pytest.mark.parametrize("seed", [1, 7, 20160414])
@@ -94,19 +117,13 @@ def test_quad_worker_blocks_are_the_sorted_grid_and_draws(monkeypatch, seed, sam
 
     quad, blocks = cyclotomic.quad_sum_equivalence, []
 
-    def record(n, k, pairs):
-        blocks.append((n, k, pairs))
-        return quad(n, k, pairs)
+    def record(n, by_root):
+        blocks.extend((n, k, pairs) for k, pairs in by_root.items())
+        return quad(n, by_root)
 
     monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", record)
     report = verify_quad_identity(n_max=60, samples=samples, seed=seed)
-    expected = []
-    for n in range(1, 61):
-        rng = random.Random(seed * 1000003 + n)
-        drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
-        for k in (k for k in range(n) if (k * k + 1) % n == 0):
-            grid = {v % n for v in (0, 1, 2, n - 2, n - 1, k, k - 1, k + 1, n - k)}
-            expected.append((n, k, sorted({(i, j) for i in grid for j in grid}.union(drawn))))
+    expected = expected_blocks(60, samples, seed)
     assert blocks == expected
     assert report.passed and report.checks == sum(len(pairs) for _, _, pairs in expected)
 
@@ -114,6 +131,41 @@ def test_quad_worker_blocks_are_the_sorted_grid_and_draws(monkeypatch, seed, sam
 def test_quad_sweep_count_at_the_benchmark_seed():
     # the count of verify cyclotomic --n-max 200 --samples 200 --seed 1
     assert verify_quad_identity(200, 200, seed=1).checks == 24890
+
+
+def test_quad_sweep_image_count_at_the_benchmark_seed(monkeypatch):
+    # verify cyclotomic --n-max 200 --samples 200 --seed 1 computes one image
+    # per (n, class {k, -k}, orbit {+-e, +-ek}) its blocks meet: i and j of
+    # each pair, and il and jl where the l = 1 sums agree, decided here by
+    # the dense annihilated vectors of phi_reference
+    from phi_reference import annihilator_vector, cyclic_product
+    from suzuki_cd import cyclotomic
+
+    image, computed = cyclotomic._image, []
+
+    def count(terms, n):
+        computed.append(n)
+        return image(terms, n)
+
+    monkeypatch.setattr(cyclotomic, "_image", count)
+    assert verify_quad_identity(200, 200, seed=1).passed
+
+    vectors = {}
+
+    def met(n, k, e):
+        key = (n, min(k, n - k), min(t % n for t in (e, -e, e * k, -e * k)))
+        if key not in vectors:
+            dense = [0] * n
+            for t in (e, -e, e * k, -e * k):
+                dense[t % n] += 1
+            vectors[key] = cyclic_product(dense, annihilator_vector(n))
+        return vectors[key]
+
+    for n, k, pairs in expected_blocks(200, 200, 1):
+        for i, j in pairs:
+            if met(n, k, i) == met(n, k, j):
+                met(n, k, i * (k - 1)), met(n, k, j * (k - 1))
+    assert len(computed) == len(vectors) == 1296
 
 
 def test_gcd_failure_messages(monkeypatch):
