@@ -164,7 +164,8 @@ def test_quad_sweep_image_count_at_the_benchmark_seed(monkeypatch):
     for n, k, pairs in expected_blocks(200, 200, 1):
         for i, j in pairs:
             if met(n, k, i) == met(n, k, j):
-                met(n, k, i * (k - 1)), met(n, k, j * (k - 1))
+                met(n, k, i * (k - 1))
+                met(n, k, j * (k - 1))
     assert len(computed) == len(vectors) == 1296
 
 
