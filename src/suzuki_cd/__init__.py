@@ -23,7 +23,7 @@ _HOMES = {
     for module, names in (
         ("characters", "Family canonical_indices make_label phi_power_on_label torus_value"),
         ("cyclotomic", "equals quad_sum_equivalence root_power_sum"),
-        ("degrees", "ExtensionSpec cd_closed_form cd_multiset cd_oracle check_corollary_b"),
+        ("degrees", "ExtensionSpec cd_closed_form cd_multiset cd_oracle"),
         ("errors", "BudgetExceededError InvariantError"),
         ("numtheory", "coincidence_classify euclid_gcd gcd_torus"),
         ("params", "divisors_of make_params"),

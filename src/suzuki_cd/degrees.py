@@ -36,7 +36,9 @@ divides (a1 when f == 0 or 3 (mod 4), else a2; never q^2 - 1), which is
 (i)-(iii) again: a is X's multiple, b is Y's (torus q^2+r+1) and c is
 Z's.  cd_closed_form reads that rule and shares no code with the
 derived histograms (orbit_counts).  All the products above are pairwise
-distinct, so cardinalities add up.
+distinct, so cardinalities add up: |cd(G)| = 3 + 3 tau(d), tau(d) the
+number of divisors of d, less 2 + [3 | d] at Aut(S) (Corollary B, which
+verification.verify_degree_count_bounds checks as an exact count).
 """
 
 from __future__ import annotations
@@ -69,14 +71,6 @@ class ExtensionSpec(Record):
     @property
     def order(self) -> int:
         return self.d * self.params.group_order
-
-
-class CorollaryReport(Record):
-    """Outcome of the degree-count lower bound check for one (f, d)."""
-
-    # hypotheses_met: f > 1 and d > 1; required: 7 for prime d, 9 for
-    # composite d; required and passed are None when hypotheses fail
-    __slots__ = ("f", "d", "hypotheses_met", "cardinality", "required", "passed")
 
 
 def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:
@@ -172,18 +166,3 @@ def _clifford_multiset(
         raise InvariantError(f"f={p.f} d={spec.d}: squared degrees do not sum to |G|")
     return dict(sorted(entries.items()))
 
-
-def check_corollary_b(spec: ExtensionSpec) -> CorollaryReport:
-    """Check |cd(G)| >= 7, and >= 9 for composite d (needs f > 1, d > 1).
-
-    Hypothesis violations are reported in the result, not raised; the
-    f = 1 extensions genuinely have only 6 degrees.
-    """
-    p = spec.params
-    cardinality = len(cd_closed_form(spec))
-    if p.f <= 1 or spec.d <= 1:
-        return CorollaryReport(p.f, spec.d, False, cardinality, None, None)
-    required = 7 if len(divisors_of(spec.d)) == 2 else 9  # d prime: divisors 1 and d
-    return CorollaryReport(
-        p.f, spec.d, True, cardinality, required, cardinality >= required
-    )

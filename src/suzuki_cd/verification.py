@@ -8,12 +8,14 @@ report with failures carries printable minimal counterexamples.  Each
 sweep checks its sizes before any work: too small raises ValueError,
 too large BudgetExceededError, naming the ``suzuki-cd verify`` option.
 
-The per-f work items are independent, so sweeps accept a ``jobs``
-argument and fan out over a process pool of at most min(jobs, items,
-CPUs) workers; results are merged in deterministic order regardless of
-worker count.  The pool's modules are imported only when that is > 1.
-An InvariantError raised while one item runs becomes that item's
-result, one failed check with the error's text; the other items still run.
+Every sweep runs one worker per item, an f or (quad sweep) an order n,
+through _map_ordered and merges the items' reports in item order.  The
+items are independent, so four sweeps accept a ``jobs`` argument and fan
+out over a process pool of at most min(jobs, items, CPUs) workers; the
+class-count and corollary-b sweeps run serially.  The pool's modules are
+imported only when that is > 1.  An InvariantError raised while one item
+runs becomes that item's result, one failed check with the error's
+text; the other items still run.
 
 This module imports only characters, params and errors.  Each sweep or
 worker imports the cyclotomic, numtheory, stabilizers and degrees names
@@ -39,16 +41,15 @@ from .params import divisors_of, make_params
 
 DEFAULT_SEED = 20160414
 # Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
-# medians of 3 runs, each in a fresh interpreter; runs swing by a quarter).
-# The gcd and class-count sweeps and the corollary-b sweep grow
-# superlinearly in f_max: 1.6 s each at their limits (medians of 5; up to
-# 2.6 s on a busier host).  The quad sweep grows with n_max * samples
-# and, per check, with n, so its slowest accepted pair is n_max 1000 with
-# samples 200: 0.26 s (median of 7), where n_max 500 with samples 400
-# took 0.13 s.  ORACLE_F_MAX
-# caps the two sweeps that enumerate orbits: stabilizers and theorem-a
-# 0.25 s each at f_max 10 (medians of 5; 0.19 s and 0.18 s in an earlier
-# set of 3), about nine tenths of it orbit_oracle at f = 9 and 10.
+# medians, each run in a fresh interpreter, import included; runs swing
+# by a quarter).  The gcd and class-count sweeps and the corollary-b sweep
+# grow superlinearly in f_max: 1.17 s and 1.19 s at their limits (medians
+# of 7; up to 2.6 s on a busier host).  The quad sweep grows with
+# n_max * samples and, per check, with n, so its slowest accepted pair is
+# n_max 1000 with samples 200: 0.26 s (median of 7), where n_max 500 with
+# samples 400 took 0.13 s.  ORACLE_F_MAX caps the two sweeps that
+# enumerate orbits: stabilizers and theorem-a 0.15 s each at f_max 10
+# (medians of 7), about nine tenths of it orbit_oracle at f = 9 and 10.
 LEMMAS_F_MAX_LIMIT = 2400
 COROLLARY_B_F_MAX_LIMIT = 3800
 N_MAX_LIMIT = 1000
@@ -91,16 +92,7 @@ def verify_class_counts(f_max: int = 64) -> SweepReport:
     """Family counts sum to q^2 + 3; torus orders pairwise coprime; 3
     never divides the group order."""
     _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
-    report = SweepReport("class-counts")
-    for f in range(1, f_max + 1):
-        p = make_params(f)
-        total = sum(family_count(p, fam) for fam in Family)
-        _check(report, total == p.q2 + 3, lambda: f"f={f}: class count {total} != q^2+3")
-        for x, y in ((p.a0, p.a1), (p.a0, p.a2), (p.a1, p.a2)):
-            _check(report, _math_gcd(x, y) == 1, lambda: f"f={f}: gcd({x},{y}) != 1")
-        _check(report, p.group_order % 3 != 0, lambda: f"f={f}: 3 divides |S|")
-        _check(report, p.a1 * p.a2 == p.q4 + 1, lambda: f"f={f}: a1*a2 != q^4+1")
-    return report
+    return _merge("class-counts", _map_ordered(_class_count_worker, range(1, f_max + 1), 1))
 
 
 def verify_quad_identity(
@@ -142,34 +134,23 @@ def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
 
 
 def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
-    """|cd(G)| >= 7 for proper extensions with f > 1 (>= 9 for composite
-    d), while f = 1, d = 3 gives exactly 6."""
-    from .degrees import ExtensionSpec, check_corollary_b
+    """Corollary B as an exact count: every proper extension (d > 1) has
+    |cd(G)| = 3 + 3 tau(d) - [d = 2f+1] (2 + [3 | d]) degrees, tau(d)
+    the number of divisors of d.
 
+    That is Theorem A's closed form counted: the three invariant degrees
+    and one multiple per divisor of d for each torus family, less a = 1,
+    one of b, c = 1 and (when 3 | d) the other at 3 for Aut(S).  As
+    tau(d) >= 2 (>= 3 for composite d) and d = 2f+1 = 3 only at f = 1,
+    it implies the paper's bounds |cd(G)| >= 7 for f > 1 (>= 9 for
+    composite d), and f = 1, d = 3 gives exactly 6."""
     _require_size("--f-max", f_max, 1, COROLLARY_B_F_MAX_LIMIT)
-    report = SweepReport("degree-count-bounds")
-    for f in range(2, f_max + 1):
-        p = make_params(f)
-        for d in divisors_of(p.out_order):
-            if d == 1:
-                continue
-            res = check_corollary_b(ExtensionSpec(p, d))
-            _check(
-                report,
-                res.hypotheses_met and res.passed,
-                lambda: f"f={f} d={d}: |cd|={res.cardinality} < {res.required}",
-            )
-    sharp = check_corollary_b(ExtensionSpec(make_params(1), 3))
-    _check(
-        report,
-        not sharp.hypotheses_met and sharp.cardinality == 6,
-        lambda: f"f=1 d=3: expected 6 degrees, got {sharp.cardinality}",
-    )
-    return report
+    return _merge("degree-count-bounds", _map_ordered(_degree_count_worker, range(1, f_max + 1), 1))
 
 
 # ---------------------------------------------------------------------------
-# per-item workers (top level so they pickle for the process pool)
+# per-item workers, one per f or n, all run by _map_ordered (top level, so
+# that the four sweeps with jobs can send them to the process pool)
 
 
 def _gcd_worker(f: int) -> SweepReport:
@@ -252,6 +233,18 @@ def _gcd_worker(f: int) -> SweepReport:
                                 d1 == d2 == 5,
                                 lambda: f"f={f} collision with d1={d1}, d2={d2} != 5",
                             )
+    return report
+
+
+def _class_count_worker(f: int) -> SweepReport:
+    report = SweepReport("")
+    p = make_params(f)
+    total = sum(family_count(p, fam) for fam in Family)
+    _check(report, total == p.q2 + 3, lambda: f"f={f}: class count {total} != q^2+3")
+    for x, y in ((p.a0, p.a1), (p.a0, p.a2), (p.a1, p.a2)):
+        _check(report, _math_gcd(x, y) == 1, lambda: f"f={f}: gcd({x},{y}) != 1")
+    _check(report, p.group_order % 3 != 0, lambda: f"f={f}: 3 divides |S|")
+    _check(report, p.a1 * p.a2 == p.q4 + 1, lambda: f"f={f}: a1*a2 != q^4+1")
     return report
 
 
@@ -362,6 +355,19 @@ def _degree_worker(f: int) -> SweepReport:
             cd_multiset(spec) == oracle,
             lambda: f"f={f} d={d}: counted multiset differs from the enumerated one",
         )
+    return report
+
+
+def _degree_count_worker(f: int) -> SweepReport:
+    from .degrees import ExtensionSpec, cd_closed_form
+
+    report = SweepReport("")
+    p = make_params(f)
+    for d in divisors_of(p.out_order)[1:]:
+        # the count from d alone, sharing no code with the closed form
+        expected = 3 + 3 * len(divisors_of(d)) - (d == p.out_order) * (2 + (d % 3 == 0))
+        count = len(cd_closed_form(ExtensionSpec(p, d)))
+        _check(report, count == expected, lambda: f"f={f} d={d}: |cd|={count} != {expected}")
     return report
 
 

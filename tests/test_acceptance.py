@@ -115,8 +115,8 @@ def test_criterion_7_degree_count_bounds():
     report = verify_degree_count_bounds(16)
     _finish(
         7,
-        f"|cd(G)| bounds for 1 < f <= 16 plus the sharp f=1 case "
-        f"({report.checks} checks)",
+        f"exact |cd(G)| of every proper extension for f <= 16, which implies "
+        f"the bounds and the sharp f=1 case ({report.checks} checks)",
         report.passed,
         started,
         10.0,

@@ -12,7 +12,6 @@ from suzuki_cd.degrees import (
     cd_closed_form,
     cd_multiset,
     cd_oracle,
-    check_corollary_b,
 )
 from suzuki_cd.errors import BudgetExceededError, InvariantError
 from suzuki_cd.params import divisors_of, make_params
@@ -226,22 +225,11 @@ def test_closed_form_near_f_max_divides_no_product_of_tori():
     assert elapsed < 1.0, elapsed
 
 
-def test_corollary_reports():
-    sharp7 = check_corollary_b(ExtensionSpec(make_params(2), 5))
-    assert sharp7.hypotheses_met and sharp7.passed
-    assert sharp7.cardinality == 7 and sharp7.required == 7
-
-    composite = check_corollary_b(ExtensionSpec(make_params(4), 9))
-    assert composite.passed and composite.required == 9
-    assert composite.cardinality == 9
-
-    too_small = check_corollary_b(ExtensionSpec(make_params(1), 3))
-    assert not too_small.hypotheses_met
-    assert too_small.cardinality == 6
-    assert too_small.passed is None and too_small.required is None
-
-    trivial_d = check_corollary_b(ExtensionSpec(make_params(2), 1))
-    assert not trivial_d.hypotheses_met
+def test_degree_counts_of_proper_extensions():
+    # Corollary B's counts, 3 + 3 tau(d) less 2 + [3 | d] at Aut(S): the
+    # sharp 6 at f = 1, and the sharp 7 and 9 for prime and composite d
+    for f, d, count in [(1, 3, 6), (2, 5, 7), (4, 9, 9), (4, 3, 9)]:
+        assert len(cd_closed_form(ExtensionSpec(make_params(f), d))) == count, (f, d)
 
 
 def cd_json_payload(capsys, f, d):

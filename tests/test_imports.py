@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "cd_closed_form",
     "cd_multiset",
     "cd_oracle",
-    "check_corollary_b",
     "coincidence_classify",
     "divisors_of",
     "equals",
@@ -118,9 +117,18 @@ def test_cli_import_loads_only_what_the_parser_reads():
         (["verify", "cyclotomic", "--n-max", "5"], ["degrees", "numtheory", "stabilizers"]),
         (["verify", "lemmas", "--f-max", "3"], ["cyclotomic", "degrees", "stabilizers"]),
         (["verify", "theorem-a", "--f-max", "2"], ["cyclotomic"]),
+        (["verify", "corollary-b"], ["cyclotomic", "numtheory"]),
+        (["verify", "stabilizers", "--f-max", "2"], ["cyclotomic", "degrees"]),
         (["gcd-table", "--f", "1..3"], ["cyclotomic", "degrees", "stabilizers", "verification"]),
     ],
-    ids=["verify-cyclotomic", "verify-lemmas", "verify-theorem-a", "gcd-table"],
+    ids=[
+        "verify-cyclotomic",
+        "verify-lemmas",
+        "verify-theorem-a",
+        "verify-corollary-b",
+        "verify-stabilizers",
+        "gcd-table",
+    ],
 )
 def test_verify_and_gcd_table_load_no_layer_they_do_not_run(argv, not_run):
     out = probe(

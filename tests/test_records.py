@@ -12,11 +12,7 @@ import pytest
 
 from suzuki_cd.characters import CharacterLabel, Family
 from suzuki_cd.cyclotomic import CyclotomicSum, root_power_sum
-from suzuki_cd.degrees import (
-    CorollaryReport,
-    ExtensionSpec,
-    check_corollary_b,
-)
+from suzuki_cd.degrees import ExtensionSpec
 from suzuki_cd.numtheory import CoincidenceCase, GcdCase, coincidence_classify, gcd_torus
 from suzuki_cd.params import SuzukiParams, make_params
 from suzuki_cd.verification import SweepReport
@@ -38,11 +34,6 @@ RECORDS = {
         lambda: ExtensionSpec(make_params(4), 3),
         lambda: ExtensionSpec(make_params(4), 9),
         "d",
-    ),
-    CorollaryReport: (
-        lambda: check_corollary_b(ExtensionSpec(make_params(4), 9)),
-        lambda: check_corollary_b(ExtensionSpec(make_params(4), 3)),
-        "cardinality",
     ),
     GcdCase: (
         lambda: gcd_torus(make_params(4), make_params(4).a1, 3, 1),

@@ -252,13 +252,13 @@ def test_stabilizer_sweep_reports_a_wrong_invariant_label(monkeypatch, name, fak
     assert report.failures == failures
 
 
-def broken_at_f2(real, f_of):
-    """real, except that at f = 2 it raises InvariantError."""
+def broken_at_f3(real, f_of):
+    """real, except that at f = 3 it raises InvariantError."""
     from suzuki_cd.errors import InvariantError
 
     def fake(arg, *rest):
-        if f_of(arg) == 2:
-            raise InvariantError("f=2: broken")
+        if f_of(arg) == 3:
+            raise InvariantError("f=3: broken")
         return real(arg, *rest)
 
     return fake
@@ -271,24 +271,28 @@ def broken_at_f2(real, f_of):
          lambda p: p.f),
         (verify_degree_sets, "_degree_worker", "degrees", "cd_multiset",
          lambda spec: spec.params.f),
+        (verify_class_counts, "_class_count_worker", "verification", "make_params",
+         lambda f: f),
+        (verify_degree_count_bounds, "_degree_count_worker", "verification", "make_params",
+         lambda f: f),
     ],
-    ids=["stabilizers", "theorem-a"],
+    ids=["stabilizers", "theorem-a", "class-counts", "corollary-b"],
 )
 def test_an_invariant_error_fails_its_item_and_the_sweep_goes_on(
     monkeypatch, sweep, worker, module, name, f_of
 ):
     # the item that raises counts as one failed check with the error's text;
-    # f = 1 and f = 3 still run all of their checks
+    # every other f still runs all of its checks
     import importlib
 
     from suzuki_cd import verification
 
     home = importlib.import_module(f"suzuki_cd.{module}")
-    checks = {f: getattr(verification, worker)(f).checks for f in (1, 3)}
-    monkeypatch.setattr(home, name, broken_at_f2(getattr(home, name), f_of))
-    report = sweep(3)
-    assert report.failures == ["f=2: broken"]
-    assert report.checks == checks[1] + 1 + checks[3]
+    checks = {f: getattr(verification, worker)(f).checks for f in (1, 2, 4, 5)}
+    monkeypatch.setattr(home, name, broken_at_f3(getattr(home, name), f_of))
+    report = sweep(5)
+    assert report.failures == ["f=3: broken"]
+    assert report.checks == sum(checks.values()) + 1
 
 
 def test_degree_set_sweep():
@@ -299,6 +303,24 @@ def test_degree_set_sweep():
 def test_degree_count_bound_sweep():
     report = verify_degree_count_bounds(12)
     assert report.passed, report.failures[:3]
+
+
+def test_degree_count_sweep_wants_the_exact_count(monkeypatch):
+    # one degree dropped at f = 4, d = 3 leaves 8, above the bound of 7 for
+    # prime d, yet not the 9 that 3 + 3 tau(3) gives
+    from suzuki_cd import degrees
+
+    real = degrees.cd_closed_form
+
+    def drop_one(spec):
+        closed = real(spec)
+        return closed - {max(closed)} if (spec.params.f, spec.d) == (4, 3) else closed
+
+    checks = verify_degree_count_bounds(6).checks
+    monkeypatch.setattr(degrees, "cd_closed_form", drop_one)
+    report = verify_degree_count_bounds(6)
+    assert report.checks == checks == 7
+    assert report.failures == ["f=4 d=3: |cd|=8 != 9"]
 
 
 def test_parallel_jobs_agree_with_serial(monkeypatch):
