@@ -55,7 +55,8 @@ VERIFY_SWEEPS = {
 # Largest accepted sum of f^2 over a gcd-table range LO..HI: each row runs
 # Euclid on (2f+1)-bit integers.  The model overstates the cost at large f,
 # so the slowest accepted range is the longest 1..HI, 1..2691, which takes
-# about 2.4 s (5000..5200 about 1.1 s; 2-vCPU Xeon, Python 3.11).  A single
+# about 1.3 s (5000..5200 about 0.74 s; whole commands, medians of 7
+# alternating fresh runs, 2-vCPU Xeon, Python 3.11.7).  A single
 # f is not a range and is not capped here; make_params caps it at F_MAX.
 GCD_TABLE_SIZE_LIMIT = 6_500_000_000
 

@@ -38,7 +38,9 @@ Z's.  cd_closed_form reads that rule and shares no code with the
 derived histograms (orbit_counts).  All the products above are pairwise
 distinct, so cardinalities add up: |cd(G)| = 3 + 3 tau(d), tau(d) the
 number of divisors of d, less 2 + [3 | d] at Aut(S) (Corollary B, which
-verification.verify_degree_count_bounds checks as an exact count).
+verification.verify_degree_count_bounds checks as an exact count).  The
+family degrees depend on f alone: that sweep computes them once per f
+and builds each d's set through _closed_form, as cd_closed_form does.
 """
 
 from __future__ import annotations
@@ -75,15 +77,7 @@ class ExtensionSpec(Record):
 
 def cd_closed_form(spec: ExtensionSpec) -> frozenset[int]:
     """The degree set of G, straight from the closed form above."""
-    p = spec.params
-    degs = {1, p.q4, degree_of(p, Family.W)}
-    divisors = divisors_of(spec.d)
-    for family in TORUS_FAMILIES:
-        base = degree_of(p, family)
-        for v in divisors:
-            if not (spec.is_aut and is_witnessless(p, family, v)):
-                degs.add(base * v)
-    return frozenset(degs)
+    return _closed_form(spec, _family_degrees(spec.params))
 
 
 def cd_multiset(spec: ExtensionSpec) -> dict[int, int]:
@@ -110,6 +104,24 @@ def cd_oracle(spec: ExtensionSpec) -> dict[int, int]:
     f <= ORACLE_F_MAX budget.
     """
     return _clifford_multiset(spec, orbit_oracle)
+
+
+def _family_degrees(p: SuzukiParams) -> dict[Family, int]:
+    """W's and each torus family's degree, which depend on f alone, so a
+    sweep over the d of one f computes them once."""
+    return {family: degree_of(p, family) for family in (Family.W, *TORUS_FAMILIES)}
+
+
+def _closed_form(spec: ExtensionSpec, degrees: dict[Family, int]) -> frozenset[int]:
+    """cd_closed_form(spec), given _family_degrees(spec.params)."""
+    p = spec.params
+    degs = {1, p.q4, degrees[Family.W]}
+    divisors = divisors_of(spec.d)
+    for family in TORUS_FAMILIES:
+        for v in divisors:
+            if not (spec.is_aut and is_witnessless(p, family, v)):
+                degs.add(degrees[family] * v)
+    return frozenset(degs)
 
 
 def _clifford_multiset(

@@ -8,14 +8,16 @@ report with failures carries printable minimal counterexamples.  Each
 sweep checks its sizes before any work: too small raises ValueError,
 too large BudgetExceededError, naming the ``suzuki-cd verify`` option.
 
-Every sweep runs one worker per item, an f or (quad sweep) an order n,
-through _map_ordered and merges the items' reports in item order.  The
-items are independent, so four sweeps accept a ``jobs`` argument and fan
-out over a process pool of at most min(jobs, items, CPUs) workers; the
-class-count and corollary-b sweeps run serially.  The pool's modules are
-imported only when that is > 1.  An InvariantError raised while one item
-runs becomes that item's result, one failed check with the error's
-text; the other items still run.
+Every sweep hands its items, each f or (quad sweep) each order n, to
+_sweep, the one sweep loop.  It runs the sweep's worker on each item
+through _run_item, which hands the worker a fresh report to fill, and
+adds the items' reports, in item order, into the sweep's report.  An
+InvariantError raised while one item runs becomes that item's report,
+one failed check with the error's text; the other items still run.  The
+items are independent, so four sweeps accept a ``jobs`` argument and
+_sweep fans their items out over a process pool of at most min(jobs,
+items, CPUs) workers; the class-count and corollary-b sweeps run
+serially.  The pool's modules are imported only when that is > 1.
 
 This module imports only characters, params and errors.  Each sweep or
 worker imports the cyclotomic, numtheory, stabilizers and degrees names
@@ -43,8 +45,8 @@ DEFAULT_SEED = 20160414
 # Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
 # medians, each run in a fresh interpreter, import included; runs swing
 # by a quarter).  The gcd and class-count sweeps and the corollary-b sweep
-# grow superlinearly in f_max: 1.17 s and 1.19 s at their limits (medians
-# of 7; up to 2.6 s on a busier host).  The quad sweep grows with
+# grow superlinearly in f_max: 1.10 s and 0.67 s at their limits (medians
+# of 9; up to 2.6 s on a busier host).  The quad sweep grows with
 # n_max * samples and, per check, with n, so its slowest accepted pair is
 # n_max 1000 with samples 200: 0.26 s (median of 7), where n_max 500 with
 # samples 400 took 0.13 s.  ORACLE_F_MAX caps the two sweeps that
@@ -84,15 +86,13 @@ def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
     rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1), the split-torus
     case of gcd_torus, at the arguments stabilizers._kernel_orders
     passes."""
-    _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
-    return _merge("gcd-closed-forms", _map_ordered(_gcd_worker, range(1, f_max + 1), jobs))
+    return _sweep("gcd-closed-forms", _gcd_worker, _f_range(f_max, LEMMAS_F_MAX_LIMIT), jobs)
 
 
 def verify_class_counts(f_max: int = 64) -> SweepReport:
     """Family counts sum to q^2 + 3; torus orders pairwise coprime; 3
     never divides the group order."""
-    _require_size("--f-max", f_max, 1, LEMMAS_F_MAX_LIMIT)
-    return _merge("class-counts", _map_ordered(_class_count_worker, range(1, f_max + 1), 1))
+    return _sweep("class-counts", _class_count_worker, _f_range(f_max, LEMMAS_F_MAX_LIMIT))
 
 
 def verify_quad_identity(
@@ -111,15 +111,14 @@ def verify_quad_identity(
         for n in range(1, n_max + 1)
         if (roots := _roots_of_minus_one(n))
     ]
-    return _merge("quad-identity", _map_ordered(_quad_worker, items, jobs))
+    return _sweep("quad-identity", _quad_worker, items, jobs)
 
 
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
     """Witnesses and derived orbit histograms agree with exhaustive orbit
     enumeration at every exponent, witnessless ones too; the invariant label
     is N/5, the n = 1 witness of the Y or Z that is_witnessless gives one."""
-    _require_size("--f-max", f_max, 1, ORACLE_F_MAX)
-    return _merge("stabilizer-witnesses", _map_ordered(_stabilizer_worker, range(1, f_max + 1), jobs))
+    return _sweep("stabilizer-witnesses", _stabilizer_worker, _f_range(f_max, ORACLE_F_MAX), jobs)
 
 
 def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
@@ -129,8 +128,7 @@ def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
     The closed form's per-family degrees are pairwise distinct, so a
     wrong degree over one family cannot cancel in the union: agreement
     of the whole set pins every family's degrees."""
-    _require_size("--f-max", f_max, 1, ORACLE_F_MAX)
-    return _merge("degree-sets", _map_ordered(_degree_worker, range(1, f_max + 1), jobs))
+    return _sweep("degree-sets", _degree_worker, _f_range(f_max, ORACLE_F_MAX), jobs)
 
 
 def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
@@ -144,16 +142,15 @@ def verify_degree_count_bounds(f_max: int = 16) -> SweepReport:
     tau(d) >= 2 (>= 3 for composite d) and d = 2f+1 = 3 only at f = 1,
     it implies the paper's bounds |cd(G)| >= 7 for f > 1 (>= 9 for
     composite d), and f = 1, d = 3 gives exactly 6."""
-    _require_size("--f-max", f_max, 1, COROLLARY_B_F_MAX_LIMIT)
-    return _merge("degree-count-bounds", _map_ordered(_degree_count_worker, range(1, f_max + 1), 1))
+    return _sweep("degree-count-bounds", _degree_count_worker, _f_range(f_max, COROLLARY_B_F_MAX_LIMIT))
 
 
 # ---------------------------------------------------------------------------
-# per-item workers, one per f or n, all run by _map_ordered (top level, so
-# that the four sweeps with jobs can send them to the process pool)
+# per-item workers, one per f or n: each fills the fresh report that
+# _run_item hands it (top level, so that _sweep's pool can pickle them)
 
 
-def _gcd_worker(f: int) -> SweepReport:
+def _gcd_worker(report: SweepReport, f: int) -> None:
     from .numtheory import (
         coincidence_classify,
         euclid_gcd,
@@ -162,7 +159,6 @@ def _gcd_worker(f: int) -> SweepReport:
         gcd_verification_rows,
     )
 
-    report = SweepReport("")
     p = make_params(f)
     # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid
     euclid: dict[tuple[int, str, int], int] = {}
@@ -233,11 +229,9 @@ def _gcd_worker(f: int) -> SweepReport:
                                 d1 == d2 == 5,
                                 lambda: f"f={f} collision with d1={d1}, d2={d2} != 5",
                             )
-    return report
 
 
-def _class_count_worker(f: int) -> SweepReport:
-    report = SweepReport("")
+def _class_count_worker(report: SweepReport, f: int) -> None:
     p = make_params(f)
     total = sum(family_count(p, fam) for fam in Family)
     _check(report, total == p.q2 + 3, lambda: f"f={f}: class count {total} != q^2+3")
@@ -245,14 +239,12 @@ def _class_count_worker(f: int) -> SweepReport:
         _check(report, _math_gcd(x, y) == 1, lambda: f"f={f}: gcd({x},{y}) != 1")
     _check(report, p.group_order % 3 != 0, lambda: f"f={f}: 3 divides |S|")
     _check(report, p.a1 * p.a2 == p.q4 + 1, lambda: f"f={f}: a1*a2 != q^4+1")
-    return report
 
 
-def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
+def _quad_worker(report: SweepReport, args: tuple[int, list[int], int, int]) -> None:
     from .cyclotomic import quad_sum_equivalence
 
     n, roots, samples, seed = args
-    report = SweepReport("")
     rng = random.Random(seed * 1000003 + n)
     # the draws are sorted once per n; each root's block appends the sorted
     # boundary grid's undrawn pairs, two sorted runs that sorted() merges.
@@ -274,10 +266,9 @@ def _quad_worker(args: tuple[int, list[int], int, int]) -> SweepReport:
             for (i, j), (identity, congruence) in zip(block, answers[k])
             if identity != congruence
         ]
-    return report
 
 
-def _stabilizer_worker(f: int) -> SweepReport:
+def _stabilizer_worker(report: SweepReport, f: int) -> None:
     from .stabilizers import (
         exact_stabilizer_exponent,
         is_witnessless,
@@ -286,7 +277,6 @@ def _stabilizer_worker(f: int) -> SweepReport:
         witness_for,
     )
 
-    report = SweepReport("")
     p = make_params(f)
     divisors = divisors_of(p.out_order)
     witnesses = {}
@@ -333,13 +323,11 @@ def _stabilizer_worker(f: int) -> SweepReport:
     order, w = torus_order_of(p, family), witnesses[family, 1]
     _check(report, order % 5 == 0, lambda: f"f={f}: expected 5 | {family.value} order {order}")
     _check(report, w == order // 5, lambda: f"f={f} {family.value}: n=1 witness {w} != {order}/5")
-    return report
 
 
-def _degree_worker(f: int) -> SweepReport:
+def _degree_worker(report: SweepReport, f: int) -> None:
     from .degrees import ExtensionSpec, cd_closed_form, cd_multiset, cd_oracle
 
-    report = SweepReport("")
     p = make_params(f)
     for d in divisors_of(p.out_order):
         spec = ExtensionSpec(p, d)
@@ -355,20 +343,18 @@ def _degree_worker(f: int) -> SweepReport:
             cd_multiset(spec) == oracle,
             lambda: f"f={f} d={d}: counted multiset differs from the enumerated one",
         )
-    return report
 
 
-def _degree_count_worker(f: int) -> SweepReport:
-    from .degrees import ExtensionSpec, cd_closed_form
+def _degree_count_worker(report: SweepReport, f: int) -> None:
+    from .degrees import ExtensionSpec, _closed_form, _family_degrees
 
-    report = SweepReport("")
     p = make_params(f)
+    degrees = _family_degrees(p)  # cd_closed_form's per-f part, once for every d
     for d in divisors_of(p.out_order)[1:]:
         # the count from d alone, sharing no code with the closed form
         expected = 3 + 3 * len(divisors_of(d)) - (d == p.out_order) * (2 + (d % 3 == 0))
-        count = len(cd_closed_form(ExtensionSpec(p, d)))
+        count = len(_closed_form(ExtensionSpec(p, d), degrees))
         _check(report, count == expected, lambda: f"f={f} d={d}: |cd|={count} != {expected}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +381,18 @@ def _require_size(name: str, value: int, least: int, limit: int | None = None) -
         require_within(name, value, limit)
 
 
-def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
+def _f_range(f_max: int, limit: int) -> range:
+    """The items of an f-sweep, 1..f_max, once f_max is within its limit."""
+    _require_size("--f-max", f_max, 1, limit)
+    return range(1, f_max + 1)
+
+
+def _sweep(scope: str, worker, items, jobs: int = 1) -> SweepReport:
+    """The report named scope, with every item's report from _run_item
+    added in item order; items is a range or a list."""
     _require_size("--jobs", jobs, 1)
-    items = list(items)
-    run = partial(_run_item, fn)
+    run = partial(_run_item, worker)
+    reports = map(run, items)
     # the pool starts all its workers at once, so ask for no more than can run
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers > 1:
@@ -408,23 +402,22 @@ def _map_ordered(fn, items, jobs: int) -> list[SweepReport]:
 
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run, items))
+                reports = list(pool.map(run, items))
         except (OSError, BrokenProcessPool) as exc:  # pragma: no cover
             print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
-    return [run(item) for item in items]
+    report = SweepReport(scope)
+    for item_report in reports:
+        report.checks += item_report.checks
+        report.failures += item_report.failures
+    return report
 
 
-def _run_item(fn, item) -> SweepReport:
-    """fn(item), or one failed check with its InvariantError's text; top level, so it pickles."""
+def _run_item(worker, item) -> SweepReport:
+    """A fresh report that worker(report, item) fills, or one failed check
+    with the text of the InvariantError it raised; top level, so it pickles."""
+    report = SweepReport("")
     try:
-        return fn(item)
+        worker(report, item)
     except InvariantError as exc:
         return SweepReport("", 1, [str(exc)])
-
-
-def _merge(scope: str, reports: list[SweepReport]) -> SweepReport:
-    merged = SweepReport(scope)
-    for report in reports:
-        merged.checks += report.checks
-        merged.failures.extend(report.failures)
-    return merged
+    return report

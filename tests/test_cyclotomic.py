@@ -405,7 +405,8 @@ def test_quad_worker_computes_each_image_of_a_block_once(monkeypatch):
         return answers
 
     monkeypatch.setattr(cyclotomic, "quad_sum_equivalence", recording)
-    report = verification._quad_worker((n, roots, 200, verification.DEFAULT_SEED))
+    item = (n, roots, 200, verification.DEFAULT_SEED)
+    report = verification._run_item(verification._quad_worker, item)
     assert report.passed and report.checks > 0
     assert calls == [(roots, report.checks)]
     keys = [min(t for t, _ in terms) for terms, _ in log]

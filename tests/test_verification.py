@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -288,7 +289,8 @@ def test_an_invariant_error_fails_its_item_and_the_sweep_goes_on(
     from suzuki_cd import verification
 
     home = importlib.import_module(f"suzuki_cd.{module}")
-    checks = {f: getattr(verification, worker)(f).checks for f in (1, 2, 4, 5)}
+    run = partial(verification._run_item, getattr(verification, worker))
+    checks = {f: run(f).checks for f in (1, 2, 4, 5)}
     monkeypatch.setattr(home, name, broken_at_f3(getattr(home, name), f_of))
     report = sweep(5)
     assert report.failures == ["f=3: broken"]
@@ -306,18 +308,19 @@ def test_degree_count_bound_sweep():
 
 
 def test_degree_count_sweep_wants_the_exact_count(monkeypatch):
-    # one degree dropped at f = 4, d = 3 leaves 8, above the bound of 7 for
-    # prime d, yet not the 9 that 3 + 3 tau(3) gives
+    # one degree dropped at f = 4, d = 3, in _closed_form, where the sweep
+    # builds each d's set, leaves 8: above the bound of 7 for prime d, yet
+    # not the 9 that 3 + 3 tau(3) gives
     from suzuki_cd import degrees
 
-    real = degrees.cd_closed_form
+    real = degrees._closed_form
 
-    def drop_one(spec):
-        closed = real(spec)
+    def drop_one(spec, family_degrees):
+        closed = real(spec, family_degrees)
         return closed - {max(closed)} if (spec.params.f, spec.d) == (4, 3) else closed
 
     checks = verify_degree_count_bounds(6).checks
-    monkeypatch.setattr(degrees, "cd_closed_form", drop_one)
+    monkeypatch.setattr(degrees, "_closed_form", drop_one)
     report = verify_degree_count_bounds(6)
     assert report.checks == checks == 7
     assert report.failures == ["f=4 d=3: |cd|=8 != 9"]
@@ -328,9 +331,14 @@ def test_parallel_jobs_agree_with_serial(monkeypatch):
 
     # two CPUs even on a one-CPU host, so jobs=2 starts a real pool of two
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = verify_degree_sets(4, jobs=1)
-    parallel = verify_degree_sets(4, jobs=2)
-    assert (serial.checks, serial.failures) == (parallel.checks, parallel.failures)
+    for sweep, f_max in [(verify_degree_sets, 4), (verify_gcd_closed_forms, 40),
+                         (verify_stabilizer_witnesses, 5)]:
+        serial = sweep(f_max, jobs=1)
+        parallel = sweep(f_max, jobs=2)
+        assert serial.checks > 0
+        assert (serial.scope, serial.checks, serial.failures) == (
+            parallel.scope, parallel.checks, parallel.failures
+        )
     # the quad sweep's items carry their roots of -1, and must still pickle
     serial = verify_quad_identity(60, 20, jobs=1)
     parallel = verify_quad_identity(60, 20, jobs=2)
@@ -361,18 +369,24 @@ def test_jobs_starts_no_more_workers_than_items_or_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
+    def name(report, item):
+        report.failures.append(str(item))
+
+    def sweep(items, jobs):
+        return verification._sweep("names", name, items, jobs).failures
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert verification._map_ordered(str, range(4), 10**6) == ["0", "1", "2", "3"]
-    assert verification._map_ordered(str, [7], 10**6) == ["7"]
-    assert verification._map_ordered(str, range(4), 1) == ["0", "1", "2", "3"]
+    assert sweep(range(4), 10**6) == ["0", "1", "2", "3"]
+    assert sweep([7], 10**6) == ["7"]
+    assert sweep(range(4), 1) == ["0", "1", "2", "3"]
     assert asked == [2]
     serial = verify_degree_sets(2)
     report = verify_degree_sets(2, jobs=10**6)
     assert asked == [2, 2]
     assert (report.checks, report.failures) == (serial.checks, serial.failures)
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: serial
-    verification._map_ordered(str, range(4), 10**6)
+    assert sweep(range(4), 10**6) == ["0", "1", "2", "3"]
     assert asked == [2, 2]
 
 
@@ -401,7 +415,7 @@ def test_sweeps_refuse_oversized_arguments_before_any_work(monkeypatch, sweep, k
     def work(*_args, **_kwargs):
         raise AssertionError("the sweep started work before checking its sizes")
 
-    for module, name in [(verification, "_map_ordered"), (verification, "make_params"),
+    for module, name in [(verification, "_sweep"), (verification, "make_params"),
                          (stabilizers, "orbit_oracle")]:
         monkeypatch.setattr(module, name, work)
     with pytest.raises(error) as exc:
@@ -412,7 +426,7 @@ def test_sweeps_refuse_oversized_arguments_before_any_work(monkeypatch, sweep, k
 def test_sweeps_refuse_jobs_below_one(monkeypatch):
     from suzuki_cd import verification
 
-    def work(f):
+    def work(report, f):
         raise AssertionError("a worker ran")
 
     monkeypatch.setattr(verification, "_degree_worker", work)
