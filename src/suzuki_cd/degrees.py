@@ -50,7 +50,7 @@ from collections.abc import Callable, Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
 from .errors import InvariantError
-from .params import Record, SuzukiParams, divisors_of
+from .params import Record, SuzukiParams, divisors_of, require_divisor
 from .stabilizers import is_witnessless, orbit_counts, orbit_oracle
 
 
@@ -61,10 +61,7 @@ class ExtensionSpec(Record):
     __slots__ = ("params", "d")
 
     def _validate(self) -> None:
-        if self.d < 1 or self.params.out_order % self.d != 0:
-            raise ValueError(
-                f"d must divide 2f+1={self.params.out_order}, got {self.d}"
-            )
+        require_divisor(self.params, "d", self.d)
 
     @property
     def is_aut(self) -> bool:

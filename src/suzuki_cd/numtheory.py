@@ -27,7 +27,7 @@ does not (4 divides x exactly).
 
 from __future__ import annotations
 
-from .params import Record, SuzukiParams, divisors_of
+from .params import Record, SuzukiParams, divisors_of, require_divisor
 
 
 class GcdCase(Record):
@@ -95,7 +95,7 @@ def gcd_torus(p: SuzukiParams, order: int, n: int, sign: int) -> GcdCase:
     coprime; gcd_closed_form_rows builds its q^4+1 rows that way.
     """
     _require_sign(sign)
-    _require_proper_divisor(p, n)
+    require_divisor(p, "n", n, proper=True)
     if order == p.a0:
         return GcdCase((1 << n) - 1, "sign -1") if sign < 0 else GcdCase(1, "none")
     if order != p.a1 and order != p.a2:
@@ -131,8 +131,8 @@ def coincidence_classify(
     when no collision occurs for (m, n).  It computes no gcd: the
     verification sweep checks every prediction against Euclid.
     """
-    _require_proper_divisor(p, m)
-    _require_proper_divisor(p, n)
+    require_divisor(p, "m", m, proper=True)
+    require_divisor(p, "n", n, proper=True)
     if m == n or n % m != 0:
         raise ValueError(f"need distinct proper divisors with m | n, got m={m}, n={n}")
     if (m, n) != (1, 3):
@@ -190,11 +190,3 @@ def gcd_verification_rows(
 def _require_sign(sign: int) -> None:
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-
-
-def _require_proper_divisor(p: SuzukiParams, n: int) -> None:
-    if n < 1 or p.out_order % n != 0 or n == p.out_order:
-        raise ValueError(
-            f"n must be a proper positive divisor of 2f+1={p.out_order}, got {n}"
-        )
-

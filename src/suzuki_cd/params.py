@@ -112,6 +112,13 @@ def make_params(f: int) -> SuzukiParams:
     return SuzukiParams(f, q2, r, a0, a1, a2, q4, (q4 + 1) * q4 * a0, 2 * f + 1)
 
 
+def require_divisor(p: SuzukiParams, name: str, n: int, proper: bool = False) -> None:
+    """ValueError naming n unless it divides 2f+1 (and, if proper, is not 2f+1)."""
+    if n < 1 or p.out_order % n != 0 or (proper and n == p.out_order):
+        must = "be a proper divisor of" if proper else "divide"
+        raise ValueError(f"{name} must {must} 2f+1={p.out_order}, got {n}")
+
+
 def divisors_of(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending, by trial division."""
     if n < 1:

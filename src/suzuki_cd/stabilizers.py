@@ -72,7 +72,7 @@ from .characters import (
     torus_order_of,
 )
 from .errors import InvariantError, require_within
-from .params import SuzukiParams, divisors_of, make_params
+from .params import SuzukiParams, divisors_of, make_params, require_divisor
 
 
 def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
@@ -102,7 +102,7 @@ def is_witnessless(p: SuzukiParams, family: Family, n: int) -> bool:
     """
     if family not in TORUS_FAMILIES:
         raise ValueError(f"family {family.value} has no indexing torus")
-    _require_divisor(p, n)
+    require_divisor(p, "n", n)
     return n in (1, 3) and (n == 1) != (torus_order_of(p, family) % 5 == 0)
 
 
@@ -131,7 +131,7 @@ def _invariant(p: SuzukiParams, label: CharacterLabel, n: int) -> bool:
     Its index i is fixed iff 2^n i == m i (mod N) for some multiplier m,
     N the torus order: the criterion whose fixed labels orbit_counts counts.
     """
-    _require_divisor(p, n)
+    require_divisor(p, "n", n)
     order = torus_order_of(p, label.family)
     idx = label.index
     if idx % order == 0 or canonicalize(p, label.family, idx) != idx:
@@ -290,8 +290,3 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
             f"f={f} {family.value}: enumerated labels do not sum to the family count"
         )
     return tuple(sorted(counts.items()))
-
-
-def _require_divisor(p: SuzukiParams, n: int) -> None:
-    if n < 1 or p.out_order % n != 0:
-        raise ValueError(f"n must be a positive divisor of 2f+1={p.out_order}, got {n}")

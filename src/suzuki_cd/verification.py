@@ -79,13 +79,17 @@ class SweepReport:
 
 
 def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
-    """Every closed-form gcd equals Euclid, and collisions between
-    exponents happen exactly where the classifier says they do.
+    """Every closed-form gcd equals Euclid, and three gcd lemmas hold on
+    the Euclid values of the torus rows.
 
     Every check is per f, so all grow with f_max: the torus and q^4+1
     rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1), the split-torus
     case of gcd_torus, at the arguments stabilizers._kernel_orders
-    passes."""
+    passes.  Each lemma is one check per f, the set it observes against
+    the set it predicts: (a) equal nontrivial gcds at exponents m | n are
+    exactly the collisions coincidence_classify gives, each of value 5;
+    (b) no (n, torus) has a nontrivial gcd at both signs; (c) no torus
+    order divides q^2 +- 2^n, except a2 = 5 | q^2 + 2 at f = 1."""
     return _sweep("gcd-closed-forms", _gcd_worker, _f_range(f_max, LEMMAS_F_MAX_LIMIT), jobs)
 
 
@@ -117,7 +121,9 @@ def verify_quad_identity(
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
     """Witnesses and derived orbit histograms agree with exhaustive orbit
     enumeration at every exponent, witnessless ones too; the invariant label
-    is N/5, the n = 1 witness of the Y or Z that is_witnessless gives one."""
+    is N/5, the n = 1 witness of the Y or Z that is_witnessless gives one.
+    That no torus order divides q^2 +- 2^n is a gcd lemma, which
+    verify_gcd_closed_forms checks at every f up to its own limit."""
     return _sweep("stabilizer-witnesses", _stabilizer_worker, _f_range(f_max, ORACLE_F_MAX), jobs)
 
 
@@ -171,7 +177,6 @@ def _gcd_worker(report: SweepReport, f: int) -> None:
             f"closed {case.value} != euclid {actual}",
         )
     proper = divisors_of(p.out_order)[:-1]
-    tori = (("plus", p.a1), ("minus", p.a2))
     for n in proper:
         for sign in (-1, 1):
             _check(
@@ -189,46 +194,38 @@ def _gcd_worker(report: SweepReport, f: int) -> None:
                 lambda: f"f={f} n={n} sign={sign}: gcd(q^2-1, 2^n{sign:+d}) "
                 f"closed {closed} != euclid {actual}",
             )
-        for name, _ in tori:
-            nontrivial = sum(1 for sign in (-1, 1) if euclid[n, name, sign] > 1)
-            _check(
-                report,
-                nontrivial <= 1,
-                lambda: f"f={f} n={n} {name}: both signs nontrivial",
-            )
-    # collisions between exponent pairs
-    for m in proper:
-        for n in proper:
-            if m == n or n % m != 0:
-                continue
-            case = coincidence_classify(p, m, n)
-            for name, order in tori:
-                for sign_n in (-1, 1):
-                    d1 = euclid[n, name, sign_n]
-                    if d1 == 1:
-                        continue
-                    for sign_m in (-1, 1):
-                        d2 = euclid[m, name, sign_m]
-                        observed = d1 == d2
-                        predicted = (
-                            case is not None
-                            and case.order == order
-                            and case.sign_n == sign_n
-                            and case.sign_m == sign_m
-                        )
-                        _check(
-                            report,
-                            observed == predicted,
-                            lambda: f"f={f} (m,n)=({m},{n}) {name} "
-                            f"signs=({sign_m},{sign_n}): d1={d1} d2={d2} "
-                            f"predicted={predicted}",
-                        )
-                        if predicted:
-                            _check(
-                                report,
-                                d1 == d2 == 5,
-                                lambda: f"f={f} collision with d1={d1}, d2={d2} != 5",
-                            )
+    # each gcd lemma below is one check: the set it observes in Euclid's
+    # values against the set it predicts
+    orders = {"plus": p.a1, "minus": p.a2}
+    pairs = [(m, n) for m in proper for n in proper if m != n and n % m == 0]
+    # (a) equal nontrivial gcds at exponents m | n are the classified collisions, of value 5
+    observed = {
+        (m, n, name, sign_m, sign_n, euclid[n, name, sign_n])
+        for m, n in pairs
+        for name in orders
+        for sign_m, sign_n in product((-1, 1), repeat=2)
+        if 1 < euclid[n, name, sign_n] == euclid[m, name, sign_m]
+    }
+    predicted = {
+        (m, n, name, collision.sign_m, collision.sign_n, 5)
+        for m, n in pairs
+        if (collision := coincidence_classify(p, m, n)) is not None
+        for name, order in orders.items()
+        if order == collision.order
+    }
+    _check_same(report, f"f={f} (m, n, torus, sign_m, sign_n, gcd) collisions", observed, predicted)
+    # (b) no (n, torus) has a nontrivial gcd at both signs
+    both = {
+        (n, name) for n in proper for name in orders if euclid[n, name, -1] > 1 < euclid[n, name, 1]
+    }
+    _check_same(report, f"f={f} (n, torus) nontrivial at both signs", both, set())
+    # (c) no torus order divides q^2 +- 2^n, except a2 = 5 | q^2 + 2 = 10 at f = 1
+    # (q^2 + 2^n = 2*a2 needs 2^n = 2*(2^f - 1)^2, a power of two only for f = 1)
+    dividing = {
+        (n, name, sign) for (n, name, sign), value in euclid.items() if value == orders.get(name)
+    }
+    allowed = {(1, "minus", 1)} if f == 1 else set()
+    _check_same(report, f"f={f} (n, torus, sign) with order | q^2+sign*2^n", dividing, allowed)
 
 
 def _class_count_worker(report: SweepReport, f: int) -> None:
@@ -303,20 +300,6 @@ def _stabilizer_worker(report: SweepReport, f: int) -> None:
                     exp == n,
                     lambda: f"f={f} {family.value} n={n}: witness {w} has exponent {exp}",
                 )
-    # No torus order divides q^2 +- 2^n for proper n, except the single
-    # degenerate pair a2 = 5 | q^2 + 2 = 10 at f = 1 (q^2 + 2^n = 2*a2
-    # needs 2^n = 2*(2^f - 1)^2, a power of two only for f = 1).
-    for n in divisors[:-1]:
-        for order in (p.a1, p.a2):
-            for sign in (-1, 1):
-                divides = (p.q2 + sign * (1 << n)) % order == 0
-                allowed = f == 1 and order == p.a2 and sign == 1 and n == 1
-                _check(
-                    report,
-                    divides == allowed,
-                    lambda: f"f={f} n={n}: torus order {order} vs q^2{sign:+d}*2^n: "
-                    f"divides={divides}",
-                )
     # the invariant label: the Y or Z that is_witnessless gives one has
     # 5 | N, and its n = 1 witness (exponent checked above) is N/5
     family = Family.Z if is_witnessless(p, Family.Y, 1) else Family.Y
@@ -372,6 +355,17 @@ def _check(report: SweepReport, ok: bool, message: Callable[[], str]) -> None:
     report.checks += 1
     if not ok:
         report.failures.append(message())
+
+
+def _check_same(report: SweepReport, what: str, observed: set, predicted: set) -> None:
+    """One check that two sets are equal; a failure lists, sorted, what each
+    holds that the other lacks."""
+    _check(
+        report,
+        observed == predicted,
+        lambda: f"{what}: observed only {sorted(observed - predicted)}, "
+        f"predicted only {sorted(predicted - observed)}",
+    )
 
 
 def _require_size(name: str, value: int, least: int, limit: int | None = None) -> None:

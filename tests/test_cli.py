@@ -130,7 +130,7 @@ def test_verify_stabilizers_under_optimize():
     plain = run_module("verify", "stabilizers", "--f-max", "4")
     optimized = run_module("verify", "stabilizers", "--f-max", "4", optimize=True)
     assert optimized.returncode == 0, optimized.stderr
-    assert optimized.stdout == plain.stdout == "stabilizer-witnesses: 84 checks, ok\n"
+    assert optimized.stdout == plain.stdout == "stabilizer-witnesses: 64 checks, ok\n"
 
 
 @pytest.mark.skipif(
@@ -380,7 +380,7 @@ def test_gcd_table_io_error(tmp_path, capsys):
 def test_verify_lemmas_check_counts_pinned(capsys):
     code, out, _ = run(capsys, "verify", "lemmas")
     assert code == 0
-    assert out == "gcd-closed-forms: 2157 checks, ok\nclass-counts: 384 checks, ok\n"
+    assert out == "gcd-closed-forms: 1622 checks, ok\nclass-counts: 384 checks, ok\n"
 
 
 def test_verify_exit_zero(capsys):

@@ -1,10 +1,18 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from suzuki_cd import numtheory
 from suzuki_cd.characters import Family
 from suzuki_cd.errors import BudgetExceededError
+from suzuki_cd.params import make_params
 from suzuki_cd.verification import (
     verify_class_counts,
     verify_degree_count_bounds,
@@ -172,8 +180,6 @@ def test_quad_sweep_image_count_at_the_benchmark_seed(monkeypatch):
 
 def test_gcd_failure_messages(monkeypatch):
     # the fake reaches gcd_verification_rows too, which never asks for (65, 3)
-    from suzuki_cd import numtheory
-
     euclid = numtheory.euclid_gcd
 
     def wrong_once(a, b):
@@ -183,14 +189,12 @@ def test_gcd_failure_messages(monkeypatch):
     checks = verify_gcd_closed_forms(f_max=2).checks
     monkeypatch.setattr(numtheory, "euclid_gcd", wrong_once)
     report = verify_gcd_closed_forms(f_max=2)
-    assert report.checks == checks == 24
+    assert report.checks == checks == 26
     assert report.failures == ["f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1"]
 
 
 def test_gcd_sweep_checks_the_x_kernel_orders_at_every_f(monkeypatch):
     # 2f+1 = 39 = 3 * 13 at f = 19 is the first proper divisor over 12
-    from suzuki_cd import numtheory
-
     real = numtheory.gcd_torus
 
     def wrong_at_13(p, order, n, sign):
@@ -205,6 +209,105 @@ def test_gcd_sweep_checks_the_x_kernel_orders_at_every_f(monkeypatch):
         "f=19 n=13 sign=-1: gcd(q^2-1, 2^n-1) closed 8193 != euclid 8191",
         "f=19 n=13 sign=1: gcd(q^2-1, 2^n+1) closed 3 != euclid 1",
     ]
+
+
+F5 = make_params(5)  # 2f+1 = 11: n = 1 is the one proper divisor, a1 = 2113, a2 = 1985
+
+
+def other_torus_at_f4(real):
+    """coincidence_classify, except that at f = 4 it names the torus 5 does not divide."""
+
+    def fake(p, m, n):
+        case = real(p, m, n)
+        if p.f != 4 or case is None:
+            return case
+        other = p.a2 if case.order == p.a1 else p.a1
+        return numtheory.CoincidenceCase(other, case.sign_n, case.sign_m)
+
+    return fake
+
+
+def tori_divide_at_f5(real):
+    """euclid_gcd, except that a1 | q^2 - 2 and a2 | q^2 + 2 at f = 5."""
+    rows = {(F5.a1, F5.q2 - 2), (F5.a2, F5.q2 + 2)}
+    return lambda a, b: a if (a, b) in rows else real(a, b)
+
+
+def both_signs_at_f5(real):
+    """euclid_gcd, except that each trivial gcd(a1 or a2, q^2 -+ 2) at f = 5 is 3."""
+    rows = set(product((F5.a1, F5.a2), (F5.q2 - 2, F5.q2 + 2)))
+    return lambda a, b: 3 if (a, b) in rows and real(a, b) == 1 else real(a, b)
+
+
+# fake for one numtheory name -> every failure of verify_gcd_closed_forms(6)
+GCD_LEMMA_FAKES = {
+    # the 1/3 collision is on a1 = 545 at f = 4 (2f+1 = 9)
+    "collisions": (
+        "coincidence_classify",
+        other_torus_at_f4,
+        [
+            "f=4 (m, n, torus, sign_m, sign_n, gcd) collisions: "
+            "observed only [(1, 3, 'plus', -1, 1, 5)], "
+            "predicted only [(1, 3, 'minus', -1, 1, 5)]",
+        ],
+    ),
+    "signs": (
+        "euclid_gcd",
+        both_signs_at_f5,
+        [
+            "f=5 n=1 plus sign=-1: closed 1 != euclid 3",
+            "f=5 n=1 plus sign=1: closed 1 != euclid 3",
+            "f=5 n=1 minus sign=-1: closed 1 != euclid 3",
+            "f=5 (n, torus) nontrivial at both signs: "
+            "observed only [(1, 'minus'), (1, 'plus')], predicted only []",
+        ],
+    ),
+    "divisibility": (
+        "euclid_gcd",
+        tori_divide_at_f5,
+        [
+            "f=5 n=1 plus sign=-1: closed 1 != euclid 2113",
+            "f=5 n=1 minus sign=1: closed 5 != euclid 1985",
+            "f=5 (n, torus, sign) with order | q^2+sign*2^n: "
+            "observed only [(1, 'minus', 1), (1, 'plus', -1)], predicted only []",
+        ],
+    ),
+}
+
+
+def gcd_lemma_failures(case):
+    """The failures of verify_gcd_closed_forms(6) under one GCD_LEMMA_FAKES fake."""
+    name, fake, _ = GCD_LEMMA_FAKES[case]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numtheory, name, fake(getattr(numtheory, name)))
+        return verify_gcd_closed_forms(6).failures
+
+
+@pytest.mark.parametrize("case", GCD_LEMMA_FAKES)
+def test_each_gcd_lemma_is_one_check_that_can_fail(case):
+    assert verify_gcd_closed_forms(6).passed
+    assert gcd_lemma_failures(case) == GCD_LEMMA_FAKES[case][2]
+
+
+def test_gcd_lemma_failures_do_not_depend_on_the_hash_seed():
+    # the sets of facts (b) and (c) hold torus names, whose string hashes,
+    # and so set order, change with PYTHONHASHSEED
+    tests = Path(__file__).resolve().parent
+    probe = (
+        "import json, test_verification as t; "
+        "print(json.dumps({case: t.gcd_lemma_failures(case) for case in t.GCD_LEMMA_FAKES}))"
+    )
+    outputs = []
+    for seed in ("0", "1"):
+        path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == {case: fake[2] for case, fake in GCD_LEMMA_FAKES.items()}
 
 
 def test_stabilizer_sweep():
@@ -224,7 +327,7 @@ def fake_at_f4(real, fake):
         (
             "witness_for",
             lambda real, p, family, n: 1 if (family, n) == (Family.Y, 1) else real(p, family, n),
-            84,
+            64,
             ["f=4 Y n=1: witness 1 has exponent 9", "f=4 Y: n=1 witness 1 != 545/5"],
         ),
         # Y's n = 1 answer flipped sends the check to Z, whose a2 = 481 has no 5;
@@ -233,7 +336,7 @@ def fake_at_f4(real, fake):
         (
             "is_witnessless",
             lambda real, p, family, n: real(p, family, n) != ((family, n) == (Family.Y, 1)),
-            83,
+            63,
             [
                 "f=4 Y n=1: witness=None oracle_count=1",
                 "f=4: expected 5 | Z order 481",
@@ -246,7 +349,7 @@ def fake_at_f4(real, fake):
 def test_stabilizer_sweep_reports_a_wrong_invariant_label(monkeypatch, name, fake, checks, failures):
     from suzuki_cd import stabilizers
 
-    assert verify_stabilizer_witnesses(4).checks == 84
+    assert verify_stabilizer_witnesses(4).checks == 64
     monkeypatch.setattr(stabilizers, name, fake_at_f4(getattr(stabilizers, name), fake))
     report = verify_stabilizer_witnesses(4)
     assert report.checks == checks
