@@ -227,6 +227,12 @@ def quad_sum_equivalence(
     return results
 
 
+# The package's one cache.  Uncached, a call costs 3-6 us (n 481..8321;
+# 2-vCPU Xeon, Python 3.11.7).  The large-order benchmark op makes 108
+# calls over 9 torus orders, so the cache saves about 0.4 ms of its 42 ms
+# (paired in-process medians 0.3-0.6 ms, inside their spread); verify
+# cyclotomic --n-max 200 --samples 200 makes 1296 calls over 44 orders and
+# saves 4.5 ms of 32 ms (median of 30 pairs, lower in 28).
 @lru_cache(maxsize=8)
 def _annihilator(
     n: int,

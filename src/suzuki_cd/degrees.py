@@ -14,7 +14,10 @@ gives the degree multiset, a plain dict from degree to multiplicity in
 ascending degree order, from orbit histograms derived from the gcd
 lemmas (cd_multiset, any f) or from enumerated ones (cd_oracle,
 f <= ORACLE_F_MAX); the closed form below is what its keys must equal,
-and cd_multiset raises InvariantError when they do not.
+and cd_multiset raises InvariantError when they do not.  Both hand
+_clifford_multiset one histogram per family; the histograms depend on
+f alone, so the theorem-a sweep enumerates them once per f and counts
+every d of that f from them.
 
 Closed form: cd(G) is
 
@@ -46,7 +49,7 @@ and builds each d's set through _closed_form, as cd_closed_form does.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 from .characters import Family, TORUS_FAMILIES, degree_of
 from .errors import InvariantError
@@ -84,7 +87,7 @@ def cd_multiset(spec: ExtensionSpec) -> dict[int, int]:
     with the same global sum rules enforced as cd_oracle.  Raises
     InvariantError unless its degree set equals cd_closed_form(spec).
     """
-    result = _clifford_multiset(spec, orbit_counts)
+    result = _clifford_multiset(spec, {fam: orbit_counts(spec.params, fam) for fam in Family})
     closed = cd_closed_form(spec)
     if result.keys() != closed:
         raise InvariantError(
@@ -100,7 +103,7 @@ def cd_oracle(spec: ExtensionSpec) -> dict[int, int]:
     Uses the brute-force orbit histograms, so it inherits their
     f <= ORACLE_F_MAX budget.
     """
-    return _clifford_multiset(spec, orbit_oracle)
+    return _clifford_multiset(spec, {fam: orbit_oracle(spec.params, fam) for fam in Family})
 
 
 def _family_degrees(p: SuzukiParams) -> dict[Family, int]:
@@ -122,11 +125,11 @@ def _closed_form(spec: ExtensionSpec, degrees: dict[Family, int]) -> frozenset[i
 
 
 def _clifford_multiset(
-    spec: ExtensionSpec,
-    histogram: Callable[[SuzukiParams, Family], Mapping[int, int]],
+    spec: ExtensionSpec, histograms: Mapping[Family, Mapping[int, int]]
 ) -> dict[int, int]:
     """Aggregate the Clifford counts of every family's exponent histogram
-    into a fresh dict from degree to multiplicity, in ascending degree order.
+    at spec's f, histograms[family], into a fresh dict from degree to
+    multiplicity, in ascending degree order.
 
     Raises InvariantError unless every count splits into G-orbits, the
     invariant families give 4d characters, the class counts sum to
@@ -143,7 +146,7 @@ def _clifford_multiset(
     for family in Family:
         theta_deg = degree_of(p, family)
         family_sum = 0  # s^2 * characters over the family's orbit sizes s
-        for m, cnt in histogram(p, family).items():
+        for m, cnt in histograms[family].items():
             classes += cnt
             s = m // math.gcd(e, m)  # G-orbit size of each such label
             if cnt % s or spec.d % s:

@@ -53,12 +53,12 @@ the doubling by two extended slices a step, picks the candidates, and
 each candidate is tested exactly (2^k y == +-y mod N).  Subtraction over
 the divisors gives the pairs of each exact period, and a class of exact
 exponent n has its per pairs in one cycle of length per * n.  It reads
-no gcd and no kernel size.  Per-label queries have no budget.
+no gcd and no kernel size, and keeps no cache: each call enumerates
+afresh, so a sweep that needs one family's histogram at several d
+enumerates it once and shares it.  Per-label queries have no budget.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .characters import (
     ORACLE_F_MAX,
@@ -72,7 +72,7 @@ from .characters import (
     torus_order_of,
 )
 from .errors import InvariantError, require_within
-from .params import SuzukiParams, divisors_of, make_params, require_divisor
+from .params import SuzukiParams, divisors_of, require_divisor
 
 
 def witness_for(p: SuzukiParams, family: Family, n: int) -> int | None:
@@ -208,33 +208,28 @@ def orbit_counts(p: SuzukiParams, family: Family) -> dict[int, int]:
     return hist
 
 
-def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:
-    """Exact-exponent histogram {n: number of canonical labels} for a family.
-
-    Brute force: for each divisor k of |M|/2 * (2f+1), counts the pairs
-    {y, N - y} of the torus that k doublings fix, testing every residue
-    whose tag came back.  Refuses f > ORACLE_F_MAX, as does cd_oracle, with
-    "orbit enumeration: f F is over its limit of 10".
-    """
-    require_within("orbit enumeration: f", p.f, ORACLE_F_MAX)
-    return dict(_orbit_histogram(p.f, family))
-
-
 #: One tag byte per pair, repeated along the half torus; a faked constant
 #: (all zeros, say) only widens the candidates the exact test decides.
 _TAGS = bytes(range(256))
 
 
-@lru_cache(maxsize=None)
-def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
-    p = make_params(f)
+def orbit_oracle(p: SuzukiParams, family: Family) -> dict[int, int]:
+    """Exact-exponent histogram {n: number of canonical labels} for a family.
+
+    Brute force: for each divisor k of |M|/2 * (2f+1), counts the pairs
+    {y, N - y} of the torus that k doublings fix, testing every residue
+    whose tag came back.  Each call enumerates afresh and returns a new
+    dict.  Refuses f > ORACLE_F_MAX, as does cd_oracle, with
+    "orbit enumeration: f F is over its limit of 10".
+    """
+    require_within("orbit enumeration: f", p.f, ORACLE_F_MAX)
     if family not in TORUS_FAMILIES:
-        return ((1, family_count(p, family)),)
+        return {1: family_count(p, family)}
     order = torus_order_of(p, family)
     mult = sorted(multipliers_of(p, family))
     if [order - m for m in reversed(mult)] != mult:
         raise InvariantError(
-            f"f={f} {family.value}: the multipliers are not closed under negation"
+            f"f={p.f} {family.value}: the multipliers are not closed under negation"
         )
     # Each class is closed under negation and N is odd, so a pair {y, N - y},
     # kept at its lower member y <= N // 2, stands for both; on those members
@@ -248,7 +243,7 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
         while pow(2, length, order) not in mult:  # ends, as 1 is a multiplier
             length += 1
         raise InvariantError(
-            f"f={f} {family.value}: a doubling orbit of length {length} "
+            f"f={p.f} {family.value}: a doubling orbit of length {length} "
             "does not divide 2f+1"
         )
     half = order // 2
@@ -279,7 +274,7 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
         # pairs of period k fill k-cycles, and a class's pairs share one cycle
         if count < 0 or count % k or (count and k % per):
             raise InvariantError(
-                f"f={f} {family.value}: {count} pairs of doubling period {k}, "
+                f"f={p.f} {family.value}: {count} pairs of doubling period {k}, "
                 f"not whole cycles of {per}-pair classes"
             )
         exact[k] = count
@@ -287,6 +282,6 @@ def _orbit_histogram(f: int, family: Family) -> tuple[tuple[int, int], ...]:
     counts = {k // per: c // per for k, c in exact.items() if c}
     if sum(counts.values()) != family_count(p, family):
         raise InvariantError(
-            f"f={f} {family.value}: enumerated labels do not sum to the family count"
+            f"f={p.f} {family.value}: enumerated labels do not sum to the family count"
         )
-    return tuple(sorted(counts.items()))
+    return counts

@@ -129,7 +129,8 @@ def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
 
 def verify_degree_sets(f_max: int = 8, jobs: int = 1) -> SweepReport:
     """Closed-form cd(G) equals the Clifford-counting oracle for every
-    d | 2f+1, and the counted multiset equals the enumerated one.
+    d | 2f+1, and the counted multiset equals the enumerated one.  Each
+    family's orbits are enumerated once per f and counted for every d.
 
     The closed form's per-family degrees are pairwise distinct, so a
     wrong degree over one family cannot cancel in the union: agreement
@@ -309,13 +310,16 @@ def _stabilizer_worker(report: SweepReport, f: int) -> None:
 
 
 def _degree_worker(report: SweepReport, f: int) -> None:
-    from .degrees import ExtensionSpec, cd_closed_form, cd_multiset, cd_oracle
+    from .degrees import ExtensionSpec, _clifford_multiset, cd_closed_form, cd_multiset
+    from .stabilizers import orbit_oracle
 
     p = make_params(f)
+    # cd_oracle's histograms, enumerated once for every d
+    enumerated = {family: orbit_oracle(p, family) for family in Family}
     for d in divisors_of(p.out_order):
         spec = ExtensionSpec(p, d)
         closed = cd_closed_form(spec)
-        oracle = cd_oracle(spec)
+        oracle = _clifford_multiset(spec, enumerated)
         _check(
             report,
             oracle.keys() == closed,

@@ -270,12 +270,14 @@ def test_orbits_table_and_budget(capsys):
 
 
 def test_production_commands_never_enumerate(capsys, monkeypatch):
-    from suzuki_cd import stabilizers
+    from suzuki_cd import degrees, stabilizers
 
-    def enumerate_orbits(f, family):
-        raise AssertionError(f"enumerated the orbits of {family.value} at f={f}")
+    def enumerate_orbits(p, family):
+        raise AssertionError(f"enumerated the orbits of {family.value} at f={p.f}")
 
-    monkeypatch.setattr(stabilizers, "_orbit_histogram", enumerate_orbits)
+    # orbit_oracle is the enumeration, bound in its module and in degrees
+    for module in (stabilizers, degrees):
+        monkeypatch.setattr(module, "orbit_oracle", enumerate_orbits)
     for argv in (
         ["orbits", "--f", "10", "--family", "X"],
         ["cd", "--f", "10", "--d", "all", "--multiplicities"],

@@ -172,12 +172,10 @@ def test_clifford_rejects_corrupted_histogram(family, corrupted):
     spec = ExtensionSpec(make_params(1), 3)
     counts, message = corrupted
 
-    def histogram(p, fam):
-        return counts if fam is family else orbit_counts(p, fam)
-
-    assert _clifford_multiset(spec, orbit_counts) == cd_oracle(spec)
+    counted = {fam: orbit_counts(spec.params, fam) for fam in Family}
+    assert _clifford_multiset(spec, counted) == cd_oracle(spec)
     with pytest.raises(InvariantError, match=message):
-        _clifford_multiset(spec, histogram)
+        _clifford_multiset(spec, {**counted, family: counts})
 
 
 @pytest.mark.parametrize(
@@ -194,12 +192,13 @@ def test_clifford_rejects_a_wrong_family_degree(monkeypatch, family, fake, messa
     from suzuki_cd import degrees
 
     spec = ExtensionSpec(make_params(1), 1)
-    assert _clifford_multiset(spec, orbit_counts) == cd_oracle(spec)
+    counted = {fam: orbit_counts(spec.params, fam) for fam in Family}
+    assert _clifford_multiset(spec, counted) == cd_oracle(spec)
     monkeypatch.setattr(
         degrees, "degree_of", lambda p, fam: fake(p) if fam is family else degree_of(p, fam)
     )
     with pytest.raises(InvariantError, match=message):
-        _clifford_multiset(spec, orbit_counts)
+        _clifford_multiset(spec, counted)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])

@@ -18,9 +18,9 @@
   order and know no family.
 - ``distinct_primes`` is called only by cyclotomic._annihilator, the one
   per-prime pass, which builds the annihilator every equality test uses.
-- ``lru_cache`` is named only by cyclotomic._annihilator and
-  stabilizers._orbit_histogram, so a new module-level cache is a
-  deliberate edit of this list.
+- A cache decorator (``lru_cache``, ``cache`` or ``cached_property``,
+  bare or as ``functools.x``) is named only by cyclotomic._annihilator,
+  so a new module-level cache is a deliberate edit of this list.
 - The oracles share no code with the closed forms they check: no oracle
   of ORACLE_LIMITS reaches, through the call graph, a function its
   limits name.
@@ -41,7 +41,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 BUDGET_ERROR_HOMES = {"errors.require_within", "errors.to_decimal", "params.distinct_primes"}
 F_MOD_4_HOMES: set[str] = set()
 DISTINCT_PRIMES_HOMES = {"cyclotomic._annihilator"}
-LRU_CACHE_HOMES = {"cyclotomic._annihilator", "stabilizers._orbit_histogram"}
+LRU_CACHE_HOMES = {"cyclotomic._annihilator"}
+CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
 GETATTR_CALL_HOMES = {"cli._cmd_verify"}
 TORUS_FAMILY_HOMES = {"characters", "verification"}  # modules, not defs
 NUMTHEORY_IMPORTS = {"params"}
@@ -112,7 +113,7 @@ def calls_distinct_primes(node: ast.AST) -> bool:
 
 
 def names_lru_cache(node: ast.AST) -> bool:
-    return isinstance(node, (ast.Name, ast.Attribute)) and name_of(node) == "lru_cache"
+    return isinstance(node, (ast.Name, ast.Attribute)) and name_of(node) in CACHE_NAMES
 
 
 def calls_through_getattr(node: ast.AST) -> bool:
@@ -226,7 +227,7 @@ def rule_breaks(src: Path) -> list[str]:
                 hits.append(f"{where}:{line}: distinct_primes called in {home}")
         for line, home in homes(tree, path.stem, names_lru_cache):
             if home not in LRU_CACHE_HOMES:
-                hits.append(f"{where}:{line}: lru_cache in {home}")
+                hits.append(f"{where}:{line}: cache in {home}")
         for line, home in homes(tree, path.stem, calls_through_getattr):
             if home not in GETATTR_CALL_HOMES:
                 hits.append(f"{where}:{line}: call through getattr in {home}")
@@ -291,16 +292,28 @@ def test_distinct_primes_outside_its_home_is_a_rule_break(tmp_path):
 
 
 def test_lru_cache_outside_its_homes_is_a_rule_break(tmp_path):
-    # a four-root image cache beside the annihilator's, one decorator each way
+    # a four-root image cache beside the annihilator's, one decorator each
+    # way, and the orbit histogram cached by each of the other decorators
     (tmp_path / "cyclotomic.py").write_text(
         "import functools\nfrom functools import lru_cache\n\n\n"
         "@lru_cache(maxsize=8)\ndef _annihilator(n):\n    return n\n\n\n"
         "@lru_cache(maxsize=1024)\ndef _quad_image(n, e, k):\n    return e\n\n\n"
         "@functools.lru_cache\ndef _image(terms, n):\n    return terms\n"
     )
+    (tmp_path / "stabilizers.py").write_text(
+        "import functools\nfrom functools import cache, cached_property\n\n\n"
+        "@functools.cache\ndef orbit_oracle(p, family):\n    return {}\n\n\n"
+        "@cache\ndef _orbit_histogram(f, family):\n    return ()\n\n\n"
+        "class Orbits:\n    @cached_property\n    def histogram(self):\n        return {}\n\n\n"
+        "@functools.cached_property\ndef counts(self):\n    return {}\n"
+    )
     assert rule_breaks(tmp_path) == [
-        "cyclotomic.py:10: lru_cache in cyclotomic._quad_image",
-        "cyclotomic.py:15: lru_cache in cyclotomic._image",
+        "cyclotomic.py:10: cache in cyclotomic._quad_image",
+        "cyclotomic.py:15: cache in cyclotomic._image",
+        "stabilizers.py:5: cache in stabilizers.orbit_oracle",
+        "stabilizers.py:10: cache in stabilizers._orbit_histogram",
+        "stabilizers.py:16: cache in stabilizers.Orbits",
+        "stabilizers.py:21: cache in stabilizers.counts",
     ]
 
 

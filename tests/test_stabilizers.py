@@ -218,18 +218,10 @@ def test_orbit_oracle_matches_per_label_exponents(f):
         assert orbit_oracle(p, family) == dict(naive), (f, family)
 
 
-@pytest.fixture
-def fresh_orbit_cache():
-    """Keeps a faked histogram out of the oracle's unbounded cache."""
-    stabilizers._orbit_histogram.cache_clear()
-    yield
-    stabilizers._orbit_histogram.cache_clear()
-
-
-def test_orbit_oracle_refuses_a_wrong_family_count(monkeypatch, fresh_orbit_cache):
+def test_orbit_oracle_refuses_a_wrong_family_count(monkeypatch):
+    # the fake takes effect at the (f, family) just enumerated: nothing is cached
     p = make_params(4)
     assert orbit_oracle(p, Family.Y) == {1: 1, 9: 135}
-    stabilizers._orbit_histogram.cache_clear()
 
     def family_count(p, family):
         return (p.q2 + p.r) // 4 + p.out_order
@@ -241,9 +233,7 @@ def test_orbit_oracle_refuses_a_wrong_family_count(monkeypatch, fresh_orbit_cach
         orbit_oracle(p, Family.Y)
 
 
-def test_orbit_oracle_refuses_multipliers_not_closed_under_negation(
-    monkeypatch, fresh_orbit_cache
-):
+def test_orbit_oracle_refuses_multipliers_not_closed_under_negation(monkeypatch):
     real_multipliers_of = stabilizers.multipliers_of
 
     def multipliers_of(p, family):  # X's multipliers {1, N - 1} lose N - 1
@@ -256,9 +246,7 @@ def test_orbit_oracle_refuses_multipliers_not_closed_under_negation(
         orbit_oracle(make_params(2), Family.X)
 
 
-def test_orbit_oracle_refuses_an_orbit_length_not_dividing_2f_plus_1(
-    monkeypatch, fresh_orbit_cache
-):
+def test_orbit_oracle_refuses_an_orbit_length_not_dividing_2f_plus_1(monkeypatch):
     # f = 2's X torus (order 15) swapped for Z/7, where doubling has order 3
     monkeypatch.setattr(stabilizers, "torus_order_of", lambda p, family: 7)
     monkeypatch.setattr(stabilizers, "multipliers_of", lambda p, family: frozenset((1, 6)))
@@ -277,7 +265,7 @@ def test_orbit_oracle_refuses_an_orbit_length_not_dividing_2f_plus_1(
         orbit_oracle(make_params(2), Family.Y)
 
 
-def test_orbit_oracle_refuses_pairs_that_fill_no_whole_class(monkeypatch, fresh_orbit_cache):
+def test_orbit_oracle_refuses_pairs_that_fill_no_whole_class(monkeypatch):
     # f = 2's Y torus swapped for Z/11: 2^5 = -1 puts every pair in one
     # 5-cycle, so the 2-pair classes of {1, 3, 8, 10} cannot share cycles
     monkeypatch.setattr(stabilizers, "torus_order_of", lambda p, family: 11)
@@ -292,12 +280,11 @@ def test_orbit_oracle_refuses_pairs_that_fill_no_whole_class(monkeypatch, fresh_
 
 
 @pytest.mark.parametrize("f", range(1, 7))
-def test_orbit_oracle_tags_only_filter_the_exact_test(f, monkeypatch, fresh_orbit_cache):
+def test_orbit_oracle_tags_only_filter_the_exact_test(f, monkeypatch):
     # With every tag equal, every pair is a candidate at every divisor, so
     # the histograms stand only if the exact test 2^k y == +-y decides.
     p = make_params(f)
     expected = {family: orbit_oracle(p, family) for family in Family}
-    stabilizers._orbit_histogram.cache_clear()
     monkeypatch.setattr(stabilizers, "_TAGS", bytes(256))
     for family in Family:
         assert orbit_oracle(p, family) == expected[family], (f, family)
@@ -341,9 +328,8 @@ def inclusion_exclusion_histogram(p, family):
 def test_orbit_oracle_matches_inclusion_exclusion_where_only_it_enumerates(f, monkeypatch):
     # Past the per-label test's f <= 4, and past what the sweeps' other
     # routes enumerate, orbit_oracle is the only enumeration.  Every closed
-    # form fails if reached, and the cache is emptied so the enumeration
-    # reruns: an oracle that read the derived route would compare it with
-    # itself in `verify stabilizers` and `verify theorem-a`.
+    # form fails if reached: an oracle that read the derived route would
+    # compare it with itself in `verify stabilizers` and `verify theorem-a`.
     def closed_form(*args):
         raise AssertionError("orbit_oracle reached a closed form")
 
@@ -352,7 +338,6 @@ def test_orbit_oracle_matches_inclusion_exclusion_where_only_it_enumerates(f, mo
     for name, fn in list(vars(numtheory).items()):
         if inspect.isfunction(fn) and fn.__module__ == numtheory.__name__:
             monkeypatch.setattr(numtheory, name, closed_form)
-    stabilizers._orbit_histogram.cache_clear()
     p = make_params(f)
     for family in TORUS_FAMILIES:
         assert orbit_oracle(p, family) == inclusion_exclusion_histogram(p, family), (f, family)

@@ -405,6 +405,28 @@ def test_degree_set_sweep():
     assert report.passed, report.failures[:3]
 
 
+def test_degree_set_sweep_enumerates_each_family_once_per_f(monkeypatch):
+    # every d of an f counts from the same enumerated histograms; the
+    # enumeration is faked wherever it is bound, degrees included
+    from collections import Counter
+
+    from suzuki_cd import degrees, stabilizers
+
+    calls = Counter()
+    real = stabilizers.orbit_oracle
+
+    def orbit_oracle(p, family):
+        calls[p.f, family] += 1
+        return real(p, family)
+
+    for module in (stabilizers, degrees):
+        monkeypatch.setattr(module, "orbit_oracle", orbit_oracle)
+    report = verify_degree_sets(8)
+    assert (report.checks, report.failures) == (38, [])
+    assert calls == Counter({(f, family): 1 for f in range(1, 9) for family in Family})
+    assert sum(calls.values()) == 48
+
+
 def test_degree_count_bound_sweep():
     report = verify_degree_count_bounds(12)
     assert report.passed, report.failures[:3]
