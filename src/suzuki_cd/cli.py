@@ -12,9 +12,10 @@ Subcommands (``verify`` offers each scope the options of its sweeps)::
 Exit codes: 0 success, 1 verification failure or broken invariant, 2
 usage error, 3 budget violation (f past params.F_MAX, oracle size cap,
 sweep size cap, gcd-table range cap or int->str digit limit), 4 I/O
-error.  ``cd`` renders each integer once, in output order, and counts
-each d's orbits (cd_multiset) only after rendering that d's integers, so
-an unprintable one refuses before that d counts; ``gcd-table`` renders
+error.  ``cd`` renders each integer once: q^2, then every d's |G| and
+degrees, in output order, from one cd_closed_form call, and only then
+counts the orbits, in one cd_multiset call for every d, so an
+unprintable integer refuses before any counting; ``gcd-table`` renders
 its closed-form column before any Euclid call.
 ``cd`` counts when --multiplicities is given or f <= 4, and then prints
 ``verified_against_oracle: true``: the counted degrees agreed with the
@@ -125,24 +126,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_cd(args: argparse.Namespace) -> int:
     # here, so that gcd-table and verify lemmas or cyclotomic never load it
-    from .degrees import ExtensionSpec, cd_closed_form, cd_multiset
+    from .degrees import cd_closed_form, cd_multiset
 
     p = make_params(args.f)
     d_form = "an integer or 'all'"
     ds = divisors_of(p.out_order) if args.d == "all" else _ints("--d", d_form, args.d, [args.d])
     q2 = to_decimal(p.q2)
-    counted = args.multiplicities or p.f <= 4
-    bodies: list = []  # one JSON payload or text block per d
-    for d in ds:
-        spec = ExtensionSpec(p, d)
-        # Render each d's integers before it counts, in output order, so that
-        # one past the digit limit refuses before that d's orbits are counted.
+    # Render every d's |G| and degrees, in output order, before counting, so
+    # that an integer past the digit limit refuses before any orbit is counted.
+    rendered = {}  # d -> (text header or None, degree -> its decimal text)
+    for d, closed in cd_closed_form(p, ds).items():
         header = None if args.json else (
-            f"# cd(G) for f={p.f}, d={d} (q2={q2}, |G|={to_decimal(spec.order)})"
+            f"# cd(G) for f={p.f}, d={d} (q2={q2}, |G|={to_decimal(d * p.group_order)})"
         )
-        degrees = {deg: to_decimal(deg) for deg in sorted(cd_closed_form(spec))}
-        # cd_multiset raises unless its degrees are the closed form's
-        mults = cd_multiset(spec) if counted else dict.fromkeys(degrees)
+        rendered[d] = header, {deg: to_decimal(deg) for deg in sorted(closed)}
+    counted = args.multiplicities or p.f <= 4
+    # cd_multiset raises unless its degrees are the closed form's
+    multisets = cd_multiset(p, ds) if counted else {}
+    bodies: list = []  # one JSON payload or text block per d
+    for d, (header, degrees) in rendered.items():
+        mults = multisets[d] if counted else dict.fromkeys(degrees)
         rows = [(text, mults[deg]) for deg, text in degrees.items()]
         if args.json:
             bodies.append({

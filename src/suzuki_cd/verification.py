@@ -310,37 +310,34 @@ def _stabilizer_worker(report: SweepReport, f: int) -> None:
 
 
 def _degree_worker(report: SweepReport, f: int) -> None:
-    from .degrees import ExtensionSpec, _clifford_multiset, cd_closed_form, cd_multiset
-    from .stabilizers import orbit_oracle
+    from .degrees import cd_closed_form, cd_multiset, cd_oracle
 
     p = make_params(f)
-    # cd_oracle's histograms, enumerated once for every d
-    enumerated = {family: orbit_oracle(p, family) for family in Family}
-    for d in divisors_of(p.out_order):
-        spec = ExtensionSpec(p, d)
-        closed = cd_closed_form(spec)
-        oracle = _clifford_multiset(spec, enumerated)
+    ds = divisors_of(p.out_order)
+    # one call per route: each enumerates or derives the histograms once for every d
+    closed, counted, oracle = cd_closed_form(p, ds), cd_multiset(p, ds), cd_oracle(p, ds)
+    for d in ds:
         _check(
             report,
-            oracle.keys() == closed,
-            lambda: f"f={f} d={d}: oracle keys {list(oracle)} != closed form {sorted(closed)}",
+            oracle[d].keys() == closed[d],
+            lambda: f"f={f} d={d}: oracle keys {list(oracle[d])} "
+            f"!= closed form {sorted(closed[d])}",
         )
         _check(
             report,
-            cd_multiset(spec) == oracle,
+            counted[d] == oracle[d],
             lambda: f"f={f} d={d}: counted multiset differs from the enumerated one",
         )
 
 
 def _degree_count_worker(report: SweepReport, f: int) -> None:
-    from .degrees import ExtensionSpec, _closed_form, _family_degrees
+    from .degrees import cd_closed_form
 
     p = make_params(f)
-    degrees = _family_degrees(p)  # cd_closed_form's per-f part, once for every d
-    for d in divisors_of(p.out_order)[1:]:
+    for d, closed in cd_closed_form(p, divisors_of(p.out_order)[1:]).items():
         # the count from d alone, sharing no code with the closed form
         expected = 3 + 3 * len(divisors_of(d)) - (d == p.out_order) * (2 + (d % 3 == 0))
-        count = len(_closed_form(ExtensionSpec(p, d), degrees))
+        count = len(closed)
         _check(report, count == expected, lambda: f"f={f} d={d}: |cd|={count} != {expected}")
 
 

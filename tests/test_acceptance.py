@@ -7,7 +7,7 @@ runtime limit.
 
 import time
 
-from suzuki_cd import ExtensionSpec, cd_closed_form, cd_oracle, make_params
+from suzuki_cd import cd_closed_form, cd_oracle, make_params
 from suzuki_cd.verification import (
     verify_class_counts,
     verify_degree_count_bounds,
@@ -28,23 +28,23 @@ def _finish(num: int, desc: str, ok: bool, started: float, limit: float) -> None
 
 def test_criterion_1_cd_sz8():
     started = time.perf_counter()
-    spec = ExtensionSpec(make_params(1), 1)
-    closed = cd_closed_form(spec)
-    oracle = cd_oracle(spec)
+    p = make_params(1)
+    closed = cd_closed_form(p, [1])[1]
+    oracle = cd_oracle(p, [1])[1]
     ok = (
         closed == {1, 14, 35, 64, 65, 91}
         and oracle.keys() == closed
         and oracle == {1: 1, 14: 2, 35: 3, 64: 1, 65: 3, 91: 1}
-        and sum(deg * deg * m for deg, m in oracle.items()) == 29120 == spec.params.group_order
+        and sum(deg * deg * m for deg, m in oracle.items()) == 29120 == p.group_order
     )
     _finish(1, "cd(Sz(8)) with multiplicities", ok, started, 1.0)
 
 
 def test_criterion_2_cd_aut_sz8():
     started = time.perf_counter()
-    spec = ExtensionSpec(make_params(1), 3)
-    closed = cd_closed_form(spec)
-    oracle = cd_oracle(spec)
+    p = make_params(1)
+    closed = cd_closed_form(p, [3])[3]
+    oracle = cd_oracle(p, [3])[3]
     exceptions_fire = (
         65 not in closed  # a != 1 at G = Aut(S)
         and 35 not in closed  # b != 1 at f == 1 (mod 4)

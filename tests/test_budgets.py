@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from suzuki_cd import BudgetExceededError, ExtensionSpec, Family, make_params
+from suzuki_cd import BudgetExceededError, Family, make_params
 from suzuki_cd.characters import canonical_indices
 from suzuki_cd.cli import _parse_f_range
 from suzuki_cd.degrees import cd_oracle
@@ -35,7 +35,7 @@ CAPS = {
         "orbit enumeration: f 11 is over its limit of 10",
     ),
     "cd_oracle": (
-        lambda: cd_oracle(ExtensionSpec(make_params(11), 23)),
+        lambda: cd_oracle(make_params(11), [23]),
         "orbit enumeration: f 11 is over its limit of 10",
     ),
     "verify_gcd_closed_forms": (

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from suzuki_cd.cli import main
-from suzuki_cd.degrees import ExtensionSpec, cd_closed_form
+from suzuki_cd.degrees import cd_closed_form
 from suzuki_cd.params import divisors_of, make_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -180,7 +180,7 @@ def test_gcd_table_past_int_str_digit_limit(capsys):
 def test_cd_refuses_an_unprintable_integer_before_counting(capsys, monkeypatch, argv, bits):
     from suzuki_cd import degrees
 
-    def count(spec):
+    def count(p, ds):
         raise AssertionError("counted orbits before refusing")
 
     monkeypatch.setattr(degrees, "cd_multiset", count)
@@ -204,8 +204,8 @@ def test_invariant_error_exits_one(capsys, monkeypatch):
     from suzuki_cd import degrees
     from suzuki_cd.errors import InvariantError
 
-    def broken(spec):
-        raise InvariantError("squared degrees do not sum to |G|")
+    def broken(p, ds):
+        raise InvariantError("squared degrees do not sum to |S|")
 
     monkeypatch.setattr(degrees, "cd_multiset", broken)
     code, out, err = run(capsys, "cd", "--f", "1", "--multiplicities")
@@ -224,8 +224,11 @@ def test_invariant_error_exits_one(capsys, monkeypatch):
 def test_counted_degrees_disagreeing_with_closed_form_exit_one(capsys, monkeypatch, argv):
     from suzuki_cd import degrees
 
-    closed_form = degrees.cd_closed_form
-    monkeypatch.setattr(degrees, "cd_closed_form", lambda spec: closed_form(spec) - {1})
+    # the one closed form that cd renders and cd_multiset compares against
+    closed_form = degrees._closed_form
+    monkeypatch.setattr(
+        degrees, "_closed_form", lambda p, d, family_degrees: closed_form(p, d, family_degrees) - {1}
+    )
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -286,6 +289,29 @@ def test_production_commands_never_enumerate(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
         assert out
+
+
+def test_cd_derives_each_histogram_once_for_every_d(capsys, monkeypatch):
+    # the histograms depend on f alone, so all 4 d of f = 10 count from
+    # one orbit_counts call per family, bound in its module and in degrees
+    from collections import Counter
+
+    from suzuki_cd import degrees, stabilizers
+    from suzuki_cd.characters import Family
+
+    calls = Counter()
+    real = stabilizers.orbit_counts
+
+    def orbit_counts(p, family):
+        calls[family] += 1
+        return real(p, family)
+
+    for module in (stabilizers, degrees):
+        monkeypatch.setattr(module, "orbit_counts", orbit_counts)
+    code, out, _ = run(capsys, "cd", "--f", "10", "--d", "all", "--multiplicities")
+    assert code == 0 and out.count("verified_against_oracle: true") == 4
+    assert calls == Counter(Family)
+    assert sum(calls.values()) == 6
 
 
 @pytest.mark.skipif(
@@ -525,11 +551,11 @@ def test_cd_converts_no_integer_twice(capsys, monkeypatch, flags):
     code, _, _ = run(capsys, "cd", "--f", "10", "--d", "all", *flags)
     assert code == 0
     p = make_params(10)
-    specs = [ExtensionSpec(p, d) for d in divisors_of(p.out_order)]
-    rows = sum(len(cd_closed_form(spec)) for spec in specs)
+    sets = cd_closed_form(p, divisors_of(p.out_order))
+    rows = sum(map(len, sets.values()))
     # q2 once; |G| once per text block; each degree once, and each
     # multiplicity of a text table once (JSON prints those as integers)
-    orders = 0 if "--json" in flags else len(specs)
+    orders = 0 if "--json" in flags else len(sets)
     mults = rows if flags == ["--multiplicities"] else 0
     assert len(converted) == 1 + orders + rows + mults
 

@@ -6,13 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from suzuki_cd.characters import Family, degree_of, family_count
 from suzuki_cd.cli import main
-from suzuki_cd.degrees import (
-    ExtensionSpec,
-    _clifford_multiset,
-    cd_closed_form,
-    cd_multiset,
-    cd_oracle,
-)
+from suzuki_cd.degrees import _clifford_multiset, cd_closed_form, cd_multiset, cd_oracle
 from suzuki_cd.errors import BudgetExceededError, InvariantError
 from suzuki_cd.params import divisors_of, make_params
 from suzuki_cd.stabilizers import orbit_counts
@@ -23,24 +17,24 @@ def sum_of_squares(multiset):
     return sum(deg * deg * mult for deg, mult in multiset.items())
 
 
-def test_extension_spec_validation():
+@pytest.mark.parametrize(
+    "route", [cd_closed_form, cd_multiset, cd_oracle], ids=["closed-form", "multiset", "oracle"]
+)
+def test_every_route_wants_each_index_to_divide_2f_plus_1(route):
     p = make_params(1)
-    assert ExtensionSpec(p, 3).is_aut
-    assert not ExtensionSpec(p, 1).is_aut
-    assert ExtensionSpec(p, 3).order == 3 * 29120
+    assert list(route(p, [3, 1])) == [3, 1]  # keyed in the order of ds
+    assert route(p, []) == {}
     for bad in (0, 2, 4, -1):
-        with pytest.raises(ValueError):
-            ExtensionSpec(p, bad)
+        with pytest.raises(ValueError, match=f"d must divide 2f\\+1=3, got {bad}"):
+            route(p, [1, bad])
 
 
 def test_closed_form_sz8():
-    spec = ExtensionSpec(make_params(1), 1)
-    assert cd_closed_form(spec) == {1, 14, 35, 64, 65, 91}
+    assert cd_closed_form(make_params(1), [1]) == {1: {1, 14, 35, 64, 65, 91}}
 
 
 def test_closed_form_aut_sz8():
-    spec = ExtensionSpec(make_params(1), 3)
-    got = cd_closed_form(spec)
+    got = cd_closed_form(make_params(1), [3])[3]
     assert got == {1, 14, 64, 91, 105, 195}
     # the three exceptions at f == 1 (mod 4), G = Aut(S):
     assert 65 not in got  # a != 1
@@ -49,13 +43,11 @@ def test_closed_form_aut_sz8():
 
 
 def test_closed_form_f2_d5():
-    spec = ExtensionSpec(make_params(2), 5)
-    assert cd_closed_form(spec) == {1, 124, 1024, 1271, 3875, 5125, 6355}
+    assert cd_closed_form(make_params(2), [5])[5] == {1, 124, 1024, 1271, 3875, 5125, 6355}
 
 
 def test_closed_form_f4_d9():
-    spec = ExtensionSpec(make_params(4), 9)
-    assert cd_closed_form(spec) == {
+    assert cd_closed_form(make_params(4), [9])[9] == {
         1,
         8176,  # r(q^2-1)/2
         262144,  # q^4
@@ -72,72 +64,74 @@ def test_counted_degrees_over_each_family_f1():
     # X, Y, Z give {195}, {105}, {91} over Aut(S) and {65}, {35}, {91}
     # over S; ONE, ST and W give 1, 64 and 14
     p = make_params(1)
-    for d, expected in ((3, {1, 14, 64, 91, 105, 195}), (1, {1, 14, 35, 64, 65, 91})):
-        spec = ExtensionSpec(p, d)
-        assert cd_multiset(spec).keys() == expected
-        assert cd_oracle(spec).keys() == expected
+    expected = {3: {1, 14, 64, 91, 105, 195}, 1: {1, 14, 35, 64, 65, 91}}
+    counted, oracle = cd_multiset(p, [3, 1]), cd_oracle(p, [3, 1])
+    for d, degrees in expected.items():
+        assert counted[d].keys() == degrees
+        assert oracle[d].keys() == degrees
 
 
 def test_counted_degrees_f4_d9():
-    spec = ExtensionSpec(make_params(4), 9)
-    y_base = degree_of(spec.params, Family.Y)
-    degrees = cd_multiset(spec).keys()
+    p = make_params(4)
+    y_base = degree_of(p, Family.Y)
+    degrees = cd_multiset(p, [9])[9].keys()
     assert y_base in degrees and 9 * y_base in degrees
     assert 3 * y_base not in degrees  # b = 3 missing
-    assert degrees == cd_oracle(spec).keys()
+    assert degrees == cd_oracle(p, [9])[9].keys()
 
 
 def test_counted_degrees_attain_one_through_invariant_label():
     # f == 4, d == 3: G is generated by the cube of the automorphism,
     # the exponent-3 witness is excluded, yet b = 1 is attained via the
     # invariant label with exponent 1
-    spec = ExtensionSpec(make_params(4), 3)
-    y_base = degree_of(spec.params, Family.Y)
-    degrees = cd_multiset(spec).keys()
+    p = make_params(4)
+    y_base = degree_of(p, Family.Y)
+    degrees = cd_multiset(p, [3])[3].keys()
     assert y_base in degrees and 3 * y_base in degrees
-    assert degrees == cd_oracle(spec).keys()
+    assert degrees == cd_oracle(p, [3])[3].keys()
 
 
 def test_oracle_sz8():
-    spec = ExtensionSpec(make_params(1), 1)
-    ms = cd_oracle(spec)
+    p = make_params(1)
+    ms = cd_oracle(p, [1])[1]
     assert ms == {1: 1, 14: 2, 35: 3, 64: 1, 65: 3, 91: 1}
     assert sum_of_squares(ms) == 29120
     assert sum(ms.values()) == 11
     ms[1] = 99  # each call returns a fresh dict
-    assert cd_oracle(spec)[1] == cd_multiset(spec)[1] == 1
+    assert cd_oracle(p, [1])[1][1] == cd_multiset(p, [1])[1][1] == 1
 
 
 def test_oracle_aut_sz8():
-    spec = ExtensionSpec(make_params(1), 3)
-    ms = cd_oracle(spec)
+    ms = cd_oracle(make_params(1), [3])[3]
     assert ms == {1: 3, 14: 6, 64: 3, 91: 3, 105: 1, 195: 1}
     assert sum_of_squares(ms) == 3 * 29120
 
 
 def test_oracle_f2_d5():
-    spec = ExtensionSpec(make_params(2), 5)
-    ms = cd_oracle(spec)
+    p = make_params(2)
+    ms = cd_oracle(p, [5])[5]
     assert ms == {1: 5, 124: 10, 1024: 5, 1271: 5, 3875: 2, 5125: 3, 6355: 1}
-    assert ms.keys() == cd_closed_form(spec)
+    assert ms.keys() == cd_closed_form(p, [5])[5]
 
 
 def test_oracle_budget():
     with pytest.raises(BudgetExceededError):
-        cd_oracle(ExtensionSpec(make_params(11), 1))
+        cd_oracle(make_params(11), [1])
 
 
 @pytest.mark.parametrize("f", range(1, 11))
 def test_oracle_matches_closed_form(f):
     p = make_params(f)
-    for d in divisors_of(p.out_order):
-        spec = ExtensionSpec(p, d)
-        counted, oracle = cd_multiset(spec), cd_oracle(spec)
+    ds = divisors_of(p.out_order)
+    closed, counted, oracle = cd_closed_form(p, ds), cd_multiset(p, ds), cd_oracle(p, ds)
+    assert list(closed) == list(counted) == list(oracle) == ds
+    for d in ds:
         # both are plain dicts in ascending degree order
-        assert type(counted) is type(oracle) is dict, (f, d)
-        assert list(counted) == sorted(counted) and list(oracle) == sorted(oracle), (f, d)
-        assert oracle.keys() == cd_closed_form(spec), (f, d)
-        assert counted == oracle, (f, d)
+        assert type(counted[d]) is type(oracle[d]) is dict, (f, d)
+        assert list(counted[d]) == sorted(counted[d]), (f, d)
+        assert list(oracle[d]) == sorted(oracle[d]), (f, d)
+        assert oracle[d].keys() == closed[d], (f, d)
+        assert counted[d] == oracle[d], (f, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,12 +142,17 @@ def test_counting_route_sum_rules(f):
         hist = orbit_counts(p, family)
         assert all(p.out_order % n == 0 for n in hist), (f, family, hist)
         assert sum(hist.values()) == family_count(p, family), (f, family)
-    for d in divisors_of(p.out_order):
-        spec = ExtensionSpec(p, d)
-        multiset = cd_multiset(spec)
+    ds = divisors_of(p.out_order)
+    closed = cd_closed_form(p, ds)
+    for d, multiset in cd_multiset(p, ds).items():
         assert type(multiset) is dict and list(multiset) == sorted(multiset), (f, d)
-        assert sum_of_squares(multiset) == spec.order, (f, d)
-        assert multiset.keys() == cd_closed_form(spec), (f, d)
+        assert sum_of_squares(multiset) == d * p.group_order, (f, d)
+        assert multiset.keys() == closed[d], (f, d)
+
+
+def family_degrees(p):
+    """theta(1) of each family, as _clifford_multiset takes them."""
+    return {fam: degree_of(p, fam) for fam in Family}
 
 
 @pytest.mark.parametrize(
@@ -169,13 +168,13 @@ def test_counting_route_sum_rules(f):
     ],
 )
 def test_clifford_rejects_corrupted_histogram(family, corrupted):
-    spec = ExtensionSpec(make_params(1), 3)
+    p = make_params(1)
     counts, message = corrupted
 
-    counted = {fam: orbit_counts(spec.params, fam) for fam in Family}
-    assert _clifford_multiset(spec, counted) == cd_oracle(spec)
+    counted = {fam: orbit_counts(p, fam) for fam in Family}
+    assert _clifford_multiset(p, [3], family_degrees(p), counted) == cd_oracle(p, [3])
     with pytest.raises(InvariantError, match=message):
-        _clifford_multiset(spec, {**counted, family: counts})
+        _clifford_multiset(p, [3], family_degrees(p), {**counted, family: counts})
 
 
 @pytest.mark.parametrize(
@@ -188,26 +187,25 @@ def test_clifford_rejects_corrupted_histogram(family, corrupted):
     ],
     ids=["shared-degree", "square-sum"],
 )
-def test_clifford_rejects_a_wrong_family_degree(monkeypatch, family, fake, message):
-    from suzuki_cd import degrees
-
-    spec = ExtensionSpec(make_params(1), 1)
-    counted = {fam: orbit_counts(spec.params, fam) for fam in Family}
-    assert _clifford_multiset(spec, counted) == cd_oracle(spec)
-    monkeypatch.setattr(
-        degrees, "degree_of", lambda p, fam: fake(p) if fam is family else degree_of(p, fam)
-    )
+def test_clifford_rejects_a_wrong_family_degree(family, fake, message):
+    # at S and at Aut(S) in one call: the squared degrees, one check for
+    # every d, fail once, after each d's own checks have passed
+    p = make_params(1)
+    counted = {fam: orbit_counts(p, fam) for fam in Family}
+    degrees = family_degrees(p)
+    assert _clifford_multiset(p, [1, 3], degrees, counted) == cd_oracle(p, [1, 3])
     with pytest.raises(InvariantError, match=message):
-        _clifford_multiset(spec, counted)
+        _clifford_multiset(p, [1, 3], {**degrees, family: fake(p)}, counted)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4, 5, 6])
 def test_every_degree_is_s_degree_times_divisor(f):
     p = make_params(f)
-    s_degrees = cd_closed_form(ExtensionSpec(p, 1))
-    for d in divisors_of(p.out_order):
+    sets = cd_closed_form(p, divisors_of(p.out_order))
+    s_degrees = sets[1]
+    for d, degrees in sets.items():
         divisors_d = divisors_of(d)
-        for deg in cd_closed_form(ExtensionSpec(p, d)):
+        for deg in degrees:
             assert any(
                 deg % e == 0 and deg // e in divisors_d for e in s_degrees
             ), (f, d, deg)
@@ -218,9 +216,9 @@ def test_closed_form_near_f_max_divides_no_product_of_tori():
     # dividing a0 * a1 * a2 by the third took about 4 s over these 48 sets
     p = make_params(37537)  # 2f+1 = 75075 has 48 divisors
     started = time.perf_counter()
-    sets = [cd_closed_form(ExtensionSpec(p, d)) for d in divisors_of(p.out_order)]
+    sets = cd_closed_form(p, divisors_of(p.out_order))
     elapsed = time.perf_counter() - started
-    assert len(sets) == 48 and len(sets[0]) == 6
+    assert len(sets) == 48 and len(sets[1]) == 6
     assert elapsed < 1.0, elapsed
 
 
@@ -228,7 +226,7 @@ def test_degree_counts_of_proper_extensions():
     # Corollary B's counts, 3 + 3 tau(d) less 2 + [3 | d] at Aut(S): the
     # sharp 6 at f = 1, and the sharp 7 and 9 for prime and composite d
     for f, d, count in [(1, 3, 6), (2, 5, 7), (4, 9, 9), (4, 3, 9)]:
-        assert len(cd_closed_form(ExtensionSpec(make_params(f), d))) == count, (f, d)
+        assert len(cd_closed_form(make_params(f), [d])[d]) == count, (f, d)
 
 
 def cd_json_payload(capsys, f, d):

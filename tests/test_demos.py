@@ -29,5 +29,5 @@ def test_readme_library_block_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     library = readme[readme.index("\n## Library\n"):]
     block = library.split("```python\n", 1)[1].split("\n```", 1)[0]
-    assert "cd_multiset(aut)" in block
+    assert "cd_multiset(p, ds)" in block
     exec(compile(block, "README.md", "exec"), {})

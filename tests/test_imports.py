@@ -16,7 +16,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC_NAMES = [
     "BudgetExceededError",
-    "ExtensionSpec",
     "Family",
     "InvariantError",
     "ORACLE_F_MAX",

@@ -12,7 +12,6 @@ import pytest
 
 from suzuki_cd.characters import CharacterLabel, Family
 from suzuki_cd.cyclotomic import CyclotomicSum, root_power_sum
-from suzuki_cd.degrees import ExtensionSpec
 from suzuki_cd.numtheory import CoincidenceCase, GcdCase, coincidence_classify, gcd_torus
 from suzuki_cd.params import SuzukiParams, make_params
 from suzuki_cd.verification import SweepReport
@@ -29,11 +28,6 @@ RECORDS = {
         lambda: root_power_sum(7, [1, -1], [1, 1]),
         lambda: root_power_sum(7, [2, -2], [1, 1]),
         "terms",
-    ),
-    ExtensionSpec: (
-        lambda: ExtensionSpec(make_params(4), 3),
-        lambda: ExtensionSpec(make_params(4), 9),
-        "d",
     ),
     GcdCase: (
         lambda: gcd_torus(make_params(4), make_params(4).a1, 3, 1),
@@ -108,8 +102,6 @@ def test_records_build_by_position_only():
 
 
 def test_records_validate_on_construction():
-    with pytest.raises(ValueError):
-        ExtensionSpec(make_params(4), 2)
     with pytest.raises(ValueError):
         CyclotomicSum(7, ((3, 1), (1, 1)))
     with pytest.raises(ValueError):

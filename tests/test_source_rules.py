@@ -24,6 +24,10 @@
 - The oracles share no code with the closed forms they check: no oracle
   of ORACLE_LIMITS reaches, through the call graph, a function its
   limits name.
+- No module imports a ``_``-prefixed name from another package module,
+  relatively or as ``suzuki_cd.x``: a private helper serves its own
+  module, and what another module calls is public, where perfbench's
+  tracer, which wraps only public functions, sees it.
 - A call through ``getattr(obj, name)(...)``, which the call graph
   cannot follow, is made only by cli._cmd_verify, and each name it can
   take, a sweep of cli.VERIFY_SWEEPS, is a top-level def of
@@ -79,6 +83,17 @@ def package_imported(node: ast.AST) -> list[str]:
         names = [alias.name.split(".") for alias in node.names]
         return [name[1] for name in names if name[0] == "suzuki_cd" and len(name) > 1]
     return []
+
+
+def private_imports(node: ast.AST) -> list[str]:
+    """"module.name" of each ``_``-prefixed name a package import takes."""
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if not (node.level or module == "suzuki_cd" or module.startswith("suzuki_cd.")):
+        return []
+    module = module.removeprefix("suzuki_cd").lstrip(".") or "suzuki_cd"
+    return [f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
 
 
 def name_of(node: ast.AST | None) -> str | None:
@@ -206,6 +221,8 @@ def rule_breaks(src: Path) -> list[str]:
                 hits.append(f"{where}:{node.lineno}: assert statement")
             if "dataclasses" in imported(node):
                 hits.append(f"{where}:{node.lineno}: dataclasses import")
+            for name in private_imports(node):
+                hits.append(f"{where}:{node.lineno}: private {name} imported")
         for node in tree.body:
             if "typing" in imported(node):
                 hits.append(f"{where}:{node.lineno}: module-level typing import")
@@ -338,6 +355,26 @@ def test_an_oracle_that_reaches_a_closed_form_is_a_rule_break(tmp_path):
         "stabilizers.orbit_oracle reaches stabilizers.orbit_counts",
         "degrees.cd_oracle reaches numtheory.gcd_torus",
         "degrees.cd_oracle reaches stabilizers.orbit_counts",
+    ]
+
+
+def test_a_private_name_imported_from_another_module_is_a_rule_break(tmp_path):
+    # a sweep building each d's set through degrees' private helpers, one
+    # import relative and one through the package; public names and the
+    # module's own helpers are fine
+    (tmp_path / "verification.py").write_text(
+        "from __future__ import annotations\n\n"
+        "from .degrees import _closed_form, cd_closed_form\n"
+        "from .params import make_params\n\n\n"
+        "def _worker(f):\n"
+        "    from suzuki_cd.degrees import _family_degrees\n"
+        "    from suzuki_cd import _HOMES\n\n"
+        "    return _closed_form(make_params(f), 1, _family_degrees(f))\n"
+    )
+    assert rule_breaks(tmp_path) == [
+        "verification.py:3: private degrees._closed_form imported",
+        "verification.py:8: private degrees._family_degrees imported",
+        "verification.py:9: private suzuki_cd._HOMES imported",
     ]
 
 

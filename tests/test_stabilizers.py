@@ -23,7 +23,7 @@ from suzuki_cd.characters import (
     torus_value,
 )
 from suzuki_cd.cyclotomic import equals
-from suzuki_cd.degrees import ExtensionSpec, cd_closed_form
+from suzuki_cd.degrees import cd_closed_form
 from suzuki_cd.errors import BudgetExceededError, InvariantError
 from suzuki_cd.numtheory import GcdCase
 from suzuki_cd.params import divisors_of, make_params
@@ -532,9 +532,7 @@ def test_the_degree_and_torus_criss_cross_has_one_source(monkeypatch):
     # exceptions both follow the torus, so no degree set changes
     def closed_forms():
         return [
-            cd_closed_form(ExtensionSpec(p, d))
-            for p in map(make_params, range(1, 41))
-            for d in divisors_of(p.out_order)
+            cd_closed_form(p, divisors_of(p.out_order)) for p in map(make_params, range(1, 41))
         ]
 
     real = closed_forms()

@@ -374,7 +374,7 @@ def broken_at_f3(real, f_of):
         (verify_stabilizer_witnesses, "_stabilizer_worker", "stabilizers", "witness_for",
          lambda p: p.f),
         (verify_degree_sets, "_degree_worker", "degrees", "cd_multiset",
-         lambda spec: spec.params.f),
+         lambda p: p.f),
         (verify_class_counts, "_class_count_worker", "verification", "make_params",
          lambda f: f),
         (verify_degree_count_bounds, "_degree_count_worker", "verification", "make_params",
@@ -433,22 +433,44 @@ def test_degree_count_bound_sweep():
 
 
 def test_degree_count_sweep_wants_the_exact_count(monkeypatch):
-    # one degree dropped at f = 4, d = 3, in _closed_form, where the sweep
+    # one degree dropped at f = 4, d = 3, in cd_closed_form, where the sweep
     # builds each d's set, leaves 8: above the bound of 7 for prime d, yet
     # not the 9 that 3 + 3 tau(3) gives
     from suzuki_cd import degrees
 
-    real = degrees._closed_form
+    real = degrees.cd_closed_form
 
-    def drop_one(spec, family_degrees):
-        closed = real(spec, family_degrees)
-        return closed - {max(closed)} if (spec.params.f, spec.d) == (4, 3) else closed
+    def drop_one(p, ds):
+        sets = real(p, ds)
+        return {
+            d: closed - {max(closed)} if (p.f, d) == (4, 3) else closed
+            for d, closed in sets.items()
+        }
 
     checks = verify_degree_count_bounds(6).checks
-    monkeypatch.setattr(degrees, "_closed_form", drop_one)
+    monkeypatch.setattr(degrees, "cd_closed_form", drop_one)
     report = verify_degree_count_bounds(6)
     assert report.checks == checks == 7
     assert report.failures == ["f=4 d=3: |cd|=8 != 9"]
+
+
+def test_degree_count_sweep_builds_each_f_sets_in_one_call(monkeypatch):
+    # every proper d of an f comes from one cd_closed_form call
+    from collections import Counter
+
+    from suzuki_cd import degrees
+
+    calls = Counter()
+    real = degrees.cd_closed_form
+
+    def cd_closed_form(p, ds):
+        calls[p.f] += 1
+        return real(p, ds)
+
+    monkeypatch.setattr(degrees, "cd_closed_form", cd_closed_form)
+    report = verify_degree_count_bounds(6)
+    assert (report.checks, report.failures) == (7, [])
+    assert calls == Counter(range(1, 7))
 
 
 def test_parallel_jobs_agree_with_serial(monkeypatch):
