@@ -42,7 +42,7 @@ import sys
 
 from .characters import Family, family_count
 from .errors import BudgetExceededError, InvariantError, require_within, to_decimal
-from .params import divisors_of, make_params
+from .params import divisors_of, make_params, require_divisor
 
 # Each verify scope: the verification sweeps it runs, in output order, each
 # with the options it reads, which are its parameters.
@@ -131,6 +131,8 @@ def _cmd_cd(args: argparse.Namespace) -> int:
     p = make_params(args.f)
     d_form = "an integer or 'all'"
     ds = divisors_of(p.out_order) if args.d == "all" else _ints("--d", d_form, args.d, [args.d])
+    for d in ds:
+        require_divisor(p, "--d", d)
     q2 = to_decimal(p.q2)
     # Render every d's |G| and degrees, in output order, before counting, so
     # that an integer past the digit limit refuses before any orbit is counted.

@@ -136,8 +136,7 @@ def _clifford_multiset(
     for d in ds:
         require_divisor(p, "d", d)
         e = p.out_order // d
-        entries: dict[int, int] = {}
-        pairs: set[tuple[Family, int]] = set()  # distinct (family, orbit size s)
+        counts: dict[tuple[Family, int], int] = {}  # (family, orbit size s) -> characters
         invariant_chars = classes = 0
         for family in Family:
             for m, cnt in histograms[family].items():
@@ -149,9 +148,7 @@ def _clifford_multiset(
                         f"do not split into G-orbits of size {s}"
                     )
                 contributed = (cnt // s) * (d // s)
-                deg = degrees[family] * s
-                entries[deg] = entries.get(deg, 0) + contributed
-                pairs.add((family, s))
+                counts[family, s] = counts.get((family, s), 0) + contributed
                 if family not in TORUS_FAMILIES:
                     invariant_chars += contributed
         # ONE and ST extend to d characters each, the two W's to 2d total
@@ -161,9 +158,10 @@ def _clifford_multiset(
             )
         if classes != p.q2 + 3:
             raise InvariantError(f"f={p.f} d={d}: the class counts sum to {classes}, not q^2+3")
-        if len(pairs) != len(entries):
+        entries = {degrees[family] * s: cnt for (family, s), cnt in counts.items()}
+        if len(entries) != len(counts):
             raise InvariantError(
-                f"f={p.f} d={d}: {len(pairs)} (family, orbit size) pairs "
+                f"f={p.f} d={d}: {len(counts)} (family, orbit size) pairs "
                 f"give only {len(entries)} degrees"
             )
         result[d] = dict(sorted(entries.items()))

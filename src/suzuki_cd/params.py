@@ -16,11 +16,13 @@ from .errors import BudgetExceededError, require_within
 #: Largest accepted f.  Past it make_params refuses before any arithmetic,
 #: so no command can run long on a big f.  The slowest accepted work is at
 #: an f whose 2f+1 has 48 divisors: at f = 37537 one ``cd_multiset`` call
-#: over all 48 d takes about 0.43 s (median of 5 fresh runs; its six orbit
+#: over all 48 d takes about 0.19 s (median of 5 fresh runs; its six orbit
 #: histograms about 5 ms), ``witness_for`` at all 144 (family, n) about
-#: 0.04 s, and the Euclid calls of ``gcd_verification_rows`` about 1.7 s
-#: (2-vCPU Xeon, Python 3.11).  ``cd`` and ``gcd-table`` render what they print before
-#: that work, so at f = 37537 both refuse at once.
+#: 0.04 s, ``exact_stabilizer_exponent`` of one label 2-5 ms at index 1
+#: and up to 1.5 s at a witness, and the Euclid calls of
+#: ``gcd_verification_rows`` about 1.7 s (2-vCPU Xeon, Python 3.11).
+#: ``cd`` and ``gcd-table`` render what they print before that work, so
+#: at f = 37537 both refuse at once.
 F_MAX = 38000
 
 #: Trial divisors stop below this bound: an order whose prime factors at

@@ -10,11 +10,15 @@ gcd(q^4 + 1, 2^n -+ 1) = 1.
 
 The *exact stabilizer exponent* of a label is the least such n; the
 orbit of the label under index-doubling has exactly that size.
-witness_for constructs, for each admissible n, a label whose exact
-exponent is n, and returns None exactly when no label in the family has
-exact exponent n.  is_witnessless derives those cases from the torus
-order, and the closed form of theorem A reads it too (its Aut(S)
-exclusions are these exponents).  5 divides q^4 + 1 for every f, so it
+exact_stabilizer_exponent reads it from the criterion, trying the
+divisors of 2f+1 in ascending order, and walks no orbit.  A label that
+no divisor fixes would break the invariant that every orbit length
+divides 2f+1, so it raises InvariantError.  witness_for constructs, for
+each admissible n, a label whose exact exponent is n, and returns None
+exactly when no label in the family has exact exponent n.
+is_witnessless derives those cases from the torus order, and the
+closed form of theorem A reads it too (its Aut(S) exclusions are these
+exponents).  5 divides q^4 + 1 for every f, so it
 divides exactly one of the coprime Y and Z orders, and never the X
 order q^2 - 1 (2^(2f+1) is 2 or 3 mod 5).  On that one torus
 gcd(N, q^2 -+ 2^n) is 5 at n = 1 and again at n = 3, with the sign that
@@ -55,7 +59,8 @@ the divisors gives the pairs of each exact period, and a class of exact
 exponent n has its per pairs in one cycle of length per * n.  It reads
 no gcd and no kernel size, and keeps no cache: each call enumerates
 afresh, so a sweep that needs one family's histogram at several d
-enumerates it once and shares it.  Per-label queries have no budget.
+enumerates it once and shares it.  Per-label queries need no budget:
+at most four products mod N at each divisor of 2f+1.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .characters import (
     canonicalize,
     family_count,
     multipliers_of,
-    phi_power_on_label,
     torus_order_of,
 )
 from .errors import InvariantError, require_within
@@ -107,47 +111,27 @@ def is_witnessless(p: SuzukiParams, family: Family, n: int) -> bool:
 
 
 def exact_stabilizer_exponent(p: SuzukiParams, label: CharacterLabel) -> int:
-    """Least divisor n of 2f+1 fixing the label; ONE/ST/W give 1.
+    """Least divisor n of 2f+1 whose automorphism power fixes the label;
+    ONE/ST/W give 1.
 
-    Computed from the invariance criterion and cross-checked against
-    the label's actual doubling-orbit length.
+    The torus index i is fixed by the n-th power iff 2^n i == m i (mod N)
+    for some multiplier m, N the torus order: the criterion whose fixed
+    labels orbit_counts counts.  Raises ValueError unless i is a canonical
+    nonzero index, and InvariantError when no divisor of 2f+1 fixes it,
+    as every orbit length divides 2f+1.
     """
-    if label.family not in TORUS_FAMILIES:
+    family, idx = label.family, label.index
+    if family not in TORUS_FAMILIES:
         return 1
-    # n = 2f+1 always fixes the label; a None here fails the cross-check
-    exponent = next((n for n in divisors_of(p.out_order) if _invariant(p, label, n)), None)
-    length = _orbit_length(p, label)
-    if exponent != length:
-        raise InvariantError(
-            f"f={p.f} {label.family.value}: the invariance criterion gives exponent "
-            f"{exponent}, the doubling orbit has length {length}"
-        )
-    return exponent
-
-
-def _invariant(p: SuzukiParams, label: CharacterLabel, n: int) -> bool:
-    """Is the torus label fixed by the n-th power of the field automorphism?
-
-    Its index i is fixed iff 2^n i == m i (mod N) for some multiplier m,
-    N the torus order: the criterion whose fixed labels orbit_counts counts.
-    """
-    require_divisor(p, "n", n)
-    order = torus_order_of(p, label.family)
-    idx = label.index
-    if idx % order == 0 or canonicalize(p, label.family, idx) != idx:
-        raise ValueError(f"{idx} is not a canonical {label.family.value} index")
-    two_n = pow(2, n, order)
-    return any((two_n - m) * idx % order == 0 for m in multipliers_of(p, label.family))
-
-
-def _orbit_length(p: SuzukiParams, label: CharacterLabel) -> int:
-    length = 0
-    cur = label
-    while True:
-        cur = phi_power_on_label(p, cur, 1)
-        length += 1
-        if cur == label:
-            return length
+    order = torus_order_of(p, family)
+    if idx % order == 0 or canonicalize(p, family, idx) != idx:
+        raise ValueError(f"{idx} is not a canonical {family.value} index")
+    multipliers = multipliers_of(p, family)
+    for n in divisors_of(p.out_order):
+        two_n = pow(2, n, order)
+        if any((two_n - m) * idx % order == 0 for m in multipliers):
+            return n
+    raise InvariantError(f"f={p.f} {family.value}: no divisor of 2f+1 fixes index {idx}")
 
 
 def _kernel_orders(p: SuzukiParams, family: Family, n: int) -> tuple[int, int]:

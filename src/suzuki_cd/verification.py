@@ -45,7 +45,7 @@ DEFAULT_SEED = 20160414
 # Largest accepted sizes (shared 2-vCPU Xeon, Python 3.11.7; in-process
 # medians, each run in a fresh interpreter, import included; runs swing
 # by a quarter).  The gcd and class-count sweeps and the corollary-b sweep
-# grow superlinearly in f_max: 1.10 s and 0.67 s at their limits (medians
+# grow superlinearly in f_max: 0.98 s and 0.67 s at their limits (medians
 # of 9; up to 2.6 s on a busier host).  The quad sweep grows with
 # n_max * samples and, per check, with n, so its slowest accepted pair is
 # n_max 1000 with samples 200: 0.26 s (median of 7), where n_max 500 with
@@ -79,13 +79,14 @@ class SweepReport:
 
 
 def verify_gcd_closed_forms(f_max: int = 64, jobs: int = 1) -> SweepReport:
-    """Every closed-form gcd equals Euclid, and three gcd lemmas hold on
-    the Euclid values of the torus rows.
+    """Every closed-form torus gcd equals Euclid, and three gcd lemmas
+    hold on the Euclid values of the torus rows.
 
-    Every check is per f, so all grow with f_max: the torus and q^4+1
-    rows, and the X kernel orders gcd(q^2-1, 2^n -+ 1), the split-torus
-    case of gcd_torus, at the arguments stabilizers._kernel_orders
-    passes.  Each lemma is one check per f, the set it observes against
+    Every check is per f, so all grow with f_max: the torus rows (the
+    q^4+1 rows are their products), gcd(q^4+1, 2^n -+ 1) = 1, and the X
+    kernel orders gcd(q^2-1, 2^n -+ 1), the split-torus case of
+    gcd_torus, at the arguments stabilizers._kernel_orders passes.
+    Each lemma is one check per f, the set it observes against
     the set it predicts: (a) equal nontrivial gcds at exponents m | n are
     exactly the collisions coincidence_classify gives, each of value 5;
     (b) no (n, torus) has a nontrivial gcd at both signs; (c) no torus
@@ -120,10 +121,12 @@ def verify_quad_identity(
 
 def verify_stabilizer_witnesses(f_max: int = 8, jobs: int = 1) -> SweepReport:
     """Witnesses and derived orbit histograms agree with exhaustive orbit
-    enumeration at every exponent, witnessless ones too; the invariant label
-    is N/5, the n = 1 witness of the Y or Z that is_witnessless gives one.
-    That no torus order divides q^2 +- 2^n is a gcd lemma, which
-    verify_gcd_closed_forms checks at every f up to its own limit."""
+    enumeration at every exponent, witnessless ones too; each witness's
+    exact_stabilizer_exponent, read from the fixing criterion, is its n;
+    the invariant label is N/5, the n = 1 witness of the Y or Z that
+    is_witnessless gives one.  That no torus order divides q^2 +- 2^n is
+    a gcd lemma, which verify_gcd_closed_forms checks at every f up to
+    its own limit."""
     return _sweep("stabilizer-witnesses", _stabilizer_worker, _f_range(f_max, ORACLE_F_MAX), jobs)
 
 
@@ -167,9 +170,12 @@ def _gcd_worker(report: SweepReport, f: int) -> None:
     )
 
     p = make_params(f)
-    # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid
+    # (n, torus name, sign) -> gcd, from the one closed-form-vs-Euclid grid.
+    # Its q^4+1 rows are the products of its torus rows, as a1 * a2 = q^4+1
+    # with gcd(a1, a2) = 1, which the class-count sweep checks: no Euclid there.
+    torus_rows = [row for row in gcd_closed_form_rows(p) if row[1] != "product"]
     euclid: dict[tuple[int, str, int], int] = {}
-    for n, torus_name, sign, case, actual in gcd_verification_rows(p, gcd_closed_form_rows(p)):
+    for n, torus_name, sign, case, actual in gcd_verification_rows(p, torus_rows):
         euclid[n, torus_name, sign] = actual
         _check(
             report,

@@ -7,7 +7,14 @@ runtime limit.
 
 import time
 
-from suzuki_cd import cd_closed_form, cd_oracle, make_params
+from suzuki_cd import (
+    Family,
+    cd_closed_form,
+    cd_oracle,
+    exact_stabilizer_exponent,
+    make_label,
+    make_params,
+)
 from suzuki_cd.verification import (
     verify_class_counts,
     verify_degree_count_bounds,
@@ -132,4 +139,19 @@ def test_criterion_8_class_counts():
         report.passed,
         started,
         5.0,
+    )
+
+
+def test_criterion_9_per_label_stabilizer_near_f_max():
+    # 2f+1 = 75075 = 3 * 5^2 * 7 * 11 * 13 has 48 divisors, and X label 1
+    # is fixed by no power short of the whole group, so every one is tried
+    started = time.perf_counter()
+    p = make_params(37537)
+    exponent = exact_stabilizer_exponent(p, make_label(p, Family.X, 1))
+    _finish(
+        9,
+        f"exact stabilizer exponent of X label 1 at f = 37537 ({exponent})",
+        exponent == 75075,
+        started,
+        1.0,
     )

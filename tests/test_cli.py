@@ -237,7 +237,9 @@ def test_counted_degrees_disagreeing_with_closed_form_exit_one(capsys, monkeypat
 
 def test_cd_usage_errors(capsys):
     assert run(capsys, "cd", "--f", "0", "--d", "1")[0] == 2
-    assert run(capsys, "cd", "--f", "1", "--d", "2")[0] == 2
+    assert run(capsys, "cd", "--f", "1", "--d", "2") == (
+        2, "", "error: --d must divide 2f+1=3, got 2\n"
+    )
     assert run(capsys, "cd", "--f", "1", "--d", "x") == (
         2, "", "error: --d must be an integer or 'all', got 'x'\n"
     )
@@ -408,7 +410,7 @@ def test_gcd_table_io_error(tmp_path, capsys):
 def test_verify_lemmas_check_counts_pinned(capsys):
     code, out, _ = run(capsys, "verify", "lemmas")
     assert code == 0
-    assert out == "gcd-closed-forms: 1622 checks, ok\nclass-counts: 384 checks, ok\n"
+    assert out == "gcd-closed-forms: 1336 checks, ok\nclass-counts: 384 checks, ok\n"
 
 
 def test_verify_exit_zero(capsys):

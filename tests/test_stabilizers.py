@@ -28,7 +28,6 @@ from suzuki_cd.errors import BudgetExceededError, InvariantError
 from suzuki_cd.numtheory import GcdCase
 from suzuki_cd.params import divisors_of, make_params
 from suzuki_cd.stabilizers import (
-    _invariant,
     exact_stabilizer_exponent,
     is_witnessless,
     orbit_counts,
@@ -38,7 +37,8 @@ from suzuki_cd.stabilizers import (
 
 
 def invariant(p, family, idx, n):
-    return _invariant(p, CharacterLabel(family, idx), n)
+    """Does the n-th automorphism power fix the label?  n divides 2f+1."""
+    return n % exact_stabilizer_exponent(p, CharacterLabel(family, idx)) == 0
 
 
 def checked_witness(p, family, n):
@@ -64,8 +64,6 @@ def test_x_invariant_examples():
         invariant(p1, Family.X, 0, 1)
     with pytest.raises(ValueError):
         invariant(p1, Family.X, 4, 1)  # above q^2/2 - 1
-    with pytest.raises(ValueError):
-        invariant(p1, Family.X, 1, 2)  # 2 does not divide 3
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -160,13 +158,22 @@ def test_exact_exponents_f1():
     assert exact_stabilizer_exponent(p, make_label(p, Family.ST)) == 1
 
 
-def test_exponent_cross_check_raises_on_wrong_orbit_length(monkeypatch):
+def test_exponent_refuses_a_label_no_divisor_fixes(monkeypatch):
+    # Y at f = 1: torus order 13, multipliers {+-1, +-q^2} = {1, 12, 8, 5}.
+    # Only q^2 = 8 = 2^3 fixes index 1; without +-q^2 neither 2 nor 2^3 does.
     p = make_params(1)
-    label = make_label(p, Family.X, 1)
+    label = make_label(p, Family.Y, 1)
     assert exact_stabilizer_exponent(p, label) == 3
-    monkeypatch.setattr(stabilizers, "_orbit_length", lambda p, label: 1)
-    with pytest.raises(InvariantError):
+    monkeypatch.setattr(stabilizers, "multipliers_of", lambda p, family: frozenset((1, 12)))
+    with pytest.raises(InvariantError, match=r"^f=1 Y: no divisor of 2f\+1 fixes index 1$"):
         exact_stabilizer_exponent(p, label)
+
+
+@pytest.mark.parametrize("idx", [0, 12])  # 12 = -1 (mod 13) is in the class of 1
+def test_exponent_refuses_a_non_canonical_index(idx):
+    p = make_params(1)
+    with pytest.raises(ValueError, match=f"^{idx} is not a canonical Y index$"):
+        exact_stabilizer_exponent(p, CharacterLabel(Family.Y, idx))
 
 
 def test_orbit_oracle_f1():
@@ -207,8 +214,10 @@ def test_orbit_counts_match_oracle(f):
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_orbit_oracle_matches_per_label_exponents(f):
-    # label by label through phi_power_on_label, sharing none of the
-    # oracle's bookkeeping (tags, slices, fixed-pair counts by divisor)
+    # label by label from the fixing condition, sharing none of the
+    # oracle's bookkeeping (tags, slices, fixed-pair counts by divisor);
+    # test_invariance_predicates_match_orbit_dynamics ties that condition
+    # to phi_power_on_label
     p = make_params(f)
     for family in TORUS_FAMILIES:
         naive = Counter(
@@ -450,7 +459,7 @@ def test_invariance_predicates_match_orbit_dynamics(f):
         for idx in canonical_indices(p, family):
             label = make_label(p, family, idx)
             for n in divisors_of(p.out_order):
-                predicted = _invariant(p, label, n)
+                predicted = invariant(p, family, idx, n)
                 actual = phi_power_on_label(p, label, n) == label
                 assert predicted == actual, (f, family, idx, n)
 
@@ -465,7 +474,7 @@ def test_invariance_matches_exact_value_vectors(f):
         for idx in canonical_indices(p, family):
             label = make_label(p, family, idx)
             for n in divisors_of(p.out_order):
-                predicted = _invariant(p, label, n)
+                predicted = invariant(p, family, idx, n)
                 actual = all(
                     equals(
                         torus_value(p, label, l),

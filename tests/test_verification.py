@@ -26,7 +26,8 @@ from suzuki_cd.verification import (
 def test_gcd_sweep():
     report = verify_gcd_closed_forms(24)
     assert report.passed, report.failures[:3]
-    assert report.checks > 500
+    # Euclid on the torus rows only: the q^4+1 rows are their products
+    assert report.checks == 416
 
 
 def test_class_count_sweep():
@@ -179,7 +180,8 @@ def test_quad_sweep_image_count_at_the_benchmark_seed(monkeypatch):
 
 
 def test_gcd_failure_messages(monkeypatch):
-    # the fake reaches gcd_verification_rows too, which never asks for (65, 3)
+    # the fake reaches gcd_verification_rows too, which asks only the torus
+    # orders (13 and 5 at f = 1), never q^4 + 1 = 65
     euclid = numtheory.euclid_gcd
 
     def wrong_once(a, b):
@@ -189,7 +191,7 @@ def test_gcd_failure_messages(monkeypatch):
     checks = verify_gcd_closed_forms(f_max=2).checks
     monkeypatch.setattr(numtheory, "euclid_gcd", wrong_once)
     report = verify_gcd_closed_forms(f_max=2)
-    assert report.checks == checks == 26
+    assert report.checks == checks == 22
     assert report.failures == ["f=1 n=1 sign=1: gcd(q^4+1, 2^n+1) != 1"]
 
 
